@@ -5,6 +5,7 @@
 
 #include <vector>
 
+#include "workload/dynamics.hpp"
 #include "workload/scenario.hpp"
 
 namespace ahg::test {
@@ -59,6 +60,32 @@ inline workload::Scenario small_suite_scenario(
   params.master_seed = seed;
   const workload::ScenarioSuite suite(params);
   return suite.make(grid_case, etc_index, dag_index);
+}
+
+/// The paper-shape fixture matrix the determinism and golden-digest suites
+/// share: Cases A/B/C at |T|=48, plus one dynamic-arrival shape so the
+/// release cursor is exercised too.
+inline std::vector<workload::Scenario> paper_shape_fixtures() {
+  std::vector<workload::Scenario> fixtures;
+  fixtures.push_back(small_suite_scenario(sim::GridCase::A, 48));
+  fixtures.push_back(small_suite_scenario(sim::GridCase::B, 48));
+  fixtures.push_back(small_suite_scenario(sim::GridCase::C, 48));
+  auto released = small_suite_scenario(sim::GridCase::A, 64, 4242);
+  released.releases = workload::generate_release_times(
+      workload::ReleaseParams{0.3}, released.dag, released.tau, 11);
+  fixtures.push_back(std::move(released));
+  return fixtures;
+}
+
+/// Case A at |T|=64 with every machine present except machine 1, which
+/// departs at tau/8 — early enough that every SLRH variant still has work
+/// left, so churn recovery (orphaning, invalidation, re-mapping) runs.
+inline workload::Scenario one_departure_scenario() {
+  auto scenario = small_suite_scenario(sim::GridCase::A, 64, 4242);
+  scenario.machine_windows.assign(scenario.num_machines(),
+                                  workload::Scenario::MachineWindow{});
+  scenario.machine_windows[1].depart = scenario.tau / 8;
+  return scenario;
 }
 
 }  // namespace ahg::test
