@@ -4,10 +4,12 @@
 // A BENCH_<name>.json dump is flattened into a scalar metric map
 // ("counter:NAME", "gauge:NAME", "hist_mean:NAME", "hist_count:NAME") and
 // compared against a committed baseline with per-metric relative tolerances.
-// Wall-clock metrics (any name containing "_seconds") gate in one direction
-// only — getting FASTER is never a regression — and carry a small absolute
-// floor so sub-millisecond sections don't flap on scheduler noise. Everything
-// else (counters, ratios, histogram shapes) gates two-sided: a count that
+// Wall-clock metrics (any name containing "_seconds") gate upper-bound only —
+// getting FASTER is never a regression — and carry a small absolute floor so
+// sub-millisecond sections don't flap on scheduler noise. Speedup ratios (any
+// name containing "_speedup") gate lower-bound only: a baseline recorded on
+// a 1-core host must not flag a 4-core host's larger speedup. Everything else
+// (counters, ratios, histogram shapes) gates two-sided: a count that
 // silently changes in either direction means the bench measured something
 // different, which is exactly what the gate exists to catch.
 //
@@ -33,11 +35,17 @@ inline constexpr int kGateSchemaVersion = 1;
 
 enum class GateDirection : std::uint8_t {
   Upper,     ///< regression only when fresh exceeds baseline (wall-clock)
+  Lower,     ///< regression only when fresh falls below baseline (speedups)
   TwoSided,  ///< regression when fresh drifts either way (counts, ratios)
 };
 
 inline const char* to_string(GateDirection d) noexcept {
-  return d == GateDirection::Upper ? "upper" : "two-sided";
+  switch (d) {
+    case GateDirection::Upper: return "upper";
+    case GateDirection::Lower: return "lower";
+    case GateDirection::TwoSided: return "two-sided";
+  }
+  return "?";
 }
 
 /// One gated metric in a baseline file.
@@ -53,10 +61,12 @@ struct GateBaseline {
   std::map<std::string, GateMetric> metrics;
 };
 
-/// Wall-clock metric names gate Upper; everything else TwoSided.
+/// Wall-clock metric names gate Upper, speedup names Lower; everything
+/// else TwoSided.
 inline GateDirection default_direction(std::string_view key) noexcept {
-  return key.find("_seconds") != std::string_view::npos ? GateDirection::Upper
-                                                        : GateDirection::TwoSided;
+  if (key.find("_seconds") != std::string_view::npos) return GateDirection::Upper;
+  if (key.find("_speedup") != std::string_view::npos) return GateDirection::Lower;
+  return GateDirection::TwoSided;
 }
 
 /// Flatten a metrics snapshot into the gate's scalar map. Non-finite values
@@ -135,9 +145,10 @@ inline GateBaseline parse_baseline(const obs::JsonValue& root) {
     GateMetric metric;
     metric.value = entry.get_double("value");
     metric.tolerance = entry.get_double("tolerance", baseline.default_tolerance);
-    metric.direction = entry.get_string("direction") == "upper"
-                           ? GateDirection::Upper
-                           : GateDirection::TwoSided;
+    const std::string direction = entry.get_string("direction");
+    metric.direction = direction == "upper"   ? GateDirection::Upper
+                       : direction == "lower" ? GateDirection::Lower
+                                              : GateDirection::TwoSided;
     baseline.metrics.emplace(key, metric);
   }
   return baseline;
@@ -229,6 +240,11 @@ inline GateResult check_bench(const GateBaseline& baseline,
     const double slack = std::abs(metric.value) * metric.tolerance;
     if (metric.direction == GateDirection::Upper) {
       if (finding.fresh > metric.value + slack + seconds_floor) {
+        finding.verdict = GateVerdict::Regression;
+        ++result.regressions;
+      }
+    } else if (metric.direction == GateDirection::Lower) {
+      if (finding.fresh < metric.value - slack - 1e-12) {
         finding.verdict = GateVerdict::Regression;
         ++result.regressions;
       }

@@ -14,7 +14,6 @@
 
 #include "bench/bench_common.hpp"
 #include "core/feasibility.hpp"
-#include "core/frontier.hpp"
 #include "core/placement.hpp"
 #include "core/scenario_cache.hpp"
 #include "core/scoring.hpp"
@@ -63,13 +62,11 @@ void BM_TimelineEarliestFit(benchmark::State& state) {
 }
 BENCHMARK(BM_TimelineEarliestFit)->Arg(64)->Arg(256)->Arg(1024);
 
-// --- earliest fit: linear walk vs ordered hole index ----------------------
+// --- earliest fit: ordered hole index on a dense timeline ----------------
 //
-// Same busy set, same probe sequence, both paths. The dense timeline (tight
-// gaps, mostly too small for the probe duration) is the adversarial shape:
-// the walk inspects every gap until far into the timeline, the hole index
-// skips 64-gap blocks via their maxima. The retained walk is also the
-// reference the determinism tests diff against.
+// The dense timeline (tight gaps, mostly too small for the probe duration)
+// is the adversarial shape: a linear walk would inspect every gap until far
+// into the timeline; the hole index skips whole chunks via their maxima.
 
 sim::Timeline dense_timeline(std::size_t n) {
   sim::Timeline tl;
@@ -84,18 +81,6 @@ sim::Timeline dense_timeline(std::size_t n) {
   }
   return tl;
 }
-
-void BM_EarliestFit_Walk(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const sim::Timeline tl = dense_timeline(n);
-  const Cycles horizon = tl.ready_time();
-  Cycles probe = 0;
-  for (auto _ : state) {
-    probe = (probe + 97) % horizon;
-    benchmark::DoNotOptimize(tl.earliest_fit_walk(probe, 50));
-  }
-}
-BENCHMARK(BM_EarliestFit_Walk)->Arg(256)->Arg(1024)->Arg(8192);
 
 void BM_EarliestFit_HoleIndex(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -154,48 +139,6 @@ void BM_PoolAdmissionScan(benchmark::State& state) {
 }
 BENCHMARK(BM_PoolAdmissionScan)->Arg(256)->Arg(1024);
 
-// --- pool construction: scan vs frontier ----------------------------------
-//
-// Same pool, two constructions. The scan walks all |T| subtasks re-deriving
-// admission energies; the frontier walks only the ready set (for a fresh
-// schedule: the DAG roots) against the precomputed tables. Both are measured
-// from the state drive_slrh sees at clock 0 on machine 0, so the ratio is
-// the per-pool-build speedup of the fast path.
-
-void BM_BuildPool_Scan(benchmark::State& state) {
-  const auto scenario = bench_scenario(static_cast<std::size_t>(state.range(0)));
-  sim::Schedule schedule(scenario.grid, scenario.num_tasks());
-  core::SlrhParams params;
-  params.weights = core::Weights::make(0.6, 0.3);
-  const auto totals = core::objective_totals(scenario);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::build_slrh_pool_scan(
-        scenario, schedule, params, totals, /*machine=*/0, /*clock=*/0));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_BuildPool_Scan)->Arg(256)->Arg(1024);
-
-void BM_BuildPool_Frontier(benchmark::State& state) {
-  const auto scenario = bench_scenario(static_cast<std::size_t>(state.range(0)));
-  sim::Schedule schedule(scenario.grid, scenario.num_tasks());
-  core::SlrhParams params;
-  params.weights = core::Weights::make(0.6, 0.3);
-  const auto totals = core::objective_totals(scenario);
-  const core::ScenarioCache cache(scenario);
-  core::ReadyFrontier frontier(scenario, schedule);
-  frontier.advance_to(0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::build_slrh_pool_frontier(
-        scenario, cache, frontier, schedule, params, totals, /*machine=*/0,
-        /*clock=*/0));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_BuildPool_Frontier)->Arg(256)->Arg(1024);
-
 // --- admission energy: derived vs table lookup ----------------------------
 //
 // The admission "energy need" (secondary execution + worst-case outgoing
@@ -235,9 +178,9 @@ BENCHMARK(BM_EnergyNeed_Cached);
 // task against one machine, excluding the pool sort (identical on both
 // sides) so the ratio is gather+score work alone. Independent tasks make the
 // whole task set ready at clock 0 — the |T|=100k regime's pool shape. The
-// scalar side replicates build_slrh_pool_frontier's admission + two
-// score_candidate chains per task; the batched side is build_candidate_batch
-// + score_batch over the same ready span.
+// scalar side is the per-candidate admission check + two score_candidate
+// chains per task; the batched side is build_candidate_batch + score_batch
+// over the same ready span.
 
 workload::Scenario all_ready_scenario(std::size_t num_tasks) {
   auto grid = sim::GridConfig::make(4, 4);
@@ -261,7 +204,7 @@ std::vector<TaskId> all_tasks(std::size_t num_tasks) {
   return ready;
 }
 
-double scalar_score_kernel(const workload::Scenario& scenario,
+double per_candidate_score_kernel(const workload::Scenario& scenario,
                            const core::ScenarioCache& cache,
                            const sim::Schedule& schedule,
                            const core::Weights& weights,
@@ -313,7 +256,7 @@ void BM_ScoreBatch_Scalar(benchmark::State& state) {
   const auto ready = all_tasks(scenario.num_tasks());
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        scalar_score_kernel(scenario, cache, schedule, weights, totals, ready));
+        per_candidate_score_kernel(scenario, cache, schedule, weights, totals, ready));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
@@ -441,12 +384,10 @@ void BM_SlrhInnerLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_SlrhInnerLoop)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-// End-to-end before/after record for the fast path: run each SLRH variant
-// over the same scenario with legacy_scan (the original scan-everything
-// execution) and with the default cache + frontier + memo path, and dump the
-// wall times as BENCH_inner_loop.json. Counters record that the schedules
-// agree (t100/aet match — the bit-identity contract, asserted properly by
-// tests/test_determinism.cpp).
+// End-to-end record for the SLRH inner loop: run each variant over the same
+// scenario and dump the wall times as BENCH_inner_loop.json (the
+// *_fast_seconds keys keep their historical name). Schedule bit-identity is
+// pinned by tests/test_golden_schedules.cpp, not here.
 void write_inner_loop_report() {
   bench::BenchReport report("inner_loop");
   const auto scenario = bench_scenario(1024);
@@ -456,26 +397,9 @@ void write_inner_loop_report() {
     params.variant = variant;
     params.weights = core::Weights::make(0.7, 0.25);
     const std::string name = core::to_string(variant);
-
-    params.legacy_scan = true;
-    const auto legacy = report.timed_section(
-        name + "_legacy", [&] { return core::run_slrh(scenario, params); });
-
-    params.legacy_scan = false;
     const auto fast = report.timed_section(
         name + "_fast", [&] { return core::run_slrh(scenario, params); });
-
-    report.metrics()
-        .counter("bench." + name + "_schedules_identical")
-        .add(legacy.t100 == fast.t100 && legacy.aet == fast.aet &&
-                     legacy.tec == fast.tec
-                 ? 1
-                 : 0);
-    std::cout << name << ": legacy " << legacy.wall_seconds << " s, fast "
-              << fast.wall_seconds << " s ("
-              << (fast.wall_seconds > 0.0 ? legacy.wall_seconds / fast.wall_seconds
-                                          : 0.0)
-              << "x)\n";
+    std::cout << name << ": " << fast.wall_seconds << " s\n";
   }
 
   // Score-kernel record (ISSUE: >= 3x on the pool-build/score kernel at
@@ -499,7 +423,7 @@ void write_inner_loop_report() {
     double batched_sum = 0.0;
     for (int rep = 0; rep < kReps; ++rep) {
       const Stopwatch scalar_timer;
-      scalar_sum = scalar_score_kernel(pool_scenario, cache, schedule, weights,
+      scalar_sum = per_candidate_score_kernel(pool_scenario, cache, schedule, weights,
                                        totals, ready);
       const double scalar_elapsed = scalar_timer.seconds();
       scalar_seconds =
@@ -526,28 +450,16 @@ void write_inner_loop_report() {
               << batched_seconds << " s (" << speedup << "x)\n";
   }
 
-  // Earliest-fit record: linear walk vs hole index over a dense 8192-interval
-  // timeline (the |T|=100k placement regime). Same probes on both paths.
+  // Earliest-fit record: the hole index over a dense 8192-interval timeline
+  // (the |T|=100k placement regime).
   {
     constexpr int kReps = 15;
     constexpr int kProbes = 4096;
     const sim::Timeline tl = dense_timeline(8192);
     const Cycles horizon = tl.ready_time();
-    double walk_seconds = 0.0;
     double index_seconds = 0.0;
     for (int rep = 0; rep < kReps; ++rep) {
       Cycles probe = 0;
-      Cycles walk_acc = 0;
-      const Stopwatch walk_timer;
-      for (int q = 0; q < kProbes; ++q) {
-        probe = (probe + 97) % horizon;
-        walk_acc += tl.earliest_fit_walk(probe, 50);
-      }
-      const double walk_elapsed = walk_timer.seconds();
-      benchmark::DoNotOptimize(walk_acc);
-      walk_seconds = rep == 0 ? walk_elapsed : std::min(walk_seconds, walk_elapsed);
-
-      probe = 0;
       Cycles index_acc = 0;
       const Stopwatch index_timer;
       for (int q = 0; q < kProbes; ++q) {
@@ -559,12 +471,8 @@ void write_inner_loop_report() {
       index_seconds =
           rep == 0 ? index_elapsed : std::min(index_seconds, index_elapsed);
     }
-    const double speedup = index_seconds > 0.0 ? walk_seconds / index_seconds : 0.0;
-    report.metrics().gauge("bench.earliest_fit_walk_seconds").set(walk_seconds);
     report.metrics().gauge("bench.earliest_fit_index_seconds").set(index_seconds);
-    report.metrics().gauge("bench.earliest_fit_speedup").set(speedup);
-    std::cout << "earliest fit @8192: walk " << walk_seconds << " s, index "
-              << index_seconds << " s (" << speedup << "x)\n";
+    std::cout << "earliest fit @8192: " << index_seconds << " s\n";
   }
 
   // Sweep-accelerator record at the smoke shape, gated per push: the V3

@@ -397,7 +397,8 @@ int main(int argc, char** argv) {
               << " sampled ticks committed a map, pool-build time "
               << format_fixed(pool_seconds * 1e3, 3) << " ms\n";
     // Re-planning economy (sweep accelerator): zero on recordings made with
-    // pool_reuse / sweep_parallel off, and on pre-accelerator recordings.
+    // both pool_reuse and sweep_parallel off, and on pre-accelerator
+    // recordings.
     if (total_reused > 0 || total_aborts > 0 || sweep_seconds > 0.0) {
       std::cout << "         re-planning: " << total_pools << " pool(s) built vs "
                 << total_reused << " reused, " << total_aborts

@@ -1,7 +1,6 @@
 #include "core/maxmax.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <optional>
 #include <set>
 #include <tuple>
@@ -55,18 +54,12 @@ MappingResult run_maxmax(const workload::Scenario& scenario, const MaxMaxParams&
   const ObjectiveTotals totals = objective_totals(scenario);
 
   // Precomputed pure-scenario tables (admission energies, execution cycles,
-  // per-task minimum execution cycles). Built by the exact uncached
-  // expressions, so reading them changes no decision; legacy_scan forces the
-  // original on-demand derivations for diff tests.
+  // per-task minimum execution cycles): the caller's shared cache, else a
+  // run-local one. Built by the exact uncached expressions, so reading them
+  // changes no decision.
   std::optional<ScenarioCache> local_cache;
-  const ScenarioCache* cache = nullptr;
-  if (!params.legacy_scan) {
-    cache = params.cache;
-    if (cache == nullptr) {
-      local_cache.emplace(scenario);
-      cache = &*local_cache;
-    }
-  }
+  const ScenarioCache& cache =
+      params.cache != nullptr ? *params.cache : local_cache.emplace(scenario);
   const auto num_tasks = static_cast<TaskId>(scenario.num_tasks());
   const auto num_machines = static_cast<MachineId>(scenario.num_machines());
 
@@ -132,14 +125,7 @@ MappingResult run_maxmax(const workload::Scenario& scenario, const MaxMaxParams&
     const auto order = scenario.dag.topological_order();
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
       const TaskId t = *it;
-      Cycles min_exec = std::numeric_limits<Cycles>::max();
-      if (cache != nullptr) {
-        min_exec = cache->min_exec_cycles(t, VersionKind::Secondary);
-      } else {
-        for (MachineId j = 0; j < num_machines; ++j) {
-          min_exec = std::min(min_exec, scenario.exec_cycles(t, j, VersionKind::Secondary));
-        }
-      }
+      const Cycles min_exec = cache.min_exec_cycles(t, VersionKind::Secondary);
       for (const TaskId parent : scenario.dag.parents(t)) {
         tail[static_cast<std::size_t>(parent)] =
             std::max(tail[static_cast<std::size_t>(parent)],
@@ -186,20 +172,15 @@ MappingResult run_maxmax(const workload::Scenario& scenario, const MaxMaxParams&
           for (const VersionKind version :
                {VersionKind::Primary, VersionKind::Secondary}) {
             if (excluded.contains({task, machine, version})) continue;
-            const bool fits =
-                cache != nullptr
-                    ? version_fits_energy(*cache, *schedule, task, machine, version)
-                    : version_fits_energy(scenario, *schedule, task, machine,
-                                          version);
-            if (!fits) continue;
+            if (!version_fits_energy(cache, *schedule, task, machine, version)) {
+              continue;
+            }
             // Hole-aware finish estimate: earliest-fit (served by the
             // timeline's ordered hole index) from the latest parent finish —
             // Max-Max backfills, so an append-style "ready + exec" estimate
             // would misprice every candidate once any machine has a late
             // booking.
-            const Cycles exec = cache != nullptr
-                                    ? cache->exec_cycles(task, machine, version)
-                                    : scenario.exec_cycles(task, machine, version);
+            const Cycles exec = cache.exec_cycles(task, machine, version);
             const Cycles start_est =
                 schedule->compute_timeline(machine).earliest_fit(arrival_lb, exec);
             const Cycles finish_est = start_est + exec;
@@ -207,16 +188,9 @@ MappingResult run_maxmax(const workload::Scenario& scenario, const MaxMaxParams&
                 finish_est + tail[static_cast<std::size_t>(task)] > scenario.tau) {
               continue;
             }
-            const double score =
-                cache != nullptr
-                    ? score_candidate_with_finish(*cache, scenario, *schedule,
-                                                  params.weights, totals, task,
-                                                  machine, version, finish_est,
-                                                  params.aet_sign)
-                    : score_candidate_with_finish(scenario, *schedule,
-                                                  params.weights, totals, task,
-                                                  machine, version, finish_est,
-                                                  params.aet_sign);
+            const double score = score_candidate_with_finish(
+                cache, scenario, *schedule, params.weights, totals, task, machine,
+                version, finish_est, params.aet_sign);
             const Triplet triplet{task, machine, version, score, finish_est};
             if (triplet.better_than(best)) best = triplet;
           }

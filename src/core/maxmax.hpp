@@ -66,15 +66,8 @@ struct MaxMaxParams {
 
   /// Optional precomputed pure-scenario tables (not owned). Null — the
   /// default — makes the run build its own; supply one to amortise the
-  /// build across many runs on the same scenario (the tuner does). Ignored
-  /// when legacy_scan is set.
+  /// build across many runs on the same scenario (the tuner does).
   const ScenarioCache* cache = nullptr;
-
-  /// Diff baseline for tests: re-derive admission energies, execution
-  /// cycles, and critical-path tails on demand instead of reading the
-  /// tables. Bit-identical schedules either way (asserted by
-  /// tests/test_determinism.cpp).
-  bool legacy_scan = false;
 
   void validate() const { weights.validate(); }
 };

@@ -13,9 +13,10 @@
 // expression, in the SAME operation order, as the uncached functions in
 // feasibility.cpp / scoring.cpp evaluate on demand. A cached lookup therefore
 // returns a bit-identical double, and heuristics driven through the cache
-// make exactly the same decisions as the uncached paths (asserted by
-// tests/test_determinism.cpp). The uncached functions remain as the diff
-// baseline.
+// make exactly the same decisions as the uncached functions would (the
+// tables are checked entry by entry against those functions by
+// tests/test_determinism.cpp, and the golden schedule digests in
+// tests/test_golden_schedules.cpp pin the resulting schedules).
 //
 // Build modes: entries are independent per (task, machine, version), so the
 // build parallelizes over machine columns with no ordering concerns — every

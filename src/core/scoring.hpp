@@ -89,27 +89,27 @@ ObjectiveTerms score_candidate_terms_with_finish(
 // --- batched SoA scoring -----------------------------------------------
 //
 // One SLRH pool build evaluates every ready task against a single machine at
-// a single clock. The scalar path pays two score_candidate call chains per
-// candidate — each re-reading machine state, re-walking the parents and
-// re-dividing the objective normalisers. The batched path splits the work
-// into a GATHER stage (build_candidate_batch: admission + one parent walk
-// per task, filling contiguous structure-of-arrays columns from the
-// ScenarioCache tables and the per-machine schedule state) and a SCORE
-// kernel (score_batch: branch-free arithmetic over the columns, admission
-// classification by conditional select).
+// a single clock. Scoring each candidate through score_candidate would pay
+// two call chains per candidate — each re-reading machine state, re-walking
+// the parents and re-dividing the objective normalisers. The batched path
+// (the only one SLRH uses) splits the work into a GATHER stage
+// (build_candidate_batch: admission + one parent walk per task, filling
+// contiguous structure-of-arrays columns from the ScenarioCache tables and
+// the per-machine schedule state) and a SCORE kernel (score_batch:
+// branch-free arithmetic over the columns, admission classification by
+// conditional select).
 //
-// Bit-identity contract (enforced by tests/test_determinism.cpp and the
-// property tests in tests/test_scoring.cpp): every double in the batch is
-// produced by the SAME expression in the SAME operation order as the scalar
-// path — the tec-delta accumulation per version starts from the version's
-// exec energy and adds the identical per-parent transfer energies in parent
-// order; the finish estimate is max(earliest, machine_ready) + duration with
-// the max hoisted (integers — exact); the objective is evaluated with
+// Bit-identity contract (enforced by the property tests in
+// tests/test_scoring.cpp and the pool-level scan oracle in
+// tests/test_determinism.cpp): every double in the batch is produced by the
+// SAME expression in the SAME operation order as score_candidate — the
+// tec-delta accumulation per version starts from the version's exec energy
+// and adds the identical per-parent transfer energies in parent order; the
+// finish estimate is max(earliest, machine_ready) + duration with the max
+// hoisted (integers — exact); the objective is evaluated with
 // objective_value's exact expression tree, with the two per-batch-constant
 // t100 terms (t100 and t100+1 over |T|) and the sign*gamma product hoisted
-// as whole subtrees (hoisting a subtree reuses its identical double). The
-// scalar path stays available behind SlrhParams::scalar_score as the diff
-// baseline.
+// as whole subtrees (hoisting a subtree reuses its identical double).
 
 /// Structure-of-arrays candidate columns for one (machine, clock) pool
 /// build. Slots hold the ready tasks that passed secondary-version admission

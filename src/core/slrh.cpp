@@ -101,17 +101,9 @@ class SubPhaseAccumulator {
   double seconds_ = 0.0;
 };
 
-/// True when the churn degrade policy has pinned this task to its secondary
-/// version. Null mask (the default everywhere outside churn recovery) makes
-/// this a constant false — no behaviour change.
-bool degraded_to_secondary(const SlrhParams& params, TaskId task) noexcept {
-  return params.secondary_only != nullptr &&
-         (*params.secondary_only)[static_cast<std::size_t>(task)] != 0;
-}
-
 /// Order the candidate pool by score descending (ties: smaller task id, for
 /// determinism). Scores are distinct per task, so the result is independent
-/// of the insertion order — scan- and frontier-built pools sort identically.
+/// of the insertion order.
 void sort_pool(std::vector<SlrhPoolCandidate>& pool) {
   std::sort(pool.begin(), pool.end(),
             [](const SlrhPoolCandidate& a, const SlrhPoolCandidate& b) {
@@ -162,9 +154,9 @@ struct MapTrace {
 /// Walk the ordered pool and commit the first candidate whose exact
 /// earliest start (communication included) falls within the horizon.
 /// Returns the index into `pool` of the mapped candidate, or npos.
-/// `cache` non-null reads admission energies from the precomputed tables.
-/// `memo` non-null skips re-planning candidates already proven
-/// beyond-horizon in this (machine, clock) scope.
+/// Admission energies come from the precomputed tables; `memo` skips
+/// re-planning candidates already proven beyond-horizon in this
+/// (machine, clock) scope.
 /// `trace` non-null records the decision (telemetry path only).
 /// `committed` non-null receives a copy of the committed plan (task-ledger
 /// and sweep-accelerator paths).
@@ -179,7 +171,7 @@ std::size_t map_first_startable(const workload::Scenario& scenario,
                                 const std::vector<SlrhPoolCandidate>& pool,
                                 MachineId machine, Cycles clock,
                                 const SlrhTelemetry& telemetry,
-                                const ScenarioCache* cache, BeyondHorizonMemo* memo,
+                                const ScenarioCache& cache, BeyondHorizonMemo& memo,
                                 std::size_t skip_before = 0,
                                 MapTrace* trace = nullptr,
                                 PlacementPlan* committed = nullptr,
@@ -187,9 +179,7 @@ std::size_t map_first_startable(const workload::Scenario& scenario,
   obs::ProfileScope placement_scope(telemetry.placement);
   SubPhaseAccumulator earliest_time(telemetry.earliest_start);
   const auto fits = [&](TaskId task, VersionKind version) {
-    return cache != nullptr
-               ? version_fits_energy(*cache, schedule, task, machine, version)
-               : version_fits_energy(scenario, schedule, task, machine, version);
+    return version_fits_energy(cache, schedule, task, machine, version);
   };
   for (std::size_t k = skip_before; k < pool.size(); ++k) {
     const SlrhPoolCandidate& cand = pool[k];
@@ -215,7 +205,7 @@ std::size_t map_first_startable(const workload::Scenario& scenario,
         continue;
       }
     }
-    if (memo != nullptr && memo->contains(cand.task)) {
+    if (memo.contains(cand.task)) {
       // Proven beyond-horizon earlier in this (machine, clock) scope; the
       // arrival can only have moved later since. Same decision, no re-plan.
       if (trace != nullptr) {
@@ -254,7 +244,7 @@ std::size_t map_first_startable(const workload::Scenario& scenario,
     if (min_beyond != nullptr && plan.arrival < *min_beyond) {
       *min_beyond = plan.arrival;
     }
-    if (memo != nullptr) memo->insert(cand.task);
+    memo.insert(cand.task);
     if (trace != nullptr) {
       trace->candidates.push_back(
           {cand.task, cand.version, cand.score, "beyond_horizon"});
@@ -264,64 +254,6 @@ std::size_t map_first_startable(const workload::Scenario& scenario,
 }
 
 }  // namespace
-
-std::vector<SlrhPoolCandidate> build_slrh_pool_scan(
-    const workload::Scenario& scenario, const sim::Schedule& schedule,
-    const SlrhParams& params, const ObjectiveTotals& totals, MachineId machine,
-    Cycles clock, SlrhPoolRejects* rejects, obs::Histogram* scoring_histogram) {
-  SubPhaseAccumulator scoring_time(scoring_histogram);
-  std::vector<SlrhPoolCandidate> pool;
-  const auto num_tasks = static_cast<TaskId>(scenario.num_tasks());
-  for (TaskId task = 0; task < num_tasks; ++task) {
-    // A subtask that has not arrived yet is invisible to the dynamic
-    // heuristic (unlike the clairvoyant static baselines, which see the
-    // whole application and only respect the release as a start bound).
-    if (scenario.release(task) > clock) {
-      if (rejects != nullptr) ++rejects->unreleased;
-      continue;
-    }
-    if (rejects == nullptr) {
-      if (!slrh_pool_admissible(scenario, schedule, task, machine)) continue;
-    } else {
-      const AdmissionOutcome outcome =
-          classify_slrh_admission(scenario, schedule, task, machine);
-      if (outcome != AdmissionOutcome::Admissible) {
-        switch (outcome) {
-          case AdmissionOutcome::AlreadyAssigned: ++rejects->assigned; break;
-          case AdmissionOutcome::ParentsUnassigned: ++rejects->parents; break;
-          case AdmissionOutcome::EnergyInfeasible: ++rejects->energy; break;
-          case AdmissionOutcome::Admissible: break;
-        }
-        continue;
-      }
-    }
-
-    // The pool admission guarantees the secondary version fits; the primary
-    // version is only offered to the objective if its own worst-case energy
-    // fits too.
-    const SlrhPoolCandidate cand = scoring_time.time([&] {
-      const double secondary_score =
-          score_candidate(scenario, schedule, params.weights, totals, task, machine,
-                          VersionKind::Secondary, clock, params.aet_sign);
-      SlrhPoolCandidate c{task, VersionKind::Secondary, secondary_score};
-      if (!degraded_to_secondary(params, task) &&
-          version_fits_energy(scenario, schedule, task, machine,
-                              VersionKind::Primary)) {
-        const double primary_score =
-            score_candidate(scenario, schedule, params.weights, totals, task,
-                            machine, VersionKind::Primary, clock, params.aet_sign);
-        if (primary_score >= secondary_score) {
-          c.version = VersionKind::Primary;
-          c.score = primary_score;
-        }
-      }
-      return c;
-    });
-    pool.push_back(cand);
-  }
-  sort_pool(pool);
-  return pool;
-}
 
 std::vector<SlrhPoolCandidate> build_slrh_pool_batched(
     const workload::Scenario& scenario, const ScenarioCache& cache,
@@ -337,9 +269,8 @@ std::vector<SlrhPoolCandidate> build_slrh_pool_batched(
   }
   CandidateBatch local;
   CandidateBatch& batch = scratch != nullptr ? *scratch : local;
-  // The scoring histogram covers gather + kernel: both stages together do
-  // the work the scalar path's per-candidate scoring lambda did (the
-  // admission compare folded into the gather is noise). Telemetry only.
+  // The scoring histogram covers gather + kernel (the admission compare
+  // folded into the gather is noise). Telemetry only.
   std::vector<SlrhPoolCandidate> pool = scoring_time.time([&] {
     const std::size_t rejected_energy = build_candidate_batch(
         cache, scenario, schedule, frontier.ready(), machine, clock,
@@ -354,50 +285,6 @@ std::vector<SlrhPoolCandidate> build_slrh_pool_batched(
     }
     return out;
   });
-  sort_pool(pool);
-  return pool;
-}
-
-std::vector<SlrhPoolCandidate> build_slrh_pool_frontier(
-    const workload::Scenario& scenario, const ScenarioCache& cache,
-    const ReadyFrontier& frontier, const sim::Schedule& schedule,
-    const SlrhParams& params, const ObjectiveTotals& totals, MachineId machine,
-    Cycles clock, SlrhPoolRejects* rejects, obs::Histogram* scoring_histogram) {
-  SubPhaseAccumulator scoring_time(scoring_histogram);
-  if (rejects != nullptr) {
-    // The machine-independent tallies fall out of the frontier bookkeeping;
-    // only the per-machine energy rejections need per-task evaluation.
-    rejects->unreleased = frontier.num_unreleased();
-    rejects->assigned = frontier.num_assigned_released();
-    rejects->parents = frontier.num_parents_blocked();
-  }
-  std::vector<SlrhPoolCandidate> pool;
-  for (const TaskId task : frontier.ready()) {
-    if (!version_fits_energy(cache, schedule, task, machine,
-                             VersionKind::Secondary)) {
-      if (rejects != nullptr) ++rejects->energy;
-      continue;
-    }
-    const SlrhPoolCandidate cand = scoring_time.time([&] {
-      const double secondary_score =
-          score_candidate(cache, scenario, schedule, params.weights, totals, task,
-                          machine, VersionKind::Secondary, clock, params.aet_sign);
-      SlrhPoolCandidate c{task, VersionKind::Secondary, secondary_score};
-      if (!degraded_to_secondary(params, task) &&
-          version_fits_energy(cache, schedule, task, machine,
-                              VersionKind::Primary)) {
-        const double primary_score = score_candidate(
-            cache, scenario, schedule, params.weights, totals, task, machine,
-            VersionKind::Primary, clock, params.aet_sign);
-        if (primary_score >= secondary_score) {
-          c.version = VersionKind::Primary;
-          c.score = primary_score;
-        }
-      }
-      return c;
-    });
-    pool.push_back(cand);
-  }
   sort_pool(pool);
   return pool;
 }
@@ -446,37 +333,26 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
           : std::uint64_t{1};
   obs::Frame scratch;
 
-  // Fast-path machinery (see DESIGN.md "Incremental frontier"): precomputed
-  // pure-scenario tables, the incremental ready frontier, and the
-  // beyond-horizon memo. legacy_scan disables all three, reproducing the
-  // original scan-everything execution exactly.
+  // Inner-loop machinery (see DESIGN.md "Incremental frontier"): precomputed
+  // pure-scenario tables (the caller's shared cache, else a run-local one),
+  // the incremental ready frontier, and the beyond-horizon memo.
   std::optional<ScenarioCache> local_cache;
-  const ScenarioCache* cache = nullptr;
-  std::optional<ReadyFrontier> frontier;
-  std::optional<BeyondHorizonMemo> memo_storage;
-  if (!params.legacy_scan) {
-    cache = params.cache;
-    if (cache == nullptr) {
-      local_cache.emplace(scenario);
-      cache = &*local_cache;
-    }
-    frontier.emplace(scenario, schedule);
-    if (ledger != nullptr) frontier->set_ledger(ledger);
-    memo_storage.emplace(scenario.num_tasks());
-  }
-  BeyondHorizonMemo* memo = memo_storage.has_value() ? &*memo_storage : nullptr;
+  const ScenarioCache& cache =
+      params.cache != nullptr ? *params.cache : local_cache.emplace(scenario);
+  ReadyFrontier frontier(scenario, schedule);
+  if (ledger != nullptr) frontier.set_ledger(ledger);
+  BeyondHorizonMemo memo(scenario.num_tasks());
 
   // SoA scratch for the batched score kernel, reused across every pool build
   // of the window (allocation-free steady state).
   CandidateBatch batch_scratch;
 
   // Sweep accelerator state (core/sweep.hpp): cross-tick skip verdicts and
-  // speculative parallel pool builds. Both need the frontier as the epoch
-  // source, so legacy_scan runs without either; a fresh context per drive
-  // window means churn segment boundaries invalidate everything cached.
-  const bool reuse_on = frontier.has_value() && params.pool_reuse;
-  const std::size_t workers =
-      params.sweep_parallel && frontier.has_value() ? ahg::global_pool_jobs() : 0;
+  // speculative parallel pool builds, both keyed on the frontier revision; a
+  // fresh context per drive window means churn segment boundaries invalidate
+  // everything cached.
+  const bool reuse_on = params.pool_reuse;
+  const std::size_t workers = params.sweep_parallel ? ahg::global_pool_jobs() : 0;
   const bool spec_on = workers >= 2;
   std::optional<SweepContext> sweep_storage;
   if (reuse_on || spec_on) {
@@ -557,16 +433,9 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
     {
       obs::ProfileScope scope(telemetry.pool_build);
       SlrhPoolRejects* rej = trace_pools ? &rejects : nullptr;
-      pool = !frontier.has_value()
-                 ? build_slrh_pool_scan(scenario, schedule, params, totals, machine,
-                                        clock, rej, telemetry.scoring)
-             : params.scalar_score
-                 ? build_slrh_pool_frontier(scenario, *cache, *frontier, schedule,
-                                            params, totals, machine, clock, rej,
-                                            telemetry.scoring)
-                 : build_slrh_pool_batched(scenario, *cache, *frontier, schedule,
-                                           params, totals, machine, clock, rej,
-                                           telemetry.scoring, &batch_scratch);
+      pool = build_slrh_pool_batched(scenario, cache, frontier, schedule, params,
+                                     totals, machine, clock, rej,
+                                     telemetry.scoring, &batch_scratch);
     }
     if (recorder != nullptr) {
       if (time_this_build) {
@@ -602,7 +471,7 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
                             tracing ? &trace : nullptr,
                             want_plan ? &committed : nullptr, min_beyond);
     if (mapped != npos) {
-      if (frontier.has_value()) frontier->on_commit(pool[mapped].task);
+      frontier.on_commit(pool[mapped].task);
       if (sweep != nullptr) sweep->note_commit(committed);
       if (telemetry.maps != nullptr) telemetry.maps->add();
       if (recorder != nullptr) ++step_maps;
@@ -663,13 +532,8 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
     frame.pools_reused = step_reused;
     frame.spec_aborts = step_aborts;
     frame.sweep_seconds = step_sweep_seconds;
-    if (frontier.has_value()) {
-      frame.frontier_ready = frontier->ready().size();
-      frame.frontier_unreleased = frontier->num_unreleased();
-    } else {
-      frame.frontier_ready = 0;
-      frame.frontier_unreleased = 0;
-    }
+    frame.frontier_ready = frontier.ready().size();
+    frame.frontier_unreleased = frontier.num_unreleased();
     const sim::EnergyLedger& energy = schedule.energy();
     frame.battery_fraction.clear();
     frame.busy_until.clear();
@@ -696,7 +560,7 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
       step_reused = step_aborts = 0;
       step_timed = false;
     }
-    if (frontier.has_value()) frontier->advance_to(clock);
+    frontier.advance_to(clock);
 
     // Speculative fan-out: build every pending machine's pool concurrently
     // before the serial walk. Pure const reads of the schedule / frontier /
@@ -709,7 +573,7 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
         if (!scenario.machine_available(machine, clock)) continue;
         if (schedule.machine_ready(machine) > clock) continue;
         if (reuse_on && sweep->can_skip(machine, clock, params.horizon,
-                                        frontier->revision())) {
+                                        frontier.revision())) {
           continue;
         }
         spec_pending.push_back(machine);
@@ -735,14 +599,9 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
             SweepContext::SpecSlot& slot = sweep->spec(m);
             slot.rejects = SlrhPoolRejects{};
             SlrhPoolRejects* rej = trace_pools ? &slot.rejects : nullptr;
-            slot.pool =
-                params.scalar_score
-                    ? build_slrh_pool_frontier(scenario, *cache, *frontier,
-                                               schedule, params, totals, m, clock,
-                                               rej, nullptr)
-                    : build_slrh_pool_batched(scenario, *cache, *frontier,
-                                              schedule, params, totals, m, clock,
-                                              rej, nullptr, &chunk_batch);
+            slot.pool = build_slrh_pool_batched(scenario, cache, frontier,
+                                                schedule, params, totals, m,
+                                                clock, rej, nullptr, &chunk_batch);
             slot.valid = true;
           }
         });
@@ -772,7 +631,7 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
         // O(1) cross-tick skip: the cached verdict proves the serial sweep
         // would build this machine's pool and map nothing from it.
         if (sweep->can_skip(machine, clock, params.horizon,
-                            frontier->revision())) {
+                            frontier.revision())) {
           ++result.pools_reused;
           if (telemetry.reuse_hits != nullptr) telemetry.reuse_hits->add();
           if (recorder != nullptr) ++step_reused;
@@ -780,7 +639,7 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
         }
         if (telemetry.reuse_misses != nullptr) telemetry.reuse_misses->add();
       }
-      if (memo != nullptr) memo->begin_scope();
+      memo.begin_scope();
 
       // Scope bookkeeping for the cross-tick verdict: the smallest
       // beyond-horizon arrival proven by any walk, whether the scope
@@ -793,7 +652,7 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
       std::uint64_t pool_energy_epoch = 0;
       const auto snapshot_pool_epochs = [&] {
         if (reuse_on) {
-          pool_revision = frontier->revision();
+          pool_revision = frontier.revision();
           pool_energy_epoch = sweep->energy_epoch(machine);
         }
       };
@@ -840,7 +699,7 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
       // — else commit-enabled children could be missing from it). Variant 2
       // scopes that mapped anything fail the epoch compare by construction.
       if (reuse_on && !scope_committed &&
-          pool_revision == frontier->revision() &&
+          pool_revision == frontier.revision() &&
           pool_energy_epoch == sweep->energy_epoch(machine)) {
         sweep->record_verdict(machine, scope_min_arrival, pool_revision);
       }

@@ -91,24 +91,8 @@ struct SlrhParams {
   /// Optional precomputed pure-scenario tables (not owned). Null — the
   /// default — makes the driver build its own once per run; supply one to
   /// amortise the build across many runs on the same scenario (the tuner's
-  /// solver does, sharing it read-only across its worker threads). Ignored
-  /// when legacy_scan is set.
+  /// solver does, sharing it read-only across its worker threads).
   const ScenarioCache* cache = nullptr;
-
-  /// Diff baseline for tests and benches: force the original
-  /// scan-all-|T|-subtasks pool construction with on-demand energy
-  /// derivations (no tables, no frontier, no beyond-horizon memo).
-  /// Schedules are bit-identical either way — the fast path changes no
-  /// decision (asserted by tests/test_determinism.cpp).
-  bool legacy_scan = false;
-
-  /// Diff baseline for the batched SoA scoring kernel: keep the frontier
-  /// admission sweep but score candidates one at a time through
-  /// score_candidate (the previous fast path) instead of
-  /// build_candidate_batch + score_batch. Schedules are bit-identical either
-  /// way (asserted by tests/test_determinism.cpp). Ignored when legacy_scan
-  /// is set (the scan path is already scalar).
-  bool scalar_score = false;
 
   /// Cross-tick pool reuse (core/sweep.hpp): when a (machine, timestep)
   /// scope ends without a commit, remember the smallest beyond-horizon
@@ -118,8 +102,7 @@ struct SlrhParams {
   /// serial sweep would provably commit nothing there. Schedules are
   /// bit-identical either way (asserted by tests/test_determinism.cpp); only
   /// pool-build counts and their telemetry differ (MappingResult::
-  /// pools_reused tallies the skipped scopes). Ignored when legacy_scan is
-  /// set.
+  /// pools_reused tallies the skipped scopes).
   bool pool_reuse = true;
 
   /// Parallel speculative sweep (core/sweep.hpp): build every pending
@@ -130,8 +113,7 @@ struct SlrhParams {
   /// and rebuilt inline. Decisions are taken in exactly the serial order, so
   /// schedules are bit-identical either way (asserted by
   /// tests/test_determinism.cpp). Engages only when a tick has >= 2 pending
-  /// machines and the pool has >= 2 workers. Ignored when legacy_scan is
-  /// set.
+  /// machines and the pool has >= 2 workers.
   bool sweep_parallel = true;
 
   /// Optional per-task degrade mask (not owned; indexed by TaskId). A task
@@ -182,37 +164,20 @@ struct SlrhPoolRejects {
   bool any() const noexcept { return unreleased + assigned + parents + energy > 0; }
 };
 
-/// Original pool construction: scan all |T| subtasks, re-deriving admission
-/// energies on demand. `rejects` non-null tallies per-task rejection reasons
-/// through classify_slrh_admission (the telemetry path). `scoring_histogram`
-/// non-null accumulates the scoring share of the build into that histogram.
-std::vector<SlrhPoolCandidate> build_slrh_pool_scan(
-    const workload::Scenario& scenario, const sim::Schedule& schedule,
-    const SlrhParams& params, const ObjectiveTotals& totals, MachineId machine,
-    Cycles clock, SlrhPoolRejects* rejects = nullptr,
-    obs::Histogram* scoring_histogram = nullptr);
-
-/// Output-sensitive pool construction: iterate only the frontier's ready
-/// tasks (released, unassigned, parents assigned — typically << |T|) and
-/// apply just the per-machine energy check against the precomputed tables.
-/// The frontier must have been advanced to `clock` and notified of every
-/// commit. Produces the same pool, in the same order, as the scan — and the
-/// same rejection tallies, derived from the frontier's running counters.
-std::vector<SlrhPoolCandidate> build_slrh_pool_frontier(
-    const workload::Scenario& scenario, const ScenarioCache& cache,
-    const ReadyFrontier& frontier, const sim::Schedule& schedule,
-    const SlrhParams& params, const ObjectiveTotals& totals, MachineId machine,
-    Cycles clock, SlrhPoolRejects* rejects = nullptr,
-    obs::Histogram* scoring_histogram = nullptr);
-
-/// Batched pool construction: same membership sweep as the frontier build,
-/// but admission, gathering, and scoring run through the structure-of-arrays
-/// CandidateBatch + score_batch kernel (core/scoring.hpp) — one parent walk
-/// per task, branch-free scores over contiguous columns. Produces the same
-/// pool, in the same order, with bit-identical scores (the default driver
-/// path; SlrhParams::scalar_score selects the per-candidate build instead).
-/// `scratch` non-null reuses that batch's storage across builds
-/// (allocation-free steady state); null uses a local.
+/// The SLRH pool builder: iterate only the frontier's ready tasks (released,
+/// unassigned, parents assigned — typically << |T|) and run admission,
+/// gathering and scoring through the structure-of-arrays CandidateBatch +
+/// score_batch kernel (core/scoring.hpp) — one parent walk per task,
+/// branch-free scores over contiguous columns. The frontier must have been
+/// advanced to `clock` and notified of every commit. `rejects` non-null
+/// receives the per-build admission tallies (the machine-independent ones
+/// straight from the frontier's running counters); `scoring_histogram`
+/// non-null accumulates the gather+score share of the build. `scratch`
+/// non-null reuses that batch's storage across builds (allocation-free
+/// steady state); null uses a local. The pool matches a scan over all |T|
+/// subtasks with per-candidate score_candidate calls — membership, order,
+/// version, scores and tallies (asserted against the test-only scan oracle
+/// in tests/oracles.hpp by tests/test_determinism.cpp).
 std::vector<SlrhPoolCandidate> build_slrh_pool_batched(
     const workload::Scenario& scenario, const ScenarioCache& cache,
     const ReadyFrontier& frontier, const sim::Schedule& schedule,

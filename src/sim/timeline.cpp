@@ -85,22 +85,6 @@ Cycles Timeline::earliest_fit(Cycles not_before, Cycles duration) const {
   return chunks_.back().ivs.back().end;
 }
 
-Cycles Timeline::earliest_fit_walk(Cycles not_before, Cycles duration) const {
-  AHG_EXPECTS_MSG(not_before >= 0, "not_before must be non-negative");
-  AHG_EXPECTS_MSG(duration >= 0, "duration must be non-negative");
-  if (duration == 0) return not_before;
-  Cycles candidate = not_before;
-  Pos p = first_end_after(candidate);
-  for (std::size_t c = p.chunk; c < chunks_.size(); ++c) {
-    const Chunk& chunk = chunks_[c];
-    for (std::size_t i = (c == p.chunk ? p.slot : 0); i < chunk.ivs.size(); ++i) {
-      if (chunk.ivs[i].start - candidate >= duration) return candidate;
-      candidate = std::max(candidate, chunk.ivs[i].end);
-    }
-  }
-  return candidate;
-}
-
 Cycles Timeline::earliest_fit_pair(const Timeline& a, const Timeline& b,
                                    Cycles not_before, Cycles duration) {
   AHG_EXPECTS_MSG(not_before >= 0, "not_before must be non-negative");

@@ -28,9 +28,9 @@
 // may have changed), independent of n. Appends — the SLRH hot path — update
 // the last chunk's maximum in O(1). Queries skip whole chunks via their
 // maxima exactly as the flat index skipped blocks: O(n / kChunkCap +
-// kChunkCap) probes. earliest_fit_walk() keeps the original linear scan as
-// the reference/diff baseline; the two are asserted equal under randomized
-// insert/erase churn by tests/test_timeline.cpp.
+// kChunkCap) probes. tests/oracles.hpp keeps a from-scratch brute-force gap
+// scan as the test-only reference; the two are asserted equal under
+// randomized insert/erase churn by tests/test_timeline.cpp.
 
 #include <cstddef>
 #include <vector>
@@ -69,14 +69,8 @@ class Timeline {
   /// Earliest s >= not_before such that [s, s+duration) is free. May land in
   /// an interior hole (Max-Max backfill) or after ready_time(). A zero
   /// duration fits anywhere: returns not_before. Served by the chunked hole
-  /// index (see the header comment); identical results to
-  /// earliest_fit_walk() by construction.
+  /// index (see the header comment).
   Cycles earliest_fit(Cycles not_before, Cycles duration) const;
-
-  /// Reference implementation: a linear walk over the busy list. Kept as
-  /// the diff baseline for the hole index (tests assert equality under
-  /// churn; BM_EarliestFit_Walk measures the gap).
-  Cycles earliest_fit_walk(Cycles not_before, Cycles duration) const;
 
   /// Earliest s >= not_before such that [s, s+duration) is simultaneously
   /// free on both timelines (pairing a sender's tx channel with a receiver's

@@ -1,5 +1,5 @@
 // Tests for the bench regression gate (bench/bench_gate.hpp): metric
-// flattening, baseline round-trip, the Upper / TwoSided verdict rules, the
+// flattening, baseline round-trip, the Upper / Lower / TwoSided verdict rules, the
 // seconds floor, and missing-metric handling — the logic CI's bench-gate job
 // leans on via bench_check.
 
@@ -60,6 +60,8 @@ TEST(BenchGate, DirectionDefaultsByName) {
             GateDirection::TwoSided);
   EXPECT_EQ(bench::default_direction("gauge:bench.recorder_overhead_ratio"),
             GateDirection::TwoSided);
+  EXPECT_EQ(bench::default_direction("gauge:bench.parallel_speedup"),
+            GateDirection::Lower);
 }
 
 TEST(BenchGate, BaselineWriteParseRoundTrips) {
@@ -141,6 +143,44 @@ TEST(BenchGate, UpperDirectionIgnoresImprovement) {
   const auto result = bench::check_bench(baseline, faster.snapshot());
   EXPECT_EQ(result.regressions, 0u);
   EXPECT_TRUE(result.ok(false));
+}
+
+TEST(BenchGate, LowerDirectionPassesFasterHardwareAndCatchesSlowdown) {
+  // The multi-core case: a 1-core baseline speedup of 0.94 must not flag a
+  // 4-core host's 2.29x, while a real drop below the tolerance still fails.
+  obs::MetricsRegistry recorded;
+  recorded.gauge("bench.parallel_speedup").set(0.94);
+  const GateBaseline baseline =
+      bench::make_baseline("matrix", recorded.snapshot(), 0.25);
+  ASSERT_EQ(baseline.metrics.at("gauge:bench.parallel_speedup").direction,
+            GateDirection::Lower);
+
+  obs::MetricsRegistry faster;
+  faster.gauge("bench.parallel_speedup").set(2.29);
+  const auto fast = bench::check_bench(baseline, faster.snapshot());
+  EXPECT_EQ(fast.regressions, 0u);
+  EXPECT_TRUE(fast.ok(false));
+
+  obs::MetricsRegistry within;
+  within.gauge("bench.parallel_speedup").set(0.94 * 0.8);  // -20%: tolerated
+  EXPECT_EQ(bench::check_bench(baseline, within.snapshot()).regressions, 0u);
+
+  obs::MetricsRegistry slower;
+  slower.gauge("bench.parallel_speedup").set(0.94 * 0.7);  // -30%: regression
+  const auto slow = bench::check_bench(baseline, slower.snapshot());
+  EXPECT_EQ(slow.regressions, 1u);
+  ASSERT_EQ(slow.findings.size(), 1u);
+  EXPECT_EQ(slow.findings[0].verdict, GateVerdict::Regression);
+  EXPECT_EQ(slow.findings[0].direction, GateDirection::Lower);
+
+  // The direction survives a baseline file round trip as "lower".
+  std::ostringstream os;
+  bench::write_baseline(os, baseline);
+  EXPECT_NE(os.str().find(R"("direction":"lower")"), std::string::npos);
+  EXPECT_EQ(bench::parse_baseline(obs::parse_json(os.str()))
+                .metrics.at("gauge:bench.parallel_speedup")
+                .direction,
+            GateDirection::Lower);
 }
 
 TEST(BenchGate, SecondsFloorAbsorbsTinySectionNoise) {

@@ -1,17 +1,23 @@
-// Cross-variant determinism: the precomputed-table + frontier + memo fast
-// path must produce BIT-IDENTICAL schedules to the original scan-everything
-// execution (params.legacy_scan) — same T100, same AET, same TEC down to the
-// last double bit, same per-subtask placements. The tables are built by the
-// exact uncached expressions, so any divergence is a bug, not rounding.
+// Determinism contracts: every observer handle, accelerator and build mode
+// leaves schedules BIT-IDENTICAL — same T100, same AET, same TEC down to the
+// last double bit, same per-subtask placements — and the one production
+// pool builder agrees with the test-only scan oracle (tests/oracles.hpp)
+// pool for pool. The absolute schedules themselves are pinned by the golden
+// digests in tests/test_golden_schedules.cpp.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <limits>
 #include <thread>
 #include <vector>
 
 #include "core/churn.hpp"
+#include "core/feasibility.hpp"
+#include "core/frontier.hpp"
 #include "core/heuristics.hpp"
+#include "core/placement.hpp"
 #include "core/runner.hpp"
 #include "core/scenario_cache.hpp"
 #include "core/tuner.hpp"
@@ -20,8 +26,8 @@
 #include "support/runtime_profiler.hpp"
 #include "support/task_ledger.hpp"
 #include "support/thread_pool.hpp"
+#include "tests/oracles.hpp"
 #include "tests/scenario_fixtures.hpp"
-#include "workload/dynamics.hpp"
 
 namespace ahg {
 namespace {
@@ -37,66 +43,31 @@ namespace {
   return true;
 }();
 
-std::vector<workload::Scenario> paper_shape_fixtures() {
-  std::vector<workload::Scenario> fixtures;
-  fixtures.push_back(test::small_suite_scenario(sim::GridCase::A, 48));
-  fixtures.push_back(test::small_suite_scenario(sim::GridCase::B, 48));
-  fixtures.push_back(test::small_suite_scenario(sim::GridCase::C, 48));
-  // One dynamic-arrival shape so the release cursor is exercised too.
-  auto released = test::small_suite_scenario(sim::GridCase::A, 64, 4242);
-  released.releases = workload::generate_release_times(
-      workload::ReleaseParams{0.3}, released.dag, released.tau, 11);
-  fixtures.push_back(std::move(released));
-  return fixtures;
-}
+using test::paper_shape_fixtures;
 
-void expect_identical(const core::MappingResult& legacy,
-                      const core::MappingResult& fast,
+void expect_identical(const core::MappingResult& reference,
+                      const core::MappingResult& other,
                       const workload::Scenario& scenario, const char* label) {
   SCOPED_TRACE(label);
-  EXPECT_EQ(legacy.complete, fast.complete);
-  EXPECT_EQ(legacy.assigned, fast.assigned);
-  EXPECT_EQ(legacy.t100, fast.t100);
-  EXPECT_EQ(legacy.aet, fast.aet);
-  EXPECT_EQ(legacy.tec, fast.tec);  // exact: bit-identical doubles
-  ASSERT_NE(legacy.schedule, nullptr);
-  ASSERT_NE(fast.schedule, nullptr);
+  EXPECT_EQ(reference.complete, other.complete);
+  EXPECT_EQ(reference.assigned, other.assigned);
+  EXPECT_EQ(reference.t100, other.t100);
+  EXPECT_EQ(reference.aet, other.aet);
+  EXPECT_EQ(reference.tec, other.tec);  // exact: bit-identical doubles
+  ASSERT_NE(reference.schedule, nullptr);
+  ASSERT_NE(other.schedule, nullptr);
   const auto num_tasks = static_cast<TaskId>(scenario.num_tasks());
   for (TaskId t = 0; t < num_tasks; ++t) {
-    ASSERT_EQ(legacy.schedule->is_assigned(t), fast.schedule->is_assigned(t))
+    ASSERT_EQ(reference.schedule->is_assigned(t), other.schedule->is_assigned(t))
         << "task " << t;
-    if (!legacy.schedule->is_assigned(t)) continue;
-    const auto& a = legacy.schedule->assignment(t);
-    const auto& b = fast.schedule->assignment(t);
+    if (!reference.schedule->is_assigned(t)) continue;
+    const auto& a = reference.schedule->assignment(t);
+    const auto& b = other.schedule->assignment(t);
     EXPECT_EQ(a.machine, b.machine) << "task " << t;
     EXPECT_EQ(a.version, b.version) << "task " << t;
     EXPECT_EQ(a.start, b.start) << "task " << t;
     EXPECT_EQ(a.finish, b.finish) << "task " << t;
     EXPECT_EQ(a.energy, b.energy) << "task " << t;  // exact
-  }
-}
-
-TEST(Determinism, SlrhCachedMatchesLegacyScan) {
-  for (const auto& scenario : paper_shape_fixtures()) {
-    const core::ScenarioCache shared(scenario);
-    for (const auto variant :
-         {core::SlrhVariant::V1, core::SlrhVariant::V2, core::SlrhVariant::V3}) {
-      core::SlrhParams params;
-      params.variant = variant;
-      params.weights = core::Weights::make(0.6, 0.3);
-
-      params.legacy_scan = true;
-      const auto legacy = core::run_slrh(scenario, params);
-
-      params.legacy_scan = false;
-      const auto local = core::run_slrh(scenario, params);  // run-local tables
-      params.cache = &shared;
-      const auto cached = core::run_slrh(scenario, params);  // shared tables
-
-      expect_identical(legacy, local, scenario, to_string(variant).c_str());
-      expect_identical(legacy, cached, scenario, to_string(variant).c_str());
-      params.cache = nullptr;
-    }
   }
 }
 
@@ -127,69 +98,11 @@ TEST(Determinism, ChurnOffDriverMatchesPlainSlrh) {
   }
 }
 
-TEST(Determinism, SlrhBatchedScoringMatchesScalar) {
-  // The SoA score_batch kernel is the default pool builder over the ready
-  // frontier; params.scalar_score forces the per-candidate scalar loop over
-  // the SAME frontier. Both must match the legacy full scan bit for bit —
-  // the batch kernel evaluates the exact scalar expression trees, so any
-  // divergence is a kernel bug, not rounding.
-  for (const auto& scenario : paper_shape_fixtures()) {
-    for (const auto variant :
-         {core::SlrhVariant::V1, core::SlrhVariant::V2, core::SlrhVariant::V3}) {
-      core::SlrhParams params;
-      params.variant = variant;
-      params.weights = core::Weights::make(0.6, 0.3);
-
-      params.legacy_scan = true;
-      const auto legacy = core::run_slrh(scenario, params);
-
-      params.legacy_scan = false;
-      params.scalar_score = true;
-      const auto scalar = core::run_slrh(scenario, params);
-
-      params.scalar_score = false;
-      const auto batched = core::run_slrh(scenario, params);
-
-      expect_identical(legacy, scalar, scenario, to_string(variant).c_str());
-      expect_identical(legacy, batched, scenario, to_string(variant).c_str());
-    }
-  }
-}
-
-TEST(Determinism, ChurnBatchedScoringMatchesScalar) {
-  // Same contract through the churn driver: recovery re-pools orphaned work
-  // with partially-filled timelines, so the batch gather sees mid-run
-  // erase-churned state. A real departure makes the recovery path execute.
-  auto scenario = test::small_suite_scenario(sim::GridCase::A, 64, 4242);
-  scenario.machine_windows.assign(scenario.num_machines(),
-                                  workload::Scenario::MachineWindow{});
-  scenario.machine_windows[1].depart = scenario.tau / 8;
-  for (const auto variant : {core::SlrhVariant::V1, core::SlrhVariant::V3}) {
-    core::SlrhParams params;
-    params.variant = variant;
-    params.weights = core::Weights::make(0.6, 0.3);
-
-    params.scalar_score = true;
-    const auto scalar = core::run_slrh_with_churn(scenario, params);
-
-    params.scalar_score = false;
-    const auto batched = core::run_slrh_with_churn(scenario, params);
-
-    EXPECT_GT(scalar.departures_processed, 0u);
-    EXPECT_EQ(batched.departures_processed, scalar.departures_processed);
-    EXPECT_EQ(batched.orphaned, scalar.orphaned);
-    EXPECT_EQ(batched.invalidated, scalar.invalidated);
-    EXPECT_EQ(batched.energy_forfeited, scalar.energy_forfeited);  // exact
-    expect_identical(scalar.result, batched.result, scenario,
-                     to_string(variant).c_str());
-  }
-}
-
 // Hole-index side of the placement contract: every timeline a real run
 // commits (compute/tx/rx, SLRH and Max-Max, including churn-recovered state)
 // must answer earliest_fit probes identically through the indexed path and
-// the retained linear walk.
-void expect_hole_index_matches_walk(const core::MappingResult& result,
+// the test-only brute-force gap scan.
+void expect_hole_index_matches_brute_force(const core::MappingResult& result,
                                     const workload::Scenario& scenario,
                                     const char* label) {
   SCOPED_TRACE(label);
@@ -201,7 +114,7 @@ void expect_hole_index_matches_walk(const core::MappingResult& result,
           &result.schedule->rx_timeline(m)}) {
       for (const Cycles p : {Cycles{0}, scenario.tau / 3, scenario.tau}) {
         for (const Cycles d : {Cycles{1}, Cycles{100}, scenario.tau / 4}) {
-          EXPECT_EQ(tl->earliest_fit(p, d), tl->earliest_fit_walk(p, d))
+          EXPECT_EQ(tl->earliest_fit(p, d), test::brute_force_fit(*tl, p, d))
               << "machine " << m << " p=" << p << " d=" << d;
         }
       }
@@ -209,51 +122,29 @@ void expect_hole_index_matches_walk(const core::MappingResult& result,
   }
 }
 
-TEST(Determinism, HoleIndexMatchesWalkOnRunTimelines) {
+TEST(Determinism, HoleIndexMatchesBruteForceOnRunTimelines) {
   for (const auto& scenario : paper_shape_fixtures()) {
     core::SlrhParams slrh;
     slrh.weights = core::Weights::make(0.6, 0.3);
     for (const auto variant :
          {core::SlrhVariant::V1, core::SlrhVariant::V2, core::SlrhVariant::V3}) {
       slrh.variant = variant;
-      expect_hole_index_matches_walk(core::run_slrh(scenario, slrh), scenario,
+      expect_hole_index_matches_brute_force(core::run_slrh(scenario, slrh), scenario,
                                      to_string(variant).c_str());
     }
     core::MaxMaxParams maxmax;
     maxmax.weights = core::Weights::make(0.6, 0.3);
-    expect_hole_index_matches_walk(core::run_maxmax(scenario, maxmax), scenario,
+    expect_hole_index_matches_brute_force(core::run_maxmax(scenario, maxmax), scenario,
                                    "Max-Max");
   }
   // Churn-recovered schedules hit erase(): the index must stay coherent.
-  auto churned = test::small_suite_scenario(sim::GridCase::A, 64, 4242);
-  churned.machine_windows.assign(churned.num_machines(),
-                                 workload::Scenario::MachineWindow{});
-  churned.machine_windows[1].depart = churned.tau / 8;
+  const auto churned = test::one_departure_scenario();
   core::SlrhParams params;
   params.variant = core::SlrhVariant::V1;
   params.weights = core::Weights::make(0.6, 0.3);
   const auto churn = core::run_slrh_with_churn(churned, params);
   EXPECT_GT(churn.departures_processed, 0u);
-  expect_hole_index_matches_walk(churn.result, churned, "churn recovery");
-}
-
-TEST(Determinism, MaxMaxCachedMatchesLegacyScan) {
-  for (const auto& scenario : paper_shape_fixtures()) {
-    const core::ScenarioCache shared(scenario);
-    core::MaxMaxParams params;
-    params.weights = core::Weights::make(0.6, 0.3);
-
-    params.legacy_scan = true;
-    const auto legacy = core::run_maxmax(scenario, params);
-
-    params.legacy_scan = false;
-    const auto local = core::run_maxmax(scenario, params);
-    params.cache = &shared;
-    const auto cached = core::run_maxmax(scenario, params);
-
-    expect_identical(legacy, local, scenario, "Max-Max local tables");
-    expect_identical(legacy, cached, scenario, "Max-Max shared tables");
-  }
+  expect_hole_index_matches_brute_force(churn.result, churned, "churn recovery");
 }
 
 // The flight recorder's side of the null-handle contract: attaching one —
@@ -305,13 +196,10 @@ TEST(Determinism, MaxMaxRecorderOnMatchesRecorderOff) {
 TEST(Determinism, ChurnRecorderOnMatchesRecorderOff) {
   // Same contract through the churn driver: recovery spans and churn-context
   // stamping must not perturb the rebuilt schedules.
-  auto scenario = test::small_suite_scenario(sim::GridCase::A, 64, 4242);
-  scenario.machine_windows.assign(scenario.num_machines(),
-                                  workload::Scenario::MachineWindow{});
   // One mid-run departure so the recovery path actually runs. Early enough
   // (tau/8) that every variant — V3 finishes mapping fastest — still has
   // work left afterwards, so post-recovery frames exist to check.
-  scenario.machine_windows[1].depart = scenario.tau / 8;
+  const auto scenario = test::one_departure_scenario();
   for (const auto variant :
        {core::SlrhVariant::V1, core::SlrhVariant::V3}) {
     core::SlrhParams params;
@@ -394,10 +282,7 @@ TEST(Determinism, MaxMaxLedgerOnMatchesLedgerOff) {
 TEST(Determinism, ChurnLedgerOnMatchesLedgerOff) {
   // Same contract through the churn driver: orphan/invalidation recording and
   // the re-armed pool flags must not perturb the rebuilt schedules.
-  auto scenario = test::small_suite_scenario(sim::GridCase::A, 64, 4242);
-  scenario.machine_windows.assign(scenario.num_machines(),
-                                  workload::Scenario::MachineWindow{});
-  scenario.machine_windows[1].depart = scenario.tau / 8;
+  const auto scenario = test::one_departure_scenario();
   for (const auto variant :
        {core::SlrhVariant::V1, core::SlrhVariant::V3}) {
     core::SlrhParams params;
@@ -481,10 +366,7 @@ TEST(Determinism, MaxMaxProfilerOnMatchesProfilerOff) {
 }
 
 TEST(Determinism, ChurnProfilerOnMatchesProfilerOff) {
-  auto scenario = test::small_suite_scenario(sim::GridCase::A, 64, 4242);
-  scenario.machine_windows.assign(scenario.num_machines(),
-                                  workload::Scenario::MachineWindow{});
-  scenario.machine_windows[1].depart = scenario.tau / 8;
+  const auto scenario = test::one_departure_scenario();
   for (const auto variant : {core::SlrhVariant::V1, core::SlrhVariant::V3}) {
     core::SlrhParams params;
     params.variant = variant;
@@ -643,37 +525,122 @@ TEST(Determinism, ParallelMatrixMatchesSerial) {
   }
 }
 
-TEST(Determinism, TunerWithSharedCacheMatchesLegacySolvers) {
+TEST(Determinism, TunerWithSharedCacheMatchesRunLocalCache) {
+  // The tuner hands every weight-grid point one read-only ScenarioCache; a
+  // solver that builds its own tables per run must tune to exactly the same
+  // point with exactly the same schedules.
   const auto scenario = test::small_suite_scenario(sim::GridCase::A, 48);
   const core::ScenarioCache shared(scenario);
   core::TunerParams tuner;
   tuner.coarse_step = 0.25;  // small grid: this is a determinism test, not a sweep
   tuner.fine_step = 0.0;
 
-  const auto legacy_solver = [&](const core::Weights& w) {
-    core::SlrhParams params;
-    params.variant = core::SlrhVariant::V3;
-    params.weights = w;
-    params.legacy_scan = true;
-    return core::run_slrh(scenario, params);
-  };
-  const auto cached_solver = [&](const core::Weights& w) {
-    return core::run_heuristic(core::HeuristicKind::Slrh3, scenario, w, {},
-                               core::AetSign::Reward, nullptr, &shared);
-  };
+  for (const auto kind : {core::HeuristicKind::Slrh3, core::HeuristicKind::MaxMax}) {
+    SCOPED_TRACE(core::to_string(kind));
+    const auto local_solver = [&](const core::Weights& w) {
+      return core::run_heuristic(kind, scenario, w);
+    };
+    const auto shared_solver = [&](const core::Weights& w) {
+      return core::run_heuristic(kind, scenario, w, {}, core::AetSign::Reward,
+                                 nullptr, &shared);
+    };
 
-  const auto legacy = core::tune_weights(legacy_solver, tuner);
-  const auto cached = core::tune_weights(cached_solver, tuner);
-  EXPECT_EQ(legacy.found, cached.found);
-  EXPECT_EQ(legacy.alpha, cached.alpha);
-  EXPECT_EQ(legacy.beta, cached.beta);
-  expect_identical(legacy.best, cached.best, scenario, "tuner best run");
-  ASSERT_EQ(legacy.evaluated.size(), cached.evaluated.size());
-  for (std::size_t i = 0; i < legacy.evaluated.size(); ++i) {
-    EXPECT_EQ(legacy.evaluated[i].t100, cached.evaluated[i].t100) << "point " << i;
-    EXPECT_EQ(legacy.evaluated[i].feasible, cached.evaluated[i].feasible)
-        << "point " << i;
+    const auto local = core::tune_weights(local_solver, tuner);
+    const auto cached = core::tune_weights(shared_solver, tuner);
+    EXPECT_EQ(local.found, cached.found);
+    EXPECT_EQ(local.alpha, cached.alpha);
+    EXPECT_EQ(local.beta, cached.beta);
+    expect_identical(local.best, cached.best, scenario, "tuner best run");
+    ASSERT_EQ(local.evaluated.size(), cached.evaluated.size());
+    for (std::size_t i = 0; i < local.evaluated.size(); ++i) {
+      EXPECT_EQ(local.evaluated[i].t100, cached.evaluated[i].t100) << "point " << i;
+      EXPECT_EQ(local.evaluated[i].feasible, cached.evaluated[i].feasible)
+          << "point " << i;
+    }
   }
+}
+
+// --- the one pool builder vs the test-only scan oracle ---------------------
+//
+// drive_slrh is stopped at several mid-run end_clocks, so the schedule
+// carries real placements, partly drained batteries and booked
+// communication channels. At the next tick's clock every machine present is
+// asked for its pool both ways: build_slrh_pool_batched (frontier + tables
+// + SoA kernel) and test::scan_pool_oracle (scan all |T|, on-demand
+// derivations, per-candidate score_candidate). Membership, order, version,
+// exact score and the rejection tallies must all agree.
+
+/// Adds the number of pooled candidates compared to `candidates`.
+void expect_pools_match_scan_oracle(const workload::Scenario& scenario,
+                                    const core::SlrhParams& params,
+                                    std::size_t& candidates) {
+  const core::ScenarioCache cache(scenario);
+  const core::ObjectiveTotals totals = core::objective_totals(scenario);
+  // Stop points at fractions of the full run's makespan, on the dT grid.
+  const Cycles aet = core::run_slrh(scenario, params).aet;
+  for (const Cycles eighths : {1, 2, 4, 6}) {
+    const Cycles stop = aet * eighths / 8 / params.dt * params.dt;
+    SCOPED_TRACE("stop clock " + std::to_string(stop));
+    auto schedule = core::make_schedule(scenario);
+    core::MappingResult stats;
+    core::drive_slrh(scenario, params, *schedule, 0, stop, stats);
+    core::ReadyFrontier frontier(scenario, *schedule);
+    frontier.advance_to(stop);
+    core::CandidateBatch scratch;
+    for (MachineId m = 0; m < static_cast<MachineId>(scenario.num_machines()); ++m) {
+      if (!scenario.machine_available(m, stop)) continue;
+      SCOPED_TRACE("machine " + std::to_string(m));
+      core::SlrhPoolRejects rejects;
+      const auto pool =
+          core::build_slrh_pool_batched(scenario, cache, frontier, *schedule,
+                                        params, totals, m, stop, &rejects,
+                                        nullptr, &scratch);
+      const test::ScanPool oracle =
+          test::scan_pool_oracle(scenario, *schedule, params, totals, m, stop);
+      EXPECT_EQ(rejects.unreleased, oracle.rejects.unreleased);
+      EXPECT_EQ(rejects.assigned, oracle.rejects.assigned);
+      EXPECT_EQ(rejects.parents, oracle.rejects.parents);
+      EXPECT_EQ(rejects.energy, oracle.rejects.energy);
+      ASSERT_EQ(pool.size(), oracle.pool.size());
+      for (std::size_t k = 0; k < pool.size(); ++k) {
+        EXPECT_EQ(pool[k].task, oracle.pool[k].task) << "slot " << k;
+        EXPECT_EQ(pool[k].version, oracle.pool[k].version) << "slot " << k;
+        EXPECT_EQ(pool[k].score, oracle.pool[k].score) << "slot " << k;  // exact
+      }
+      candidates += pool.size();
+    }
+  }
+}
+
+TEST(Determinism, BatchedPoolMatchesScanOracle) {
+  std::size_t candidates = 0;
+  for (const auto& scenario : paper_shape_fixtures()) {
+    for (const auto variant :
+         {core::SlrhVariant::V1, core::SlrhVariant::V2, core::SlrhVariant::V3}) {
+      SCOPED_TRACE(to_string(variant));
+      core::SlrhParams params;
+      params.variant = variant;
+      params.weights = core::Weights::make(0.6, 0.3);
+      expect_pools_match_scan_oracle(scenario, params, candidates);
+    }
+  }
+  // Departure window: machine 1 vanishes at tau/8 with work booked on it.
+  // Every third task is pinned to its secondary version (the churn degrade
+  // mask), which both builders must honour.
+  const auto departed = test::one_departure_scenario();
+  std::vector<std::uint8_t> pinned(departed.num_tasks(), 0);
+  for (std::size_t t = 0; t < pinned.size(); t += 3) pinned[t] = 1;
+  for (const auto variant : {core::SlrhVariant::V1, core::SlrhVariant::V3}) {
+    for (const bool degrade : {false, true}) {
+      SCOPED_TRACE(to_string(variant) + (degrade ? " degrade mask" : ""));
+      core::SlrhParams params;
+      params.variant = variant;
+      params.weights = core::Weights::make(0.6, 0.3);
+      params.secondary_only = degrade ? &pinned : nullptr;
+      expect_pools_match_scan_oracle(departed, params, candidates);
+    }
+  }
+  EXPECT_GT(candidates, 0u);  // the stop points must land on live pools
 }
 
 // --- ScenarioCache build modes -------------------------------------------
@@ -727,6 +694,44 @@ TEST(Determinism, ParallelCacheBuildMatchesSerial) {
       const auto via_parallel = core::run_slrh(scenario, params);
       expect_identical(via_serial, via_parallel, scenario,
                        to_string(variant).c_str());
+    }
+  }
+}
+
+// The tables against the uncached derivations they replace, entry by entry
+// and bit for bit, under every build mode (Lazy faults each column in on
+// first read). Departure windows must not matter: the tables are pure
+// scenario data.
+TEST(ScenarioCache, TablesMatchUncachedDerivations) {
+  auto fixtures = paper_shape_fixtures();
+  fixtures.push_back(test::one_departure_scenario());
+  for (const auto& scenario : fixtures) {
+    const auto num_tasks = static_cast<TaskId>(scenario.num_tasks());
+    const auto num_machines = static_cast<MachineId>(scenario.num_machines());
+    for (const auto mode :
+         {core::CacheBuild::Serial, core::CacheBuild::Parallel,
+          core::CacheBuild::Lazy}) {
+      SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)));
+      const core::ScenarioCache cache(scenario, mode);
+      for (TaskId t = 0; t < num_tasks; ++t) {
+        for (const VersionKind v : {VersionKind::Primary, VersionKind::Secondary}) {
+          Cycles min_exec = std::numeric_limits<Cycles>::max();
+          for (MachineId m = 0; m < num_machines; ++m) {
+            const double exec_energy = core::exec_energy(scenario, t, m, v);
+            ASSERT_EQ(cache.exec_cycles(t, m, v), scenario.exec_cycles(t, m, v))
+                << "task " << t << " machine " << m;
+            ASSERT_EQ(cache.exec_energy(t, m, v), exec_energy)  // exact
+                << "task " << t << " machine " << m;
+            ASSERT_EQ(cache.energy_need(t, m, v),
+                      exec_energy +
+                          core::worst_case_outgoing_energy(scenario, t, m, v))
+                << "task " << t << " machine " << m;  // exact
+            min_exec = std::min(min_exec, scenario.exec_cycles(t, m, v));
+          }
+          ASSERT_EQ(cache.min_exec_cycles(t, v), min_exec) << "task " << t;
+        }
+      }
+      EXPECT_EQ(cache.columns_built(), scenario.num_machines());
     }
   }
 }
@@ -865,10 +870,7 @@ TEST(Determinism, ChurnParallelSweepMatchesSerial) {
   // the recovery path erase timelines and re-pool orphans, and each post-
   // churn segment gets a fresh SweepContext whose speculation must still
   // match the serial sweep bit for bit.
-  auto scenario = test::small_suite_scenario(sim::GridCase::A, 64, 4242);
-  scenario.machine_windows.assign(scenario.num_machines(),
-                                  workload::Scenario::MachineWindow{});
-  scenario.machine_windows[1].depart = scenario.tau / 8;
+  const auto scenario = test::one_departure_scenario();
   for (const auto variant : {core::SlrhVariant::V1, core::SlrhVariant::V3}) {
     auto params = serial_sweep_params(variant);
     const auto serial = core::run_slrh_with_churn(scenario, params);
@@ -892,10 +894,7 @@ TEST(Determinism, ChurnParallelSweepMatchesSerial) {
 }
 
 TEST(Determinism, ChurnPoolReuseMatchesRebuild) {
-  auto scenario = test::small_suite_scenario(sim::GridCase::A, 64, 4242);
-  scenario.machine_windows.assign(scenario.num_machines(),
-                                  workload::Scenario::MachineWindow{});
-  scenario.machine_windows[1].depart = scenario.tau / 8;
+  const auto scenario = test::one_departure_scenario();
   for (const auto variant : {core::SlrhVariant::V1, core::SlrhVariant::V3}) {
     auto params = serial_sweep_params(variant);
     const auto serial = core::run_slrh_with_churn(scenario, params);

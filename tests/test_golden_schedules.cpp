@@ -4,7 +4,10 @@
 // schedule with FNV-1a: each subtask's assignment (machine, version, start,
 // finish, energy by bit pattern — or an "unassigned" marker), every
 // communication event in record order, and the t100/aet/tec bits. The
-// committed table below was generated once; any change to a pool builder,
+// committed table below was generated while the since-deleted diff-oracle
+// paths (a full-scan pool builder, a per-candidate scoring pool builder and
+// Max-Max's uncached derivations) still existed, and every row was asserted
+// identical across all of them at that point. Any change to the pool builder,
 // the scoring kernel, placement, the timelines or churn recovery that moves
 // a single decision or a single energy bit changes a digest and fails here.
 // A failure prints the actual digest next to the row name. Update the table
@@ -141,21 +144,13 @@ TEST(GoldenSchedules, PaperFixtures) {
     const workload::Scenario& scenario = fixtures[f];
     for (const auto variant :
          {core::SlrhVariant::V1, core::SlrhVariant::V2, core::SlrhVariant::V3}) {
-      auto params = slrh_params(variant);
-      const std::uint64_t digest = schedule_digest(core::run_slrh(scenario, params));
-      params.legacy_scan = true;
-      EXPECT_EQ(schedule_digest(core::run_slrh(scenario, params)), digest);
-      params.legacy_scan = false;
-      params.scalar_score = true;
-      EXPECT_EQ(schedule_digest(core::run_slrh(scenario, params)), digest);
-      expect_golden(core::to_string(variant) + "/" + kFixtureNames[f], digest);
+      expect_golden(core::to_string(variant) + "/" + kFixtureNames[f],
+                    schedule_digest(core::run_slrh(scenario, slrh_params(variant))));
     }
     core::MaxMaxParams maxmax;
     maxmax.weights = core::Weights::make(0.6, 0.3);
-    const std::uint64_t digest = schedule_digest(core::run_maxmax(scenario, maxmax));
-    maxmax.legacy_scan = true;
-    EXPECT_EQ(schedule_digest(core::run_maxmax(scenario, maxmax)), digest);
-    expect_golden(std::string("Max-Max/") + kFixtureNames[f], digest);
+    expect_golden(std::string("Max-Max/") + kFixtureNames[f],
+                  schedule_digest(core::run_maxmax(scenario, maxmax)));
   }
 }
 
@@ -169,23 +164,13 @@ TEST(GoldenSchedules, OneDepartureChurn) {
   for (const auto variant : {core::SlrhVariant::V1, core::SlrhVariant::V3}) {
     for (const auto recovery :
          {core::ChurnRecovery::Remap, core::ChurnRecovery::Degrade}) {
-      auto params = slrh_params(variant);
-      const auto outcome = core::run_slrh_with_churn(scenario, params, recovery);
+      const auto outcome =
+          core::run_slrh_with_churn(scenario, slrh_params(variant), recovery);
       ASSERT_GT(outcome.departures_processed, 0u);
-      const std::uint64_t digest = schedule_digest(outcome.result);
-      params.legacy_scan = true;
-      EXPECT_EQ(schedule_digest(
-                    core::run_slrh_with_churn(scenario, params, recovery).result),
-                digest);
-      params.legacy_scan = false;
-      params.scalar_score = true;
-      EXPECT_EQ(schedule_digest(
-                    core::run_slrh_with_churn(scenario, params, recovery).result),
-                digest);
       expect_golden(core::to_string(variant) + "/churn-" +
                         (recovery == core::ChurnRecovery::Remap ? "remap"
                                                                 : "degrade"),
-                    digest);
+                    schedule_digest(outcome.result));
     }
   }
 }

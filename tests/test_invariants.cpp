@@ -20,10 +20,13 @@ class HeuristicInvariants
 TEST_P(HeuristicInvariants, NoReservationOutlivesACompleteMapping) {
   // Every worst-case communication reservation is settled or released by the
   // time all subtasks are mapped — leftover holds would mean phantom energy.
+  // The weights are chosen so every (kind, seed) pair maps completely (at
+  // 0.7/0.25 SLRH-1 strands work on seed 9); a fixture drift that breaks
+  // that fails here instead of silently skipping.
   const auto [kind, seed] = GetParam();
   const auto s = test::small_suite_scenario(sim::GridCase::A, 48, seed);
-  const auto result = run_heuristic(kind, s, Weights::make(0.7, 0.25));
-  if (!result.complete) GTEST_SKIP() << "mapping incomplete at these weights";
+  const auto result = run_heuristic(kind, s, Weights::make(0.6, 0.3));
+  ASSERT_TRUE(result.complete) << to_string(kind) << " seed " << seed;
   for (std::size_t j = 0; j < s.num_machines(); ++j) {
     EXPECT_NEAR(result.schedule->energy().reserved(static_cast<MachineId>(j)), 0.0,
                 1e-9)

@@ -82,9 +82,11 @@ TEST(Replay, ReplayedScheduleValidatesAgainstActualScenario) {
 TEST(Replay, PreservesMachineAndVersionDecisions) {
   const auto s = scenario();
   const auto mapping = complete_mapping(s);
-  const auto actual = perturb_etc(s, NoiseParams{}, 13);
+  // Seed 12 is a draw under which every battery holds out (seed 13, for
+  // one, kills a machine mid-replay).
+  const auto actual = perturb_etc(s, NoiseParams{}, 12);
   const auto replayed = replay_with_actuals(s, actual, *mapping.schedule);
-  if (!replayed.executed) GTEST_SKIP() << "energy death under this noise draw";
+  ASSERT_TRUE(replayed.executed) << "energy death under this noise draw";
   for (TaskId t = 0; t < static_cast<TaskId>(s.num_tasks()); ++t) {
     EXPECT_EQ(replayed.schedule->assignment(t).machine,
               mapping.schedule->assignment(t).machine);
@@ -94,14 +96,18 @@ TEST(Replay, PreservesMachineAndVersionDecisions) {
 }
 
 TEST(Replay, SystematicOverrunStretchesAet) {
+  // A 50 % overrun kills a battery under the default (time-leaning) mapping
+  // for every noise draw, so map with energy-leaning weights: the headroom
+  // they leave lets the stretched replay run to completion.
   const auto s = scenario();
-  const auto mapping = complete_mapping(s);
+  const auto mapping = run_heuristic(HeuristicKind::Slrh1, s, Weights::make(0.3, 0.5));
+  ASSERT_TRUE(mapping.complete);
   NoiseParams params;
   params.bias = 1.5;  // 50 % systematic underestimation
   params.cv = 0.05;
   const auto actual = perturb_etc(s, params, 17);
   const auto replayed = replay_with_actuals(s, actual, *mapping.schedule);
-  if (!replayed.executed) GTEST_SKIP() << "energy death under this noise draw";
+  ASSERT_TRUE(replayed.executed) << "energy death under this noise draw";
   EXPECT_GT(replayed.aet, replayed.planned_aet);
 }
 

@@ -7,6 +7,7 @@
 
 #include "support/contract.hpp"
 #include "support/rng.hpp"
+#include "tests/oracles.hpp"
 
 namespace ahg::sim {
 namespace {
@@ -194,24 +195,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TimelineProperty,
 // The ordered hole index answering earliest_fit() is maintained
 // incrementally by insert()/erase(). These sweeps interleave random
 // insertions with random erasures (the churn driver's un-scheduling) and
-// assert every probe agrees with BOTH the retained linear walk
-// (earliest_fit_walk) and a from-scratch brute-force gap scan.
+// assert every probe agrees with a from-scratch brute-force gap scan
+// (test::brute_force_fit in tests/oracles.hpp).
 
-/// Brute force: the minimal feasible start is not_before itself or some
-/// interval's end — check them all against is_free.
-Cycles brute_force_fit(const Timeline& tl, Cycles not_before, Cycles duration) {
-  Cycles best = std::numeric_limits<Cycles>::max();
-  const auto consider = [&](Cycles s) {
-    if (s >= not_before && tl.is_free(s, duration)) best = std::min(best, s);
-  };
-  consider(not_before);
-  for (const Interval& iv : tl.intervals()) consider(std::max(not_before, iv.end));
-  return best;
-}
+using test::brute_force_fit;
 
 class TimelineChurnProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(TimelineChurnProperty, HoleIndexMatchesWalkAndBruteForce) {
+TEST_P(TimelineChurnProperty, HoleIndexMatchesBruteForce) {
   Rng rng(GetParam() ^ 0x5eedu);
   Timeline tl;
   std::vector<Interval> live;
@@ -240,10 +231,7 @@ TEST_P(TimelineChurnProperty, HoleIndexMatchesWalkAndBruteForce) {
     for (int q = 0; q < 4; ++q) {
       const Cycles p = rng.uniform_int(0, span + 100);
       const Cycles d = rng.uniform_int(1, 40);
-      const Cycles indexed = tl.earliest_fit(p, d);
-      ASSERT_EQ(indexed, tl.earliest_fit_walk(p, d))
-          << "hole index diverged from walk at step " << step;
-      ASSERT_EQ(indexed, brute_force_fit(tl, p, d))
+      ASSERT_EQ(tl.earliest_fit(p, d), brute_force_fit(tl, p, d))
           << "hole index diverged from brute force at step " << step;
     }
   }
@@ -375,7 +363,7 @@ TEST(Timeline, HoleIndexAcrossManyBlocks) {
   }
   for (const Cycles p : {Cycles{0}, Cycles{500}, Cycles{5000}, at + 10}) {
     for (const Cycles d : {Cycles{1}, Cycles{2}, Cycles{49}, Cycles{50}, Cycles{51}}) {
-      EXPECT_EQ(tl.earliest_fit(p, d), tl.earliest_fit_walk(p, d))
+      EXPECT_EQ(tl.earliest_fit(p, d), brute_force_fit(tl, p, d))
           << "p=" << p << " d=" << d;
     }
   }
@@ -383,7 +371,7 @@ TEST(Timeline, HoleIndexAcrossManyBlocks) {
   // probes that skip whole blocks to reach it.
   for (int k = 120; k < 140; ++k) tl.erase(starts[static_cast<std::size_t>(k)], 2);
   for (const Cycles d : {Cycles{60}, Cycles{100}, Cycles{400}, Cycles{1000}}) {
-    EXPECT_EQ(tl.earliest_fit(0, d), tl.earliest_fit_walk(0, d)) << "d=" << d;
+    EXPECT_EQ(tl.earliest_fit(0, d), brute_force_fit(tl, 0, d)) << "d=" << d;
   }
 }
 
