@@ -262,10 +262,11 @@ inline GateResult check_bench(const GateBaseline& baseline,
     finding.fresh = value;
     finding.verdict = GateVerdict::MissingBaseline;
     // A fresh-only wall-clock phase (Upper direction) is a new timing
-    // breakdown the baseline predates — e.g. slrh.sweep_parallel_seconds
-    // appearing in dumps gated against a pre-accelerator baseline. It is
-    // reported for visibility but cannot hide a regression (the phase rolls
-    // up into a gated *_run_seconds total), so it does not fail the gate.
+    // breakdown the baseline predates — e.g. slrh.earliest_start_seconds
+    // appearing in dumps gated against a baseline recorded before that
+    // sub-phase was timed. It is reported for visibility but cannot hide a
+    // regression (the phase rolls up into a gated *_run_seconds total), so
+    // it does not fail the gate.
     // Fresh-only TwoSided metrics still count: a new correctness counter
     // the baseline has never seen deserves a deliberate --update.
     if (default_direction(key) != GateDirection::Upper) ++result.missing;

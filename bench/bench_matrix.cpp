@@ -2,10 +2,11 @@
 // grid run three ways — strictly serial, parallel cold (cell fan-out +
 // nested tuner sweeps on the work-stealing pool, populating the cell
 // cache), and parallel warm (every cell served from the cache). Writes
-// BENCH_matrix.json with the three wall-clock times, the parallel speedup,
-// and the warm run's hit/miss counts, and cross-checks that all three
-// matrices agree on every deterministic field (the determinism test asserts
-// the same bit-for-bit; this bench keeps the check in the measured binary).
+// BENCH_matrix.json (BENCH_matrix_smoke.json at REPRO_SCALE=smoke) with the
+// three wall-clock times, the parallel speedup, and the warm run's hit/miss
+// counts, and cross-checks that all three matrices agree on every
+// deterministic field (the determinism test asserts the same bit-for-bit;
+// this bench keeps the check in the measured binary).
 
 #include <cmath>
 #include <cstdlib>
@@ -56,7 +57,11 @@ int main(int argc, char** argv) {
     return *exit_code;
   }
   const auto ctx = bench::make_context("Campaign engine: serial vs parallel vs cached");
-  bench::BenchReport report("matrix");
+  // Like bench_scale, a smoke run dumps (and gates) under its own name: its
+  // serial pass is ~30x shorter, so its ratios cannot be held against the
+  // default-scale BENCH_matrix.json baseline.
+  bench::BenchReport report(ctx.scale == ReproScale::Smoke ? "matrix_smoke"
+                                                           : "matrix");
 
   // A dedicated cache dir, cleared up front, so "cold" is honest even when
   // a previous bench run populated the default cache.

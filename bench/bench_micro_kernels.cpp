@@ -309,28 +309,25 @@ void BM_PlanPlacement(benchmark::State& state) {
 }
 BENCHMARK(BM_PlanPlacement);
 
-// --- machine sweep: serial vs speculative-parallel vs cross-tick reuse ----
+// --- machine sweep: rebuild-everything vs cross-tick reuse ----------------
 //
-// Whole-run V3 comparison of the sweep accelerator's two mechanisms, each
-// isolated: Serial turns both off (the pre-accelerator path and the
-// determinism oracle), Parallel enables only the speculative fan-out over
-// the global pool, Reuse enables only the cross-tick skip verdicts. V3 is
-// the sweep-bound variant (it rebuilds the pool after every commit), so the
-// ratios here are the per-mechanism shares of the end-to-end speedup
-// bench_scale measures. Run with --jobs N to size the fan-out.
+// Whole-run V3 comparison: Serial rebuilds every pool (pool_reuse off, the
+// determinism reference), Reuse skips scopes through the cross-tick verdicts.
+// V3 is the sweep-bound variant (it rebuilds the pool after every commit),
+// so the ratio here is the reuse share of the end-to-end speedup bench_scale
+// measures.
 
-core::SlrhParams sweep_bench_params(bool reuse, bool parallel) {
+core::SlrhParams sweep_bench_params(bool reuse) {
   core::SlrhParams params;
   params.variant = core::SlrhVariant::V3;
   params.weights = core::Weights::make(0.7, 0.25);
   params.pool_reuse = reuse;
-  params.sweep_parallel = parallel;
   return params;
 }
 
 void BM_Sweep_Serial(benchmark::State& state) {
   const auto scenario = bench_scenario(static_cast<std::size_t>(state.range(0)));
-  const auto params = sweep_bench_params(false, false);
+  const auto params = sweep_bench_params(false);
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::run_slrh(scenario, params));
   }
@@ -339,21 +336,9 @@ void BM_Sweep_Serial(benchmark::State& state) {
 }
 BENCHMARK(BM_Sweep_Serial)->Arg(1024)->Unit(benchmark::kMillisecond);
 
-void BM_Sweep_Parallel(benchmark::State& state) {
-  const auto scenario = bench_scenario(static_cast<std::size_t>(state.range(0)));
-  const auto params = sweep_bench_params(false, true);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::run_slrh(scenario, params));
-  }
-  state.SetLabel("jobs=" + std::to_string(global_pool_jobs()));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_Sweep_Parallel)->Arg(1024)->Unit(benchmark::kMillisecond);
-
 void BM_Sweep_Reuse(benchmark::State& state) {
   const auto scenario = bench_scenario(static_cast<std::size_t>(state.range(0)));
-  const auto params = sweep_bench_params(true, false);
+  const auto params = sweep_bench_params(true);
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::run_slrh(scenario, params));
   }
@@ -475,19 +460,14 @@ void write_inner_loop_report() {
     std::cout << "earliest fit @8192: " << index_seconds << " s\n";
   }
 
-  // Sweep-accelerator record at the smoke shape, gated per push: the V3
-  // sweep with both mechanisms off (serial oracle), speculation only, and
-  // reuse only. Min-of-N whole runs; the reuse speedup gauge is the
-  // mechanism the 1-core gate can actually watch (the parallel gauge is
-  // recorded for the curve but its value is host-core-dependent, so only
-  // its presence — not a ratio bound — is gated).
+  // Cross-tick reuse record at the smoke shape, gated per push: the V3 sweep
+  // rebuilding every pool (serial reference) against the same sweep with
+  // reuse on. Min-of-N whole runs; the speedup gauge is what the gate watches.
   {
     constexpr int kReps = 5;
-    const auto params_serial = sweep_bench_params(false, false);
-    const auto params_parallel = sweep_bench_params(false, true);
-    const auto params_reuse = sweep_bench_params(true, false);
+    const auto params_serial = sweep_bench_params(false);
+    const auto params_reuse = sweep_bench_params(true);
     double serial_seconds = 0.0;
-    double parallel_seconds = 0.0;
     double reuse_seconds = 0.0;
     bool identical = true;
     for (int rep = 0; rep < kReps; ++rep) {
@@ -497,25 +477,16 @@ void write_inner_loop_report() {
       serial_seconds =
           rep == 0 ? serial_elapsed : std::min(serial_seconds, serial_elapsed);
 
-      const Stopwatch parallel_timer;
-      const auto parallel = core::run_slrh(scenario, params_parallel);
-      const double parallel_elapsed = parallel_timer.seconds();
-      parallel_seconds = rep == 0 ? parallel_elapsed
-                                  : std::min(parallel_seconds, parallel_elapsed);
-
       const Stopwatch reuse_timer;
       const auto reuse = core::run_slrh(scenario, params_reuse);
       const double reuse_elapsed = reuse_timer.seconds();
       reuse_seconds =
           rep == 0 ? reuse_elapsed : std::min(reuse_seconds, reuse_elapsed);
 
-      identical = identical && serial.t100 == parallel.t100 &&
-                  serial.tec == parallel.tec && serial.t100 == reuse.t100 &&
-                  serial.tec == reuse.tec && serial.aet == parallel.aet &&
-                  serial.aet == reuse.aet;
+      identical = identical && serial.t100 == reuse.t100 &&
+                  serial.tec == reuse.tec && serial.aet == reuse.aet;
     }
     report.metrics().gauge("bench.sweep_serial_seconds").set(serial_seconds);
-    report.metrics().gauge("bench.sweep_parallel_seconds").set(parallel_seconds);
     report.metrics().gauge("bench.sweep_reuse_seconds").set(reuse_seconds);
     report.metrics()
         .gauge("bench.sweep_reuse_speedup")
@@ -523,9 +494,8 @@ void write_inner_loop_report() {
     report.metrics()
         .counter("bench.sweep_schedules_identical")
         .add(identical ? 1 : 0);
-    std::cout << "sweep @1024 (V3, jobs=" << global_pool_jobs() << "): serial "
-              << serial_seconds << " s, parallel " << parallel_seconds
-              << " s, reuse " << reuse_seconds << " s ("
+    std::cout << "sweep @1024 (V3): serial " << serial_seconds << " s, reuse "
+              << reuse_seconds << " s ("
               << (reuse_seconds > 0.0 ? serial_seconds / reuse_seconds : 0.0)
               << "x reuse)\n";
   }

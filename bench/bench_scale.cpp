@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
   }
 
   // The accelerated runs are the default; AHG_SCALE_SERIAL_REF=1 adds a
-  // serial-path re-run of every variant (sweep_parallel and pool_reuse off)
+  // rebuild-everything re-run of every variant (pool_reuse off)
   // plus a bench.<variant>_sweep_speedup gauge. Defaults on for the gated
   // smoke/default tiers — where the serial run is minutes, not hours — and
   // off for the large/1M shapes whose serial reference would blow the CI
@@ -165,8 +165,8 @@ int main(int argc, char** argv) {
       .set(static_cast<double>(cache->columns_built()));
 
   // Phase sink: routes the driver's slrh.*_seconds histograms (pool build,
-  // scoring, sweep_parallel) and the pool_reuse/spec_abort counters into the
-  // dump, so bench_check --plot-scaling can break the curve into phases.
+  // scoring, placement) and the pool_reuse counters into the dump, so
+  // bench_check --plot-scaling can break the curve into phases.
   obs::ForwardSink phase_sink(&report.metrics(), nullptr);
 
   for (const auto variant : {core::SlrhVariant::V1, core::SlrhVariant::V3}) {
@@ -189,21 +189,17 @@ int main(int argc, char** argv) {
         .counter("bench." + name + "_pools_reused")
         .add(static_cast<std::uint64_t>(result.pools_reused));
     report.metrics()
-        .counter("bench." + name + "_spec_aborts")
-        .add(static_cast<std::uint64_t>(result.spec_aborted));
-    report.metrics()
         .counter("bench." + name + "_complete")
         .add(result.complete ? 1 : 0);
     std::cout << name << ": assigned " << result.assigned << "/"
               << shape.num_tasks << ", t100 " << result.t100 << ", pools "
               << result.pools_built << " (+" << result.pools_reused
-              << " reused, " << result.spec_aborted << " spec aborts)\n";
+              << " reused)\n";
 
     if (serial_ref) {
       core::SlrhParams serial = params;
       serial.sink = nullptr;  // time the bare serial loop, no telemetry
       serial.pool_reuse = false;
-      serial.sweep_parallel = false;
       session.set_phase(name + "_serial_run");
       const auto serial_result = report.timed_section(
           name + "_serial_run", [&] { return core::run_slrh(scenario, serial); });

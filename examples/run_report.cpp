@@ -341,12 +341,11 @@ int main(int argc, char** argv) {
 
     std::cout << "=== " << name << " — " << group.size() << " frame(s) ===\n";
     TextTable table({"clock", "objective", "t100 term", "tec term", "aet term",
-                     "assigned", "T100", "pools", "reused", "aborts", "maps",
-                     "ready", "min batt"},
+                     "assigned", "T100", "pools", "reused", "maps", "ready",
+                     "min batt"},
                     {Align::Right, Align::Right, Align::Right, Align::Right,
                      Align::Right, Align::Right, Align::Right, Align::Right,
-                     Align::Right, Align::Right, Align::Right, Align::Right,
-                     Align::Right});
+                     Align::Right, Align::Right, Align::Right, Align::Right});
     for (std::size_t i = 0; i < group.size(); ++i) {
       if (i % every != 0 && i + 1 != group.size()) continue;
       const obs::Frame& f = *group[i];
@@ -360,7 +359,6 @@ int main(int argc, char** argv) {
       table.cell(f.t100);
       table.cell(f.pools_built);
       table.cell(f.pools_reused);
-      table.cell(f.spec_aborts);
       table.cell(f.maps);
       table.cell(f.frontier_ready);
       battery_cell(table, min_battery(f));
@@ -370,18 +368,14 @@ int main(int argc, char** argv) {
     const obs::Frame& last = *group.back();
     std::uint64_t total_pools = 0;
     std::uint64_t total_reused = 0;
-    std::uint64_t total_aborts = 0;
     std::uint64_t total_maps = 0;
     double pool_seconds = 0.0;
-    double sweep_seconds = 0.0;
     std::uint64_t active_ticks = 0;
     for (const auto* f : group) {
       total_pools += f->pools_built;
       total_reused += f->pools_reused;
-      total_aborts += f->spec_aborts;
       total_maps += f->maps;
       pool_seconds += f->pool_build_seconds;
-      sweep_seconds += f->sweep_seconds;
       if (f->maps > 0) ++active_ticks;
     }
     std::cout << "summary: final clock " << last.clock << ", objective "
@@ -396,14 +390,11 @@ int main(int argc, char** argv) {
               << " map(s), " << active_ticks << "/" << group.size()
               << " sampled ticks committed a map, pool-build time "
               << format_fixed(pool_seconds * 1e3, 3) << " ms\n";
-    // Re-planning economy (sweep accelerator): zero on recordings made with
-    // both pool_reuse and sweep_parallel off, and on pre-accelerator
-    // recordings.
-    if (total_reused > 0 || total_aborts > 0 || sweep_seconds > 0.0) {
+    // Re-planning economy (cross-tick reuse): zero on recordings made with
+    // pool_reuse off, and on pre-accelerator recordings.
+    if (total_reused > 0) {
       std::cout << "         re-planning: " << total_pools << " pool(s) built vs "
-                << total_reused << " reused, " << total_aborts
-                << " speculative abort(s), sweep fan-out time "
-                << format_fixed(sweep_seconds * 1e3, 3) << " ms\n";
+                << total_reused << " reused\n";
     }
     if (last.departures > 0 || last.orphaned > 0) {
       std::cout << "         churn: " << last.departures << " departure(s), "

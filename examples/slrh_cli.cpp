@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
   args.add_flag("version", "print build identity and exit");
   if (!args.parse(argc, argv)) return args.error() ? EXIT_FAILURE : EXIT_SUCCESS;
   // --jobs wins over the AHG_JOBS environment override; either sizes the
-  // global pool (speculative sweep fan-out, cache builds) before first use.
+  // global pool (scenario-cache builds) before first use.
   std::int64_t jobs = args.get_int("jobs");
   if (jobs <= 0) jobs = env_int("AHG_JOBS", 0);
   if (jobs > 0) configure_global_pool(static_cast<std::size_t>(jobs));
@@ -334,7 +334,7 @@ int main(int argc, char** argv) {
     return fail("unknown heuristic '" + name + "'");
   }
 
-  // The run is quiescent now (run_slrh joined every fan-out), so this is a
+  // The run is quiescent now (every parallel_for has joined), so this is a
   // legal detach point; the profiler object stays alive for the exporters.
   if (profiler != nullptr) global_pool().set_profiler(nullptr);
   if (heartbeat != nullptr) heartbeat->set_phase("done");

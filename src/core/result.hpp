@@ -28,15 +28,11 @@ struct MappingResult {
   /// (Max-Max), and candidate pools constructed.
   std::size_t iterations = 0;
   std::size_t pools_built = 0;
-  /// (machine, timestep) scopes the sweep accelerator skipped via a cached
+  /// (machine, timestep) scopes the SLRH driver skipped via a cached
   /// cross-tick verdict instead of rebuilding the pool (SLRH only; see
   /// SlrhParams::pool_reuse). pools_built + pools_reused is the serial
   /// path's scope count for variant 1.
   std::size_t pools_reused = 0;
-  /// Speculative pools discarded because a commit intervened between the
-  /// parallel fan-out and the machine's serial turn (see
-  /// SlrhParams::sweep_parallel).
-  std::size_t spec_aborted = 0;
 
   /// The full schedule, for validation / trace export. Shared so results can
   /// be copied cheaply by the experiment harness.

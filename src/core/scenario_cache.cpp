@@ -106,7 +106,7 @@ void ScenarioCache::fill_column(const workload::Scenario& scenario,
 void ScenarioCache::build_column(MachineId machine) const {
   std::call_once(column_once_[static_cast<std::size_t>(machine)], [&] {
     // Lazy first-touch fills happen on whatever thread probes the column —
-    // often inside an already-marked fan-out region (sweep_fanout), whose
+    // often inside an already-marked fan-out region (matrix_cells), whose
     // label then covers the fill. Only an unmarked touch (a serial driver's
     // first probe) opens its own region so the trace still attributes it.
     obs::RuntimeProfiler* prof = global_pool().profiler();

@@ -16,7 +16,6 @@
 #include "support/runtime_profiler.hpp"
 #include "support/stopwatch.hpp"
 #include "support/task_ledger.hpp"
-#include "support/thread_pool.hpp"
 
 namespace ahg::core {
 
@@ -41,13 +40,11 @@ struct SlrhTelemetry {
   obs::Histogram* scoring = nullptr;         ///< scoring share of a pool build
   obs::Histogram* placement = nullptr;       ///< map_first_startable wall time
   obs::Histogram* earliest_start = nullptr;  ///< plan_placement share of placement
-  obs::Histogram* sweep_parallel = nullptr;  ///< speculative fan-out wall time/tick
   obs::Counter* pools = nullptr;
   obs::Counter* maps = nullptr;
   obs::Counter* timesteps = nullptr;
   obs::Counter* reuse_hits = nullptr;    ///< machine scopes skipped via verdicts
   obs::Counter* reuse_misses = nullptr;  ///< scopes that had to build
-  obs::Counter* spec_aborts = nullptr;   ///< speculative pools discarded
 
   bool tracing(obs::EventKind kind) const noexcept {
     return sink != nullptr && sink->wants(kind);
@@ -62,13 +59,11 @@ struct SlrhTelemetry {
       t.scoring = obs::phase_histogram(metrics, "slrh.scoring_seconds");
       t.placement = obs::phase_histogram(metrics, "slrh.placement_seconds");
       t.earliest_start = obs::phase_histogram(metrics, "slrh.earliest_start_seconds");
-      t.sweep_parallel = obs::phase_histogram(metrics, "slrh.sweep_parallel_seconds");
       t.pools = &metrics->counter("slrh.pools_built");
       t.maps = &metrics->counter("slrh.map_decisions");
       t.timesteps = &metrics->counter("slrh.timesteps");
       t.reuse_hits = &metrics->counter("slrh.pool_reuse_hits");
       t.reuse_misses = &metrics->counter("slrh.pool_reuse_misses");
-      t.spec_aborts = &metrics->counter("slrh.spec_aborts");
     }
     return t;
   }
@@ -157,9 +152,9 @@ struct MapTrace {
 /// Admission energies come from the precomputed tables; `memo` skips
 /// re-planning candidates already proven beyond-horizon in this
 /// (machine, clock) scope.
+/// `committed` receives a copy of the committed plan (the sweep epochs and
+/// the task ledger read it).
 /// `trace` non-null records the decision (telemetry path only).
-/// `committed` non-null receives a copy of the committed plan (task-ledger
-/// and sweep-accelerator paths).
 /// `min_beyond` non-null accumulates (running min) the arrival of every
 /// candidate this walk proved beyond the horizon — the raw material for the
 /// cross-tick skip verdicts (core/sweep.hpp). Memo-skipped candidates were
@@ -172,9 +167,9 @@ std::size_t map_first_startable(const workload::Scenario& scenario,
                                 MachineId machine, Cycles clock,
                                 const SlrhTelemetry& telemetry,
                                 const ScenarioCache& cache, BeyondHorizonMemo& memo,
+                                PlacementPlan& committed,
                                 std::size_t skip_before = 0,
                                 MapTrace* trace = nullptr,
-                                PlacementPlan* committed = nullptr,
                                 Cycles* min_beyond = nullptr) {
   obs::ProfileScope placement_scope(telemetry.placement);
   SubPhaseAccumulator earliest_time(telemetry.earliest_start);
@@ -238,7 +233,7 @@ std::size_t map_first_startable(const workload::Scenario& scenario,
         trace->candidates.push_back({cand.task, version, cand.score, ""});
       }
       commit_placement(scenario, schedule, plan);
-      if (committed != nullptr) *committed = plan;
+      committed = plan;
       return k;
     }
     if (min_beyond != nullptr && plan.arrival < *min_beyond) {
@@ -347,85 +342,17 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
   // of the window (allocation-free steady state).
   CandidateBatch batch_scratch;
 
-  // Sweep accelerator state (core/sweep.hpp): cross-tick skip verdicts and
-  // speculative parallel pool builds, both keyed on the frontier revision; a
-  // fresh context per drive window means churn segment boundaries invalidate
-  // everything cached.
+  // Cross-tick skip verdicts (core/sweep.hpp), keyed on the frontier
+  // revision and per-machine energy epochs; a fresh context per drive window
+  // means churn segment boundaries invalidate everything cached.
   const bool reuse_on = params.pool_reuse;
-  const std::size_t workers = params.sweep_parallel ? ahg::global_pool_jobs() : 0;
-  const bool spec_on = workers >= 2;
-  std::optional<SweepContext> sweep_storage;
-  if (reuse_on || spec_on) {
-    sweep_storage.emplace(
-        scenario.num_machines(),
-        spec_on ? std::min<std::size_t>(workers * 2, std::size_t{64})
-                : std::size_t{1});
-  }
-  SweepContext* sweep = sweep_storage.has_value() ? &*sweep_storage : nullptr;
-  std::vector<MachineId> spec_pending;
-  if (spec_on) spec_pending.reserve(scenario.num_machines());
-  bool spec_tick = false;         // this tick ran a speculative fan-out
-  std::uint64_t spec_serial = 0;  // commit serial at fan-out time
+  SweepContext sweep(scenario.num_machines());
   std::uint64_t step_reused = 0;
-  std::uint64_t step_aborts = 0;
-  double step_sweep_seconds = 0.0;
 
-  // Deferred per-pool side effects (ledger sweep, counters, trace event) —
-  // shared by the inline build and the speculative consume, and applied
-  // strictly on the serial walk either way.
-  const auto account_pool = [&](const std::vector<SlrhPoolCandidate>& pool,
-                                const SlrhPoolRejects& rejects, MachineId machine,
-                                Cycles clock) {
-    if (ledger != nullptr) {
-      // First sighting per task is a relaxed load + early-out, so sweeping
-      // the whole pool every build stays inside the ≤1.05x overhead budget.
-      for (const SlrhPoolCandidate& cand : pool) {
-        ledger->on_pooled(cand.task, clock, machine);
-      }
-    }
-    ++result.pools_built;
-    if (telemetry.pools != nullptr) telemetry.pools->add();
-    if (trace_pools && (!pool.empty() || rejects.any())) {
-      obs::Event event;
-      event.kind = obs::EventKind::PoolBuilt;
-      event.heuristic = heuristic_name;
-      event.clock = clock;
-      event.machine = machine;
-      event.pool_size = pool.size();
-      event.rejected_unreleased = rejects.unreleased;
-      event.rejected_assigned = rejects.assigned;
-      event.rejected_parents = rejects.parents;
-      event.rejected_energy = rejects.energy;
-      params.sink->emit(event);
-    }
-  };
-
-  // One pool for the serial walk: consume this tick's speculative build when
-  // it is still exact (no commit since the fan-out — commits move the global
-  // t100/tec/aet terms that feed every score), else build inline.
-  // `allow_spec` is true only for the first build of a machine scope; V3's
-  // post-commit rebuilds are always inline (their slot was already settled).
-  const auto make_pool = [&](MachineId machine, Cycles clock, bool allow_spec) {
-    if (spec_tick && allow_spec) {
-      SweepContext::SpecSlot& slot = sweep->spec(machine);
-      if (slot.valid) {
-        slot.valid = false;
-        if (sweep->commit_serial() == spec_serial) {
-          std::vector<SlrhPoolCandidate> pool = std::move(slot.pool);
-          if (recorder != nullptr) {
-            ++step_pools;
-            step_last_pool = pool.size();
-          }
-          account_pool(pool, slot.rejects, machine, clock);
-          return pool;
-        }
-        // Stale: an earlier machine committed after the fan-out. Every score
-        // in the slot read the old global terms — rebuild inline.
-        ++result.spec_aborted;
-        if (telemetry.spec_aborts != nullptr) telemetry.spec_aborts->add();
-        if (recorder != nullptr) ++step_aborts;
-      }
-    }
+  // One pool for the serial walk, built inline against the current schedule
+  // (every commit moves the global t100/tec/aet terms that feed each score),
+  // plus its side effects: recorder span, ledger sweep, counters, event.
+  const auto make_pool = [&](MachineId machine, Cycles clock) {
     SlrhPoolRejects rejects;
     std::vector<SlrhPoolCandidate> pool;
     const bool time_this_build = recorder != nullptr && --span_countdown == 0;
@@ -451,28 +378,47 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
       ++step_pools;
       step_last_pool = pool.size();
     }
-    account_pool(pool, rejects, machine, clock);
+    if (ledger != nullptr) {
+      // First sighting per task is a relaxed load + early-out, so sweeping
+      // the whole pool every build stays inside the ≤1.05x overhead budget.
+      for (const SlrhPoolCandidate& cand : pool) {
+        ledger->on_pooled(cand.task, clock, machine);
+      }
+    }
+    ++result.pools_built;
+    if (telemetry.pools != nullptr) telemetry.pools->add();
+    if (trace_pools && (!pool.empty() || rejects.any())) {
+      obs::Event event;
+      event.kind = obs::EventKind::PoolBuilt;
+      event.heuristic = heuristic_name;
+      event.clock = clock;
+      event.machine = machine;
+      event.pool_size = pool.size();
+      event.rejected_unreleased = rejects.unreleased;
+      event.rejected_assigned = rejects.assigned;
+      event.rejected_parents = rejects.parents;
+      event.rejected_energy = rejects.energy;
+      params.sink->emit(event);
+    }
     return pool;
   };
 
   // One map attempt; emits a map event on commit, a stall event otherwise.
-  // Every commit is mirrored into the frontier (and the sweep accelerator's
-  // epochs) immediately.
+  // Every commit is mirrored into the frontier and the sweep epochs
+  // immediately.
   const auto try_map = [&](const std::vector<SlrhPoolCandidate>& pool,
                            MachineId machine, Cycles clock,
                            std::size_t skip_before, Cycles* min_beyond) {
     const bool tracing = trace_maps || trace_stalls;
     MapTrace trace;
     PlacementPlan committed;
-    const bool want_plan = ledger != nullptr || sweep != nullptr;
     const std::size_t mapped =
         map_first_startable(scenario, schedule, params, totals, pool, machine,
-                            clock, telemetry, cache, memo, skip_before,
-                            tracing ? &trace : nullptr,
-                            want_plan ? &committed : nullptr, min_beyond);
+                            clock, telemetry, cache, memo, committed,
+                            skip_before, tracing ? &trace : nullptr, min_beyond);
     if (mapped != npos) {
       frontier.on_commit(pool[mapped].task);
-      if (sweep != nullptr) sweep->note_commit(committed);
+      sweep.note_commit(committed);
       if (telemetry.maps != nullptr) telemetry.maps->add();
       if (recorder != nullptr) ++step_maps;
       if (ledger != nullptr) record_placement(*ledger, schedule, committed, clock);
@@ -530,8 +476,6 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
     frame.maps = step_maps;
     frame.last_pool_size = step_last_pool;
     frame.pools_reused = step_reused;
-    frame.spec_aborts = step_aborts;
-    frame.sweep_seconds = step_sweep_seconds;
     frame.frontier_ready = frontier.ready().size();
     frame.frontier_unreleased = frontier.num_unreleased();
     const sim::EnergyLedger& energy = schedule.energy();
@@ -555,70 +499,11 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
     if (telemetry.timesteps != nullptr) telemetry.timesteps->add();
     if (recorder != nullptr) {
       step_pool_seconds = 0.0;
-      step_sweep_seconds = 0.0;
       step_pools = step_maps = step_last_pool = 0;
-      step_reused = step_aborts = 0;
+      step_reused = 0;
       step_timed = false;
     }
     frontier.advance_to(clock);
-
-    // Speculative fan-out: build every pending machine's pool concurrently
-    // before the serial walk. Pure const reads of the schedule / frontier /
-    // cache — every side effect (ledger, counters, events) is deferred to
-    // the consume point on the serial walk.
-    spec_tick = false;
-    if (spec_on && !schedule.complete()) {
-      spec_pending.clear();
-      for (MachineId machine = 0; machine < num_machines; ++machine) {
-        if (!scenario.machine_available(machine, clock)) continue;
-        if (schedule.machine_ready(machine) > clock) continue;
-        if (reuse_on && sweep->can_skip(machine, clock, params.horizon,
-                                        frontier.revision())) {
-          continue;
-        }
-        spec_pending.push_back(machine);
-      }
-      if (spec_pending.size() >= 2) {
-        const bool time_sweep =
-            telemetry.sweep_parallel != nullptr || recorder != nullptr;
-        const auto sweep_t0 = time_sweep ? std::chrono::steady_clock::now()
-                                         : std::chrono::steady_clock::time_point{};
-        const std::size_t n = spec_pending.size();
-        const std::size_t chunks = std::min(sweep->max_chunks(), n);
-        // Wall-clock region marker for the runtime profiler (no-op when no
-        // profiler is attached to the pool): labels the fan-out's run slices
-        // and the per-tick region window in the worker trace.
-        obs::RuntimeRegion sweep_region(ahg::global_pool().profiler(),
-                                        "sweep_fanout");
-        ahg::global_pool().parallel_for(0, chunks, [&](std::size_t c) {
-          const std::size_t lo = n * c / chunks;
-          const std::size_t hi = n * (c + 1) / chunks;
-          CandidateBatch& chunk_batch = sweep->chunk_scratch(c);
-          for (std::size_t i = lo; i < hi; ++i) {
-            const MachineId m = spec_pending[i];
-            SweepContext::SpecSlot& slot = sweep->spec(m);
-            slot.rejects = SlrhPoolRejects{};
-            SlrhPoolRejects* rej = trace_pools ? &slot.rejects : nullptr;
-            slot.pool = build_slrh_pool_batched(scenario, cache, frontier,
-                                                schedule, params, totals, m,
-                                                clock, rej, nullptr, &chunk_batch);
-            slot.valid = true;
-          }
-        });
-        spec_tick = true;
-        spec_serial = sweep->commit_serial();
-        if (time_sweep) {
-          const double elapsed =
-              std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            sweep_t0)
-                  .count();
-          if (telemetry.sweep_parallel != nullptr) {
-            telemetry.sweep_parallel->observe(elapsed);
-          }
-          step_sweep_seconds += elapsed;
-        }
-      }
-    }
 
     for (MachineId machine = 0; machine < num_machines; ++machine) {
       if (schedule.complete()) break;
@@ -630,8 +515,7 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
       if (reuse_on) {
         // O(1) cross-tick skip: the cached verdict proves the serial sweep
         // would build this machine's pool and map nothing from it.
-        if (sweep->can_skip(machine, clock, params.horizon,
-                            frontier.revision())) {
+        if (sweep.can_skip(machine, clock, params.horizon, frontier.revision())) {
           ++result.pools_reused;
           if (telemetry.reuse_hits != nullptr) telemetry.reuse_hits->add();
           if (recorder != nullptr) ++step_reused;
@@ -653,13 +537,13 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
       const auto snapshot_pool_epochs = [&] {
         if (reuse_on) {
           pool_revision = frontier.revision();
-          pool_energy_epoch = sweep->energy_epoch(machine);
+          pool_energy_epoch = sweep.energy_epoch(machine);
         }
       };
 
       switch (params.variant) {
         case SlrhVariant::V1: {
-          const auto pool = make_pool(machine, clock, true);
+          const auto pool = make_pool(machine, clock);
           snapshot_pool_epochs();
           if (pool.empty()) break;
           scope_committed = try_map(pool, machine, clock, 0, min_beyond) != npos;
@@ -668,7 +552,7 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
         case SlrhVariant::V2: {
           // One pool per (machine, timestep); keep assigning pairs from it in
           // score order until exhausted or nothing starts within the horizon.
-          const auto pool = make_pool(machine, clock, true);
+          const auto pool = make_pool(machine, clock);
           snapshot_pool_epochs();
           std::size_t next = 0;
           while (next < pool.size()) {
@@ -682,8 +566,8 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
         case SlrhVariant::V3: {
           // Rebuild and re-score the pool after every assignment; children of
           // the subtask just mapped become admissible immediately.
-          for (bool first = true;; first = false) {
-            const auto pool = make_pool(machine, clock, first);
+          for (;;) {
+            const auto pool = make_pool(machine, clock);
             snapshot_pool_epochs();
             if (pool.empty()) break;
             const std::size_t mapped = try_map(pool, machine, clock, 0, min_beyond);
@@ -700,8 +584,8 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
       // scopes that mapped anything fail the epoch compare by construction.
       if (reuse_on && !scope_committed &&
           pool_revision == frontier.revision() &&
-          pool_energy_epoch == sweep->energy_epoch(machine)) {
-        sweep->record_verdict(machine, scope_min_arrival, pool_revision);
+          pool_energy_epoch == sweep.energy_epoch(machine)) {
+        sweep.record_verdict(machine, scope_min_arrival, pool_revision);
       }
     }
     if (recorder != nullptr) {

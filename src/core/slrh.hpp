@@ -18,6 +18,12 @@
 // is exhausted or nothing more starts within the horizon. Variant 3 rebuilds
 // and re-scores the pool after every assignment (newly enabled children join
 // immediately) and keeps filling the same machine.
+//
+// The machine walk is single-threaded and builds each pool inline: every
+// commit moves the global t100/tec/aet terms that every score reads, so a
+// pool built ahead of an earlier machine's turn is usually stale by the time
+// its own turn comes (DESIGN.md §4h). The one sweep accelerator is the
+// cross-tick skip verdict (SlrhParams::pool_reuse, core/sweep.hpp).
 
 #include <cstdint>
 
@@ -104,17 +110,6 @@ struct SlrhParams {
   /// pool-build counts and their telemetry differ (MappingResult::
   /// pools_reused tallies the skipped scopes).
   bool pool_reuse = true;
-
-  /// Parallel speculative sweep (core/sweep.hpp): build every pending
-  /// machine's pool of a tick concurrently on the global work-stealing pool
-  /// (ahg::global_pool()), then walk the machines serially in index order,
-  /// consuming a speculative pool only when no commit intervened since the
-  /// fan-out — otherwise the pool is discarded (MappingResult::spec_aborted)
-  /// and rebuilt inline. Decisions are taken in exactly the serial order, so
-  /// schedules are bit-identical either way (asserted by
-  /// tests/test_determinism.cpp). Engages only when a tick has >= 2 pending
-  /// machines and the pool has >= 2 workers.
-  bool sweep_parallel = true;
 
   /// Optional per-task degrade mask (not owned; indexed by TaskId). A task
   /// whose entry is non-zero is only ever offered at its secondary version —

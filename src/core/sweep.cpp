@@ -1,18 +1,8 @@
 #include "core/sweep.hpp"
 
-#include <algorithm>
-
 namespace ahg::core {
 
-SweepContext::SweepContext(std::size_t num_machines, std::size_t max_chunks) {
-  energy_epoch_.assign(num_machines, 0);
-  verdicts_.assign(num_machines, Verdict{});
-  spec_.resize(num_machines);
-  scratches_.resize(std::max<std::size_t>(std::size_t{1}, max_chunks));
-}
-
 void SweepContext::note_commit(const PlacementPlan& plan) {
-  ++commit_serial_;
   ++energy_epoch_[static_cast<std::size_t>(plan.machine)];
   for (const CommPlan& comm : plan.comms) {
     ++energy_epoch_[static_cast<std::size_t>(comm.from_machine)];

@@ -1,30 +1,20 @@
 #pragma once
-// Sweep accelerator state for the clock-driven SLRH driver (DESIGN.md §4h).
+// Cross-tick skip verdicts for the clock-driven SLRH driver (DESIGN.md §4h).
 //
-// Two independent mechanisms share one epoch scheme:
+// Cross-tick pool reuse. When a (machine, timestep) scope ends without
+// committing anything, the driver records a skip verdict: the smallest
+// beyond-horizon arrival the scope proved, tagged with the frontier revision
+// and the machine's energy epoch. While both epochs stand, the machine's
+// pool membership is unchanged (same ready set, same per-machine energy
+// admission) and plan_placement arrivals are monotone non-decreasing in the
+// probe clock and in channel/compute bookings — so a later tick with
+// clock' + H < min_arrival provably maps nothing, and the whole scope
+// collapses to this O(1) test. Skipping a scope that would commit nothing
+// leaves the schedule bit-identical to the rebuild-everything sweep; only
+// pool-build counts (and their telemetry) differ.
 //
-//  * Cross-tick pool reuse. When a (machine, timestep) scope ends without
-//    committing anything, the driver records a skip verdict: the smallest
-//    beyond-horizon arrival the scope proved, tagged with the frontier
-//    revision and the machine's energy epoch. While both epochs stand, the
-//    machine's pool membership is unchanged (same ready set, same per-machine
-//    energy admission) and plan_placement arrivals are monotone
-//    non-decreasing in the probe clock and in channel/compute bookings — so
-//    a later tick with clock' + H < min_arrival provably maps nothing, and
-//    the whole scope collapses to this O(1) test. Skipping a scope that
-//    would commit nothing leaves the schedule bit-identical to the serial
-//    sweep; only pool-build counts (and their telemetry) differ.
-//
-//  * Speculative parallel pool builds. At the start of a tick every pending
-//    machine's pool is built read-only in parallel on the global
-//    work-stealing pool; the serial machine-order walk consumes a
-//    speculative pool only when no commit happened since the fan-out (any
-//    commit moves the global t100/tec/aet terms that feed every score),
-//    otherwise it discards the pool and rebuilds inline. Decisions are taken
-//    strictly in machine-index order either way — bit-identical schedules.
-//
-// Epochs: commit_serial() counts every commit in the drive window;
-// energy_epoch(m) counts the commits that touched machine m's energy ledger
+// Epochs: the frontier revision (ReadyFrontier::revision) moves on every
+// commit and every ready-list insertion; energy_epoch(m) counts the commits that touched machine m's energy ledger
 // (the executing machine — exec charge, released-parent hold settles,
 // child-edge reservations — plus every transfer's sending machine). A
 // SweepContext lives for exactly one drive_slrh window, so churn segment
@@ -36,39 +26,31 @@
 #include <vector>
 
 #include "core/placement.hpp"
-#include "core/scoring.hpp"
-#include "core/slrh.hpp"
-#include "support/contract.hpp"
 
 namespace ahg::core {
 
-/// Per-drive-window accelerator state. Pure bookkeeping: nothing in here
+/// Per-drive-window skip-verdict state. Pure bookkeeping: nothing in here
 /// reads the schedule or scenario; the driver feeds it commits and scope
-/// outcomes and asks the two O(1) questions (can_skip, commit_serial).
+/// outcomes and asks one O(1) question (can_skip).
 class SweepContext {
  public:
   /// min-arrival sentinel for an empty pool: no candidate exists, so the
   /// skip test passes at every clock while the epochs stand.
   static constexpr Cycles kNoArrival = std::numeric_limits<Cycles>::max();
 
-  /// `max_chunks` sizes the fan-out scratch pool (one CandidateBatch per
-  /// worker chunk — a per-machine scratch would cost |M| x O(ready) memory
-  /// at scale).
-  SweepContext(std::size_t num_machines, std::size_t max_chunks);
+  explicit SweepContext(std::size_t num_machines)
+      : energy_epoch_(num_machines, 0), verdicts_(num_machines) {}
 
   // --- epoch bookkeeping ---------------------------------------------------
-
-  /// Total commits recorded this drive window (speculation staleness check).
-  std::uint64_t commit_serial() const noexcept { return commit_serial_; }
 
   std::uint64_t energy_epoch(MachineId machine) const noexcept {
     return energy_epoch_[static_cast<std::size_t>(machine)];
   }
 
-  /// Record a committed placement: bumps the global serial and the energy
-  /// epoch of every machine whose energy ledger the commit touched — the
-  /// executing machine and each transfer's sender (commit_placement charges
-  /// or settles nothing anywhere else).
+  /// Record a committed placement: bumps the energy epoch of every machine
+  /// whose energy ledger the commit touched — the executing machine and each
+  /// transfer's sender (commit_placement charges or settles nothing anywhere
+  /// else).
   void note_commit(const PlacementPlan& plan);
 
   // --- cross-tick skip verdicts --------------------------------------------
@@ -103,30 +85,6 @@ class SweepContext {
     v.valid = true;
   }
 
-  // --- speculative pools ---------------------------------------------------
-
-  /// One machine's speculative build result. `rejects` is only populated on
-  /// the tracing path; `valid` is set by the fan-out and cleared by the
-  /// serial walk (consume or abort), so a slot never leaks across ticks.
-  struct SpecSlot {
-    std::vector<SlrhPoolCandidate> pool;
-    SlrhPoolRejects rejects;
-    bool valid = false;
-  };
-
-  SpecSlot& spec(MachineId machine) {
-    return spec_[static_cast<std::size_t>(machine)];
-  }
-
-  /// Scratch batch for fan-out chunk `chunk` (< max_chunks). Each chunk runs
-  /// its machines sequentially, so one scratch per chunk suffices.
-  CandidateBatch& chunk_scratch(std::size_t chunk) {
-    AHG_EXPECTS_MSG(chunk < scratches_.size(), "fan-out chunk out of range");
-    return scratches_[chunk];
-  }
-
-  std::size_t max_chunks() const noexcept { return scratches_.size(); }
-
  private:
   struct Verdict {
     Cycles min_arrival = 0;
@@ -135,11 +93,8 @@ class SweepContext {
     bool valid = false;
   };
 
-  std::uint64_t commit_serial_ = 0;
   std::vector<std::uint64_t> energy_epoch_;
   std::vector<Verdict> verdicts_;
-  std::vector<SpecSlot> spec_;
-  std::vector<CandidateBatch> scratches_;
 };
 
 }  // namespace ahg::core

@@ -26,7 +26,7 @@
 // With a RuntimeProfiler attached, a third process (pid 3, "runtime
 // (workers)", wall-clock micros) renders what the thread pool actually did:
 // a "regions" row (tid 0) with one slice per named parallel_for window
-// (sweep_fanout, cache_build, matrix_cells, ...), one row per worker/helper
+// (cache_build, matrix_cells, ...), one row per worker/helper
 // slot carrying its run slices (named by the region that was open, args
 // {region, stolen}) and coalesced "idle" intervals, and one ph-"i" instant
 // ("worker_counters") per slot whose args carry the accumulated counters —

@@ -1,6 +1,7 @@
 #include "support/flight_recorder.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <istream>
 #include <ostream>
 #include <utility>
@@ -137,11 +138,9 @@ void write_frame_json(std::ostream& os, const Frame& f) {
       .field("maps", f.maps)
       .field("pool_size", f.last_pool_size)
       .field("reused", f.pools_reused)
-      .field("spec_aborts", f.spec_aborts)
       .field("ready", f.frontier_ready)
       .field("unreleased", f.frontier_unreleased)
       .field("pool_seconds", f.pool_build_seconds)
-      .field("sweep_seconds", f.sweep_seconds)
       .field("step_seconds", f.timestep_seconds)
       .field("departures", f.departures)
       .field("orphaned", f.orphaned)
@@ -164,35 +163,55 @@ void FlightRecorder::write_frames_jsonl(std::ostream& os) const {
   }
 }
 
+namespace {
+
+/// A count or clock read back from a frame: integral, non-negative and no
+/// larger than 2^53 (the last integer a JSON number, stored as a double,
+/// holds exactly). Rejecting the rest keeps a garbled file from turning
+/// "-5" into 2^64 - 5 or "1e300" into whatever llround returns.
+std::uint64_t checked_count(const JsonValue& number, std::string_view field) {
+  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
+  const double x = number.is_number() ? number.as_double() : -1.0;
+  AHG_EXPECTS_MSG(x >= 0.0 && x <= kMaxExact && std::floor(x) == x,
+                  "frame field \"" + std::string(field) +
+                      "\" must be an integer in [0, 2^53]");
+  return static_cast<std::uint64_t>(x);
+}
+
+/// Absent: 0, the Frame default; present: checked_count.
+std::uint64_t get_count(const JsonValue& object, std::string_view field) {
+  const JsonValue* v = object.find(field);
+  return v != nullptr ? checked_count(*v, field) : 0;
+}
+
+}  // namespace
+
 Frame frame_from_json(const JsonValue& value) {
   AHG_EXPECTS_MSG(value.is_object(), "frame JSON must be an object");
   Frame f;
   f.heuristic = value.get_string("heuristic");
-  f.clock = value.get_int("clock");
+  f.clock = static_cast<Cycles>(get_count(value, "clock"));
   f.wall_seconds = value.get_double("wall");
   f.term_t100 = value.get_double("term_t100");
   f.term_tec = value.get_double("term_tec");
   f.term_aet = value.get_double("term_aet");
   f.objective = value.get_double("objective");
-  f.assigned = static_cast<std::uint64_t>(value.get_int("assigned"));
-  f.t100 = static_cast<std::uint64_t>(value.get_int("t100"));
+  f.assigned = get_count(value, "assigned");
+  f.t100 = get_count(value, "t100");
   f.tec = value.get_double("tec");
-  f.aet = value.get_int("aet");
-  f.pools_built = static_cast<std::uint64_t>(value.get_int("pools"));
-  f.maps = static_cast<std::uint64_t>(value.get_int("maps"));
-  f.last_pool_size = static_cast<std::uint64_t>(value.get_int("pool_size"));
-  // Absent in pre-sweep-accelerator recordings; the getter fallbacks keep
-  // old .frames.jsonl files parseable.
-  f.pools_reused = static_cast<std::uint64_t>(value.get_int("reused"));
-  f.spec_aborts = static_cast<std::uint64_t>(value.get_int("spec_aborts"));
-  f.frontier_ready = static_cast<std::uint64_t>(value.get_int("ready"));
-  f.frontier_unreleased = static_cast<std::uint64_t>(value.get_int("unreleased"));
+  f.aet = static_cast<Cycles>(get_count(value, "aet"));
+  f.pools_built = get_count(value, "pools");
+  f.maps = get_count(value, "maps");
+  f.last_pool_size = get_count(value, "pool_size");
+  // "reused" is absent in pre-sweep-accelerator recordings and reads as 0.
+  f.pools_reused = get_count(value, "reused");
+  f.frontier_ready = get_count(value, "ready");
+  f.frontier_unreleased = get_count(value, "unreleased");
   f.pool_build_seconds = value.get_double("pool_seconds");
-  f.sweep_seconds = value.get_double("sweep_seconds");
   f.timestep_seconds = value.get_double("step_seconds");
-  f.departures = static_cast<std::uint64_t>(value.get_int("departures"));
-  f.orphaned = static_cast<std::uint64_t>(value.get_int("orphaned"));
-  f.invalidated = static_cast<std::uint64_t>(value.get_int("invalidated"));
+  f.departures = get_count(value, "departures");
+  f.orphaned = get_count(value, "orphaned");
+  f.invalidated = get_count(value, "invalidated");
   f.energy_forfeited = value.get_double("energy_forfeited");
   if (const JsonValue* battery = value.find("battery");
       battery != nullptr && battery->is_array()) {
@@ -202,7 +221,9 @@ Frame frame_from_json(const JsonValue& value) {
   }
   if (const JsonValue* busy = value.find("busy_until");
       busy != nullptr && busy->is_array()) {
-    for (const auto& b : busy->as_array()) f.busy_until.push_back(b.as_int());
+    for (const auto& b : busy->as_array()) {
+      f.busy_until.push_back(static_cast<Cycles>(checked_count(b, "busy_until")));
+    }
   }
   return f;
 }

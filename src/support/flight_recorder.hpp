@@ -63,11 +63,9 @@ struct Frame {
   std::uint64_t maps = 0;           ///< placements committed this tick
   std::uint64_t last_pool_size = 0; ///< size of the last pool built this tick
   std::uint64_t pools_reused = 0;   ///< machine scopes skipped via cached verdicts
-  std::uint64_t spec_aborts = 0;    ///< speculative pools discarded this tick
   std::uint64_t frontier_ready = 0; ///< ready set size at end of tick
   std::uint64_t frontier_unreleased = 0; ///< tasks not yet arrived
   double pool_build_seconds = 0.0;  ///< wall time inside pool builds this tick
-  double sweep_seconds = 0.0;       ///< speculative fan-out wall time this tick
   double timestep_seconds = 0.0;    ///< wall time of the whole tick
 
   // Cumulative churn context (zero on churn-free runs).
@@ -191,7 +189,12 @@ class FlightRecorder {
   double churn_energy_forfeited_ = 0.0;
 };
 
-/// Rebuild one frame from its write_frames_jsonl line.
+/// Rebuild one frame from its write_frames_jsonl line. Absent fields keep
+/// their defaults and unknown keys are ignored, so recordings from older
+/// builds still parse. A present count or clock field (assigned, t100,
+/// pools, maps, pool_size, reused, ready, unreleased, departures, orphaned,
+/// invalidated, clock, aet, busy_until[]) must be an integral number in
+/// [0, 2^53]; anything else throws PreconditionError naming the field.
 Frame frame_from_json(const JsonValue& value);
 
 /// Parse a whole .frames.jsonl stream (oldest-first, as written).

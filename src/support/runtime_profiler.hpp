@@ -7,8 +7,8 @@
 // to a ThreadPool (ThreadPool::set_profiler) it records, per worker, what
 // the workers actually did — task run slices (with steal provenance), idle
 // and park intervals, steal-attempt counters — and, per instrumented call
-// site, named parallel_for region windows (the SLRH sweep fan-out, the
-// ScenarioCache build, the evaluation-matrix cell fan-out).
+// site, named parallel_for region windows (the ScenarioCache build, the
+// evaluation-matrix cell fan-out).
 //
 // Storage follows the FlightRecorder idiom: fixed-capacity rings that keep
 // the NEWEST entries, so memory is bounded regardless of run length —
@@ -99,8 +99,8 @@ class RuntimeProfiler {
     std::vector<WorkerEvent> events;  ///< oldest-first, newest kept on wrap
   };
 
-  /// One named parallel_for region window (a sweep fan-out tick, a cache
-  /// build, a matrix cell fan-out). Rings like everything else.
+  /// One named parallel_for region window (a cache build, a matrix cell
+  /// fan-out). Rings like everything else.
   struct RegionRecord {
     std::string name;
     double start_seconds = 0.0;

@@ -223,7 +223,7 @@ TEST(BenchGate, MissingMetricsAreFlaggedBothWays) {
 
 TEST(BenchGate, FreshOnlyPhaseSecondsDoNotFailTheGate) {
   // An older baseline gating a dump that grew a NEW wall-clock phase (e.g.
-  // slrh.sweep_parallel_seconds from the sweep accelerator): the phase is
+  // slrh.earliest_start_seconds from the placement planner): the phase is
   // reported as MISSING(baseline) for visibility but never fails the gate —
   // its time already rolls up into the gated run totals. A fresh-only
   // TwoSided metric still counts as missing.
@@ -233,7 +233,7 @@ TEST(BenchGate, FreshOnlyPhaseSecondsDoNotFailTheGate) {
   grown.gauge("bench.inner_loop_seconds").set(0.01);
   grown.gauge("bench.recorder_overhead_ratio").set(1.02);
   grown.histogram("pool.size", kPoolBounds).observe(20.0);
-  grown.histogram("slrh.sweep_parallel_seconds", kPoolBounds).observe(0.5);
+  grown.histogram("slrh.earliest_start_seconds", kPoolBounds).observe(0.5);
 
   const auto result = bench::check_bench(baseline, grown.snapshot());
   EXPECT_EQ(result.regressions, 0u);

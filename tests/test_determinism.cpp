@@ -34,10 +34,12 @@ namespace {
 
 // Pin the process-wide pool to four workers BEFORE anything builds it (each
 // test file is its own binary, so this static initializer runs first). The
-// speculative sweep fan-out only engages at >= 2 workers; without the pin,
-// single-core CI hosts would silently test the serial fallback and call it
-// coverage. Every test in this binary therefore runs with a real multi-
-// worker pool — which is exactly what the TSan job wants to race-check.
+// parallel scenario-cache build, the concurrent lazy-column touches and the
+// evaluation matrix's cell fan-out only run concurrently at >= 2 workers;
+// without the pin, single-core CI hosts would silently test their serial
+// fallbacks and call it coverage. Every test in this binary therefore runs
+// with a real multi-worker pool — which is exactly what the TSan job wants
+// to race-check.
 [[maybe_unused]] const bool kForceParallelPool = [] {
   configure_global_pool(4);
   return true;
@@ -336,14 +338,15 @@ TEST(Determinism, SlrhProfilerOnMatchesProfilerOff) {
       global_pool().set_profiler(nullptr);
 
       expect_identical(off, on, scenario, to_string(variant).c_str());
-      // The speculative sweep fans out on the pinned 4-worker pool, so the
-      // profiler must have seen pool tasks and the fan-out region.
+      // Without params.cache, run_slrh builds its run-local scenario cache
+      // on the pinned 4-worker pool, so the profiler must have seen pool
+      // tasks and the cache-build region.
       EXPECT_GT(profiler.totals().tasks, 0u);
-      bool saw_fanout = false;
+      bool saw_cache_build = false;
       for (const auto& region : profiler.snapshot_regions()) {
-        if (region.name == "sweep_fanout") saw_fanout = true;
+        if (region.name == "cache_build") saw_cache_build = true;
       }
-      EXPECT_TRUE(saw_fanout);
+      EXPECT_TRUE(saw_cache_build);
     }
   }
 }
@@ -801,44 +804,18 @@ TEST(Determinism, ConcurrentLazyCacheTouchIsRaceFreeAndIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Sweep accelerator: the speculative parallel fan-out and the cross-tick
-// pool-reuse verdicts are pure accelerations of the per-tick machine sweep —
-// each must leave every schedule bit-identical to the serial rebuild-
-// everything sweep, with recorder AND ledger attached (the accelerator
-// defers all observer side effects to serial commit order, so the observers
-// must not be able to tell the difference either).
+// Cross-tick pool reuse: the skip verdicts are a pure acceleration of the
+// per-tick machine sweep — they must leave every schedule bit-identical to
+// the rebuild-everything sweep, with recorder AND ledger attached (a skipped
+// scope is one that would have committed nothing, so the observers must not
+// be able to tell the difference either).
 
 core::SlrhParams serial_sweep_params(core::SlrhVariant variant) {
   core::SlrhParams params;
   params.variant = variant;
   params.weights = core::Weights::make(0.6, 0.3);
   params.pool_reuse = false;
-  params.sweep_parallel = false;
   return params;
-}
-
-TEST(Determinism, SlrhParallelSweepMatchesSerial) {
-  for (const auto& scenario : paper_shape_fixtures()) {
-    for (const auto variant :
-         {core::SlrhVariant::V1, core::SlrhVariant::V2, core::SlrhVariant::V3}) {
-      auto params = serial_sweep_params(variant);
-      const auto serial = core::run_slrh(scenario, params);
-
-      obs::FlightRecorder recorder(obs::FlightRecorder::dense_options());
-      obs::TaskLedger ledger(scenario.num_tasks());
-      params.recorder = &recorder;
-      params.ledger = &ledger;
-      params.sweep_parallel = true;
-      const auto parallel = core::run_slrh(scenario, params);
-
-      expect_identical(serial, parallel, scenario, to_string(variant).c_str());
-      // Speculation never changes WHAT is built, only where: every consumed
-      // or aborted slot is accounted exactly once, in serial machine order.
-      EXPECT_EQ(parallel.pools_built, serial.pools_built);
-      EXPECT_EQ(parallel.pools_reused, 0u);
-      EXPECT_GT(recorder.frames_recorded(), 0u);
-    }
-  }
 }
 
 TEST(Determinism, SlrhPoolReuseMatchesRebuild) {
@@ -862,34 +839,6 @@ TEST(Determinism, SlrhPoolReuseMatchesRebuild) {
       EXPECT_EQ(reused.pools_built + reused.pools_reused, serial.pools_built);
       EXPECT_GT(reused.pools_reused, 0u);
     }
-  }
-}
-
-TEST(Determinism, ChurnParallelSweepMatchesSerial) {
-  // Same contract through the churn driver: a real mid-run departure makes
-  // the recovery path erase timelines and re-pool orphans, and each post-
-  // churn segment gets a fresh SweepContext whose speculation must still
-  // match the serial sweep bit for bit.
-  const auto scenario = test::one_departure_scenario();
-  for (const auto variant : {core::SlrhVariant::V1, core::SlrhVariant::V3}) {
-    auto params = serial_sweep_params(variant);
-    const auto serial = core::run_slrh_with_churn(scenario, params);
-
-    obs::FlightRecorder recorder(obs::FlightRecorder::dense_options());
-    obs::TaskLedger ledger(scenario.num_tasks());
-    params.recorder = &recorder;
-    params.ledger = &ledger;
-    params.sweep_parallel = true;
-    const auto parallel = core::run_slrh_with_churn(scenario, params);
-
-    EXPECT_GT(serial.departures_processed, 0u);
-    EXPECT_EQ(parallel.departures_processed, serial.departures_processed);
-    EXPECT_EQ(parallel.orphaned, serial.orphaned);
-    EXPECT_EQ(parallel.invalidated, serial.invalidated);
-    EXPECT_EQ(parallel.energy_forfeited, serial.energy_forfeited);  // exact
-    expect_identical(serial.result, parallel.result, scenario,
-                     to_string(variant).c_str());
-    EXPECT_EQ(parallel.result.pools_built, serial.result.pools_built);
   }
 }
 

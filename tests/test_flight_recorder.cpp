@@ -12,6 +12,9 @@
 
 #include "core/heuristics.hpp"
 #include "core/slrh.hpp"
+#include "support/contract.hpp"
+#include "support/jsonl.hpp"
+#include "support/rng.hpp"
 #include "workload/scenario.hpp"
 
 namespace {
@@ -167,18 +170,68 @@ TEST(FlightRecorder, FramesJsonlRoundTripsEveryField) {
   EXPECT_DOUBLE_EQ(f.energy_forfeited, 4.5);
   EXPECT_EQ(f.battery_fraction, frame.battery_fraction);
   EXPECT_EQ(f.busy_until, frame.busy_until);
+
+  // Recordings from builds that still had the speculative sweep carry
+  // "spec_aborts" and "sweep_seconds"; like any unknown key they are ignored.
+  EXPECT_EQ(obs::frame_from_json(obs::parse_json(
+                R"({"clock":10,"pools":2,"spec_aborts":3,"sweep_seconds":0.5})"))
+                .pools_built,
+            2u);
+}
+
+Frame frame_from_text(const std::string& text) {
+  return obs::frame_from_json(obs::parse_json(text));
+}
+
+TEST(FlightRecorder, FramesJsonlRejectsGarbledCounts) {
+  const char* const fields[] = {"assigned", "t100",       "pools",      "maps",
+                                "pool_size", "reused",    "ready",      "unreleased",
+                                "departures", "orphaned", "invalidated", "clock",
+                                "aet"};
+  // Negative, fractional, beyond 2^53 (no longer exact as a double), and
+  // not a number at all.
+  const char* const garbled[] = {"-5", "2.5", "1e300", "18014398509481984",
+                                 "\"7\"", "null", "true", "[1]"};
+  for (const char* field : fields) {
+    for (const char* value : garbled) {
+      const std::string text =
+          std::string(R"({"heuristic":"SLRH-1",")") + field + "\":" + value + "}";
+      SCOPED_TRACE(text);
+      try {
+        frame_from_text(text);
+        ADD_FAILURE() << "garbled count parsed";
+      } catch (const PreconditionError& e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+      }
+    }
+    // The edges of the accepted range still parse.
+    const std::string edge = std::string("{\"") + field + "\":9007199254740992}";
+    EXPECT_NO_THROW(frame_from_text(edge)) << edge;
+  }
+  EXPECT_THROW(frame_from_text(R"({"busy_until":[10,-1]})"), PreconditionError);
+  EXPECT_THROW(frame_from_text(R"({"busy_until":[0.5]})"), PreconditionError);
+
+  // Absent fields keep their defaults.
+  const Frame sparse = frame_from_text(R"({"heuristic":"SLRH-2","clock":30})");
+  EXPECT_EQ(sparse.heuristic, "SLRH-2");
+  EXPECT_EQ(sparse.clock, 30);
+  EXPECT_EQ(sparse.assigned, 0u);
+  EXPECT_EQ(sparse.aet, 0);
+  EXPECT_TRUE(sparse.busy_until.empty());
+}
+
+workload::Scenario small_scenario() {
+  workload::SuiteParams params;
+  params.num_tasks = 64;
+  params.num_etc = 1;
+  params.num_dag = 1;
+  const workload::ScenarioSuite suite(params);
+  return suite.make(sim::GridCase::A, 0, 0);
 }
 
 class FlightRecorderRunTest : public ::testing::Test {
  protected:
-  static workload::Scenario make_scenario() {
-    workload::SuiteParams params;
-    params.num_tasks = 64;
-    params.num_etc = 1;
-    params.num_dag = 1;
-    const workload::ScenarioSuite suite(params);
-    return suite.make(sim::GridCase::A, 0, 0);
-  }
+  static workload::Scenario make_scenario() { return small_scenario(); }
 };
 
 TEST_F(FlightRecorderRunTest, SlrhRunProducesCoherentFrames) {
@@ -227,6 +280,63 @@ TEST_F(FlightRecorderRunTest, SlrhRunProducesCoherentFrames) {
     if (s.name.rfind("run:", 0) == 0) saw_run = true;
   }
   EXPECT_TRUE(saw_run);
+}
+
+TEST(FlightRecorder, FramesJsonlSurvivesByteMutation) {
+  // A recorded frames file with random byte edits (overwrite, insert,
+  // delete): each mutant either parses into frames whose counts are in
+  // range, or throws PreconditionError — never garbage, never another
+  // exception, never a crash.
+  const auto scenario = small_scenario();
+  FlightRecorder recorder(FlightRecorder::dense_options());
+  core::SlrhParams params;
+  params.recorder = &recorder;
+  core::run_slrh(scenario, params);
+  const auto frames = recorder.frames();
+  ASSERT_GE(frames.size(), 4u);
+  std::ostringstream os;
+  for (std::size_t i = 0; i < 4; ++i) {  // a few frames keep 2000 runs quick
+    obs::write_frame_json(os, frames[i * (frames.size() - 1) / 3]);
+    os << "\n";
+  }
+  const std::string original = os.str();
+
+  constexpr std::uint64_t kMaxExact = std::uint64_t{1} << 53;
+  const std::string alphabet = "0123456789-+.eE\"{}[],: \n\\ntfux";
+  SplitMix64 rng(0xF4A3E5ull);
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string mutant = original;
+    const int edits = 1 + static_cast<int>(rng.next() % 3);
+    for (int e = 0; e < edits && !mutant.empty(); ++e) {
+      const std::size_t at = rng.next() % mutant.size();
+      const char byte = rng.next() % 4 == 0
+                            ? static_cast<char>(rng.next() & 0xFF)
+                            : alphabet[rng.next() % alphabet.size()];
+      switch (rng.next() % 3) {
+        case 0: mutant[at] = byte; break;
+        case 1: mutant.insert(at, 1, byte); break;
+        default: mutant.erase(at, 1); break;
+      }
+    }
+    std::istringstream in(mutant);
+    try {
+      for (const Frame& f : obs::read_frames_jsonl(in)) {
+        EXPECT_GE(f.clock, 0);
+        EXPECT_GE(f.aet, 0);
+        EXPECT_LE(f.assigned, kMaxExact);
+        EXPECT_LE(f.pools_built, kMaxExact);
+        for (const Cycles c : f.busy_until) EXPECT_GE(c, 0);
+      }
+      ++parsed;
+    } catch (const PreconditionError&) {
+      ++rejected;
+    }
+  }
+  // Both outcomes occur: the mutations reach numbers and structure alike.
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST_F(FlightRecorderRunTest, IdleStrideDecimatesOnlyIdleTicks) {

@@ -33,7 +33,7 @@ namespace ahg {
 namespace {
 
 // Pin the process-wide pool to four workers before anything builds it, so
-// the speculative parallel sweep is the path being frozen on every host.
+// the parallel scenario-cache build is the path being frozen on every host.
 [[maybe_unused]] const bool kForceParallelPool = [] {
   configure_global_pool(4);
   return true;

@@ -199,7 +199,7 @@ TEST(RuntimeProfiler, ThreadPoolParallelForIsProfiled) {
 
 TEST(RuntimeProfiler, ChromeTraceHasWallClockWorkerProcess) {
   RuntimeProfiler profiler(2, small_options(32));
-  const std::uint32_t token = profiler.region_begin("sweep_fanout");
+  const std::uint32_t token = profiler.region_begin("matrix_cells");
   profiler.on_task(0, 0.0, 0.1, false);
   profiler.on_task(1, 0.0, 0.2, true);
   profiler.on_idle(0, 0.1, 0.4);
@@ -217,7 +217,7 @@ TEST(RuntimeProfiler, ChromeTraceHasWallClockWorkerProcess) {
   EXPECT_NE(trace.find("runtime (workers)"), std::string::npos);
   EXPECT_NE(trace.find("worker 0"), std::string::npos);
   EXPECT_NE(trace.find("worker 1"), std::string::npos);
-  EXPECT_NE(trace.find("sweep_fanout"), std::string::npos);
+  EXPECT_NE(trace.find("matrix_cells"), std::string::npos);
   EXPECT_NE(trace.find("worker_counters"), std::string::npos);
   bool saw_pid3 = false;
   for (const obs::JsonValue& event : events->as_array()) {

@@ -1,8 +1,8 @@
 // SweepContext unit contract (epoch bookkeeping, verdict lifecycle) plus the
-// randomized property test for the sweep accelerator: over random scenarios,
-// seeds and churn, all four {pool_reuse, sweep_parallel} combinations must
-// produce bit-identical schedules, and the epoch scheme must retire verdicts
-// exactly when a commit could have changed a machine's pool.
+// randomized property test for the cross-tick skip verdicts: over random
+// scenarios, seeds and churn, pool_reuse on and off must produce
+// bit-identical schedules, and the epoch scheme must retire verdicts exactly
+// when a commit could have changed a machine's pool.
 
 #include <gtest/gtest.h>
 
@@ -11,19 +11,11 @@
 #include "core/churn.hpp"
 #include "core/sweep.hpp"
 #include "support/rng.hpp"
-#include "support/thread_pool.hpp"
 #include "tests/scenario_fixtures.hpp"
 #include "workload/dynamics.hpp"
 
 namespace ahg {
 namespace {
-
-// Make the speculative fan-out real even on single-core hosts (see the same
-// pin in test_determinism.cpp); must precede the first global_pool() use.
-[[maybe_unused]] const bool kForceParallelPool = [] {
-  configure_global_pool(4);
-  return true;
-}();
 
 core::PlacementPlan plan_on(MachineId machine,
                             std::vector<MachineId> senders = {}) {
@@ -39,14 +31,12 @@ core::PlacementPlan plan_on(MachineId machine,
   return plan;
 }
 
-TEST(Sweep, NoteCommitBumpsSerialAndTouchedEnergyEpochs) {
-  core::SweepContext sweep(4, 1);
-  EXPECT_EQ(sweep.commit_serial(), 0u);
+TEST(Sweep, NoteCommitBumpsTouchedEnergyEpochs) {
+  core::SweepContext sweep(4);
   for (MachineId m = 0; m < 4; ++m) EXPECT_EQ(sweep.energy_epoch(m), 0u);
 
   // Local commit on machine 2: only machine 2's ledger is touched.
   sweep.note_commit(plan_on(2));
-  EXPECT_EQ(sweep.commit_serial(), 1u);
   EXPECT_EQ(sweep.energy_epoch(2), 1u);
   EXPECT_EQ(sweep.energy_epoch(0), 0u);
   EXPECT_EQ(sweep.energy_epoch(1), 0u);
@@ -55,7 +45,6 @@ TEST(Sweep, NoteCommitBumpsSerialAndTouchedEnergyEpochs) {
   // Commit on 0 with transfers from 1 and 3: executing machine plus every
   // sender is bumped; machine 2 is untouched.
   sweep.note_commit(plan_on(0, {1, 3}));
-  EXPECT_EQ(sweep.commit_serial(), 2u);
   EXPECT_EQ(sweep.energy_epoch(0), 1u);
   EXPECT_EQ(sweep.energy_epoch(1), 1u);
   EXPECT_EQ(sweep.energy_epoch(3), 1u);
@@ -63,7 +52,7 @@ TEST(Sweep, NoteCommitBumpsSerialAndTouchedEnergyEpochs) {
 }
 
 TEST(Sweep, VerdictSkipsOnlyWhileEpochsStandAndHorizonShort) {
-  core::SweepContext sweep(2, 1);
+  core::SweepContext sweep(2);
   const Cycles horizon = 100;
 
   // No verdict recorded yet: never skip.
@@ -84,7 +73,7 @@ TEST(Sweep, VerdictSkipsOnlyWhileEpochsStandAndHorizonShort) {
 }
 
 TEST(Sweep, CommitOnMachineRetiresItsVerdict) {
-  core::SweepContext sweep(3, 1);
+  core::SweepContext sweep(3);
   sweep.record_verdict(0, core::SweepContext::kNoArrival, 3);
   sweep.record_verdict(1, core::SweepContext::kNoArrival, 3);
   EXPECT_TRUE(sweep.can_skip(0, 0, 100, 3));
@@ -102,29 +91,18 @@ TEST(Sweep, CommitOnMachineRetiresItsVerdict) {
 }
 
 TEST(Sweep, EmptyPoolVerdictSkipsAtEveryClock) {
-  core::SweepContext sweep(1, 1);
+  core::SweepContext sweep(1);
   sweep.record_verdict(0, core::SweepContext::kNoArrival, 0);
   EXPECT_TRUE(sweep.can_skip(0, 0, 100, 0));
   EXPECT_TRUE(sweep.can_skip(0, 1'000'000'000, 100, 0));
 }
 
-TEST(Sweep, ChunkScratchesAreDistinctAndBounded) {
-  core::SweepContext sweep(8, 4);
-  EXPECT_EQ(sweep.max_chunks(), 4u);
-  for (std::size_t c = 0; c < sweep.max_chunks(); ++c) {
-    for (std::size_t other = c + 1; other < sweep.max_chunks(); ++other) {
-      EXPECT_NE(&sweep.chunk_scratch(c), &sweep.chunk_scratch(other));
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Randomized epoch-invalidation property: across random small scenarios
 // (varying seed, size, grid case, release spread, with and without a mid-run
-// departure), every {pool_reuse, sweep_parallel} combination must produce
-// the same schedule as the serial sweep — bit-identical assignments, counts
-// and energy — and the reuse ledger must balance (built + reused == serial
-// builds). This is the test that catches a missing epoch bump: an energy or
+// departure), the pool_reuse sweep must produce the same schedule as the
+// rebuild-everything sweep — bit-identical assignments, counts and energy —
+// and the reuse ledger must balance (built + reused == serial builds). This is the test that catches a missing epoch bump: an energy or
 // frontier change the scheme failed to count makes a verdict survive a
 // commit that changed the pool, and the skipped scope diverges.
 
@@ -185,27 +163,13 @@ TEST(Sweep, RandomizedFlagCombosMatchSerial) {
     params.variant = variant;
     params.weights = core::Weights::make(0.6, 0.3);
     params.pool_reuse = false;
-    params.sweep_parallel = false;
     const auto serial = core::run_slrh_with_churn(scenario, params).result;
+    EXPECT_EQ(serial.pools_reused, 0u);
 
-    for (const bool reuse : {false, true}) {
-      for (const bool spec : {false, true}) {
-        params.pool_reuse = reuse;
-        params.sweep_parallel = spec;
-        const auto fast = core::run_slrh_with_churn(scenario, params).result;
-        const std::string label = std::string("reuse=") +
-                                  (reuse ? "on" : "off") + " spec=" +
-                                  (spec ? "on" : "off");
-        expect_identical(serial, fast, scenario, label.c_str());
-        if (reuse) {
-          EXPECT_EQ(fast.pools_built + fast.pools_reused, serial.pools_built)
-              << label;
-        } else {
-          EXPECT_EQ(fast.pools_built, serial.pools_built) << label;
-          EXPECT_EQ(fast.pools_reused, 0u) << label;
-        }
-      }
-    }
+    params.pool_reuse = true;
+    const auto fast = core::run_slrh_with_churn(scenario, params).result;
+    expect_identical(serial, fast, scenario, "reuse=on");
+    EXPECT_EQ(fast.pools_built + fast.pools_reused, serial.pools_built);
   }
 }
 
