@@ -351,6 +351,61 @@ TEST(Determinism, SlrhProfilerOnMatchesProfilerOff) {
   }
 }
 
+// drive_slrh is single-threaded: once the scenario tables exist, a mapping
+// run submits nothing to the process-wide pool. With a prebuilt shared cache
+// the attached profiler must therefore count zero pool tasks, even on the
+// pinned 4-worker pool, and the schedule must match the run-local-cache run.
+TEST(Determinism, SlrhWithSharedCacheRunsNoPoolTasks) {
+  for (const auto& scenario : paper_shape_fixtures()) {
+    const core::ScenarioCache shared(scenario);
+    for (const auto variant :
+         {core::SlrhVariant::V1, core::SlrhVariant::V2, core::SlrhVariant::V3}) {
+      core::SlrhParams params;
+      params.variant = variant;
+      params.weights = core::Weights::make(0.6, 0.3);
+      const auto local = core::run_slrh(scenario, params);
+
+      params.cache = &shared;
+      obs::RuntimeProfiler profiler(global_pool().size());
+      global_pool().set_profiler(&profiler);
+      const auto cached = core::run_slrh(scenario, params);
+      global_pool().set_profiler(nullptr);
+
+      expect_identical(local, cached, scenario, to_string(variant).c_str());
+      EXPECT_EQ(profiler.totals().tasks, 0u);
+    }
+  }
+}
+
+TEST(Determinism, ChurnWithSharedCacheRunsNoPoolTasks) {
+  const auto scenario = test::one_departure_scenario();
+  const core::ScenarioCache shared(scenario);
+  for (const auto recovery : {core::ChurnRecovery::Remap, core::ChurnRecovery::Degrade}) {
+    for (const auto variant : {core::SlrhVariant::V1, core::SlrhVariant::V3}) {
+      SCOPED_TRACE(to_string(recovery));
+      core::SlrhParams params;
+      params.variant = variant;
+      params.weights = core::Weights::make(0.6, 0.3);
+      const auto local = core::run_slrh_with_churn(scenario, params, recovery);
+
+      params.cache = &shared;
+      obs::RuntimeProfiler profiler(global_pool().size());
+      global_pool().set_profiler(&profiler);
+      const auto cached = core::run_slrh_with_churn(scenario, params, recovery);
+      global_pool().set_profiler(nullptr);
+
+      EXPECT_GT(local.departures_processed, 0u);
+      EXPECT_EQ(cached.departures_processed, local.departures_processed);
+      EXPECT_EQ(cached.orphaned, local.orphaned);
+      EXPECT_EQ(cached.invalidated, local.invalidated);
+      EXPECT_EQ(cached.energy_forfeited, local.energy_forfeited);  // exact
+      expect_identical(local.result, cached.result, scenario,
+                       to_string(variant).c_str());
+      EXPECT_EQ(profiler.totals().tasks, 0u);
+    }
+  }
+}
+
 TEST(Determinism, MaxMaxProfilerOnMatchesProfilerOff) {
   for (const auto& scenario : paper_shape_fixtures()) {
     core::MaxMaxParams params;
