@@ -8,10 +8,9 @@
 #include "core/placement.hpp"
 #include "core/scoring.hpp"
 #include "sim/comm.hpp"
+#include "core/taps.hpp"
 #include "support/contract.hpp"
-#include "support/flight_recorder.hpp"
 #include "support/stopwatch.hpp"
-#include "support/task_ledger.hpp"
 
 namespace ahg::core {
 
@@ -178,18 +177,6 @@ std::shared_ptr<sim::Schedule> rebuild_schedule(const workload::Scenario& scenar
   return schedule;
 }
 
-obs::TermBreakdown terms_delta(const Weights& weights, const ObjectiveTotals& totals,
-                               AetSign aet_sign, const sim::Schedule& before,
-                               const sim::Schedule& after) {
-  const ObjectiveTerms b = objective_terms(
-      weights, ObjectiveState{before.t100(), before.tec(), before.aet()}, totals,
-      aet_sign);
-  const ObjectiveTerms a = objective_terms(
-      weights, ObjectiveState{after.t100(), after.tec(), after.aet()}, totals,
-      aet_sign);
-  return {a.t100 - b.t100, a.tec - b.tec, a.aet - b.aet, a.value - b.value};
-}
-
 }  // namespace
 
 ChurnRunOutcome run_slrh_with_churn(const workload::Scenario& scenario,
@@ -228,26 +215,14 @@ ChurnRunOutcome run_slrh_with_churn(const workload::Scenario& scenario,
   });
 
   const Stopwatch timer;
-  const ObjectiveTotals totals = objective_totals(scenario);
-  const std::string heuristic_name = to_string(params.variant);
-  obs::Sink* sink = params.sink;
-  obs::FlightRecorder* recorder = params.recorder;
+  Taps taps(scenario, params);
+  const bool degrade = recovery == ChurnRecovery::Degrade;
 
   std::vector<std::uint8_t> degrade_mask(scenario.num_tasks(), 0);
   SlrhParams run_params = params;
-  if (recovery == ChurnRecovery::Degrade) run_params.secondary_only = &degrade_mask;
+  if (degrade) run_params.secondary_only = &degrade_mask;
 
-  if (sink != nullptr && sink->wants(obs::EventKind::RunBegin)) {
-    obs::Event event;
-    event.kind = obs::EventKind::RunBegin;
-    event.heuristic = heuristic_name;
-    event.alpha = params.weights.alpha;
-    event.beta = params.weights.beta;
-    event.gamma = params.weights.gamma;
-    event.note = "churn=" + std::string(to_string(recovery)) +
-                 ", windows=" + std::to_string(scenario.machine_windows.size());
-    sink->emit(event);
-  }
+  taps.on_run_begin(recovery);
 
   auto schedule = make_schedule(scenario);
   MappingResult& result = outcome.result;
@@ -259,7 +234,7 @@ ChurnRunOutcome run_slrh_with_churn(const workload::Scenario& scenario,
     const Cycles process = pending[i].process;
     // A departure never interrupts the current segment — the loop reacts at
     // the next timestep, like any observer of an ad hoc grid.
-    drive_slrh(scenario, run_params, *schedule, current, process, result);
+    drive_slrh(scenario, run_params, *schedule, current, process, result, &taps);
     current = process;
 
     std::vector<MachineId> new_departures;
@@ -267,146 +242,74 @@ ChurnRunOutcome run_slrh_with_churn(const workload::Scenario& scenario,
       if (pending[i].is_departure) {
         departed[static_cast<std::size_t>(pending[i].machine)] = 1;
         new_departures.push_back(pending[i].machine);
-      } else if (sink != nullptr && sink->wants(obs::EventKind::MachineJoin)) {
-        obs::Event event;
-        event.kind = obs::EventKind::MachineJoin;
-        event.heuristic = heuristic_name;
-        event.clock = process;
-        event.machine = pending[i].machine;
-        sink->emit(event);
+      } else {
+        taps.on_join(process, pending[i].machine);
       }
     }
     if (new_departures.empty()) continue;
 
-    const double recovery_t0 = recorder != nullptr ? recorder->now_seconds() : 0.0;
-
-    // Invalidation fixpoint, including affordability: a rebuild that cannot
-    // re-take some kept task's worst-case output hold invalidates that task
-    // too (its machine can no longer guarantee delivery), which frees energy
-    // and may cascade. Each round invalidates at least one more task, so
-    // this terminates within |T| rounds.
-    std::vector<char> unaffordable_seed(scenario.num_tasks(), 0);
-    std::vector<char> invalid;
-    std::shared_ptr<sim::Schedule> rebuilt;
-    for (;;) {
-      invalid = compute_invalid(scenario, *schedule, departed, unaffordable_seed);
-      TaskId unaffordable = kInvalidTask;
-      rebuilt = rebuild_schedule(scenario, *schedule, invalid, departed,
-                                 &unaffordable);
-      if (unaffordable == kInvalidTask) break;
-      unaffordable_seed[static_cast<std::size_t>(unaffordable)] = 1;
-    }
-
-    // Batch tallies: orphans are the unfinished subtasks on the machines
-    // that departed THIS timestep; everything else newly invalid is
-    // completed (or queued elsewhere) work lost to the cascade.
-    const auto num_tasks = static_cast<TaskId>(scenario.num_tasks());
-    std::vector<std::size_t> orphans_on(scenario.num_machines(), 0);
-    std::size_t batch_orphaned = 0;
-    std::size_t batch_invalid = 0;
-    for (TaskId t = 0; t < num_tasks; ++t) {
-      if (invalid[static_cast<std::size_t>(t)] == 0 || !schedule->is_assigned(t)) {
-        continue;
+    taps.on_recovery(process, outcome, [&] {
+      // Invalidation fixpoint, including affordability: a rebuild that cannot
+      // re-take some kept task's worst-case output hold invalidates that task
+      // too (its machine can no longer guarantee delivery), which frees energy
+      // and may cascade. Each round invalidates at least one more task, so
+      // this terminates within |T| rounds.
+      std::vector<char> unaffordable_seed(scenario.num_tasks(), 0);
+      std::vector<char> invalid;
+      std::shared_ptr<sim::Schedule> rebuilt;
+      for (;;) {
+        invalid = compute_invalid(scenario, *schedule, departed, unaffordable_seed);
+        TaskId unaffordable = kInvalidTask;
+        rebuilt = rebuild_schedule(scenario, *schedule, invalid, departed,
+                                   &unaffordable);
+        if (unaffordable == kInvalidTask) break;
+        unaffordable_seed[static_cast<std::size_t>(unaffordable)] = 1;
       }
-      ++batch_invalid;
-      const auto& a = schedule->assignment(t);
-      const bool new_machine =
-          std::find(new_departures.begin(), new_departures.end(), a.machine) !=
-          new_departures.end();
-      const bool is_orphan =
-          new_machine && a.finish > scenario.machine_depart(a.machine);
-      if (params.ledger != nullptr) {
-        // Transition clock = the grid point the loss is DISCOVERED at, same
-        // convention as the recovery span and the event stream.
+
+      // Batch tallies: orphans are the unfinished subtasks on the machines
+      // that departed THIS timestep; everything else newly invalid is
+      // completed (or queued elsewhere) work lost to the cascade.
+      const auto num_tasks = static_cast<TaskId>(scenario.num_tasks());
+      std::vector<std::size_t> orphans_on(scenario.num_machines(), 0);
+      std::size_t batch_orphaned = 0;
+      std::size_t batch_invalid = 0;
+      for (TaskId t = 0; t < num_tasks; ++t) {
+        if (invalid[static_cast<std::size_t>(t)] == 0 || !schedule->is_assigned(t)) {
+          continue;
+        }
+        ++batch_invalid;
+        const auto& a = schedule->assignment(t);
+        const bool new_machine =
+            std::find(new_departures.begin(), new_departures.end(), a.machine) !=
+            new_departures.end();
+        const bool is_orphan =
+            new_machine && a.finish > scenario.machine_depart(a.machine);
+        taps.on_orphan(t, a.machine, process, is_orphan, degrade);
         if (is_orphan) {
-          params.ledger->on_orphaned(t, process);
-        } else {
-          params.ledger->on_invalidated(t, process);
+          ++orphans_on[static_cast<std::size_t>(a.machine)];
+          ++batch_orphaned;
         }
-        if (recovery == ChurnRecovery::Degrade) {
-          params.ledger->on_degraded(t, process);
-        }
+        if (degrade) degrade_mask[static_cast<std::size_t>(t)] = 1;
       }
-      if (is_orphan) {
-        ++orphans_on[static_cast<std::size_t>(a.machine)];
-        ++batch_orphaned;
-        if (sink != nullptr && sink->wants(obs::EventKind::OrphanReturn)) {
-          obs::Event event;
-          event.kind = obs::EventKind::OrphanReturn;
-          event.heuristic = heuristic_name;
-          event.clock = process;
-          event.machine = a.machine;
-          event.task = t;
-          sink->emit(event);
-        }
-      }
-      if (recovery == ChurnRecovery::Degrade) {
-        degrade_mask[static_cast<std::size_t>(t)] = 1;
-      }
-    }
 
-    const obs::TermBreakdown delta = terms_delta(params.weights, totals,
-                                                 params.aet_sign, *schedule, *rebuilt);
-    for (const MachineId m : new_departures) {
-      ++outcome.departures_processed;
-      const double forfeited = rebuilt->energy().forfeited(m);
-      outcome.energy_forfeited += forfeited;
-      if (sink != nullptr && sink->wants(obs::EventKind::MachineDeparture)) {
-        obs::Event event;
-        event.kind = obs::EventKind::MachineDeparture;
-        event.heuristic = heuristic_name;
-        event.clock = process;
-        event.machine = m;
-        event.orphaned = orphans_on[static_cast<std::size_t>(m)];
-        event.invalidated = batch_invalid - batch_orphaned;
-        event.energy_forfeited = forfeited;
-        event.terms = delta;
-        sink->emit(event);
+      for (const MachineId m : new_departures) {
+        ++outcome.departures_processed;
+        const double forfeited = rebuilt->energy().forfeited(m);
+        outcome.energy_forfeited += forfeited;
+        taps.on_departure(process, m, orphans_on[static_cast<std::size_t>(m)],
+                          batch_invalid - batch_orphaned, forfeited, *schedule,
+                          *rebuilt);
       }
-    }
-    outcome.orphaned += batch_orphaned;
-    outcome.invalidated += batch_invalid - batch_orphaned;
-    schedule = std::move(rebuilt);
-
-    if (recorder != nullptr) {
-      // Every frame sampled from here on carries the updated cumulative
-      // churn tallies; the recovery itself shows up as a span.
-      recorder->add_span("churn_recovery", recovery_t0,
-                         recorder->now_seconds() - recovery_t0, process);
-      recorder->set_churn_context(
-          static_cast<std::uint64_t>(outcome.departures_processed),
-          static_cast<std::uint64_t>(outcome.orphaned),
-          static_cast<std::uint64_t>(outcome.invalidated),
-          outcome.energy_forfeited);
-    }
+      outcome.orphaned += batch_orphaned;
+      outcome.invalidated += batch_invalid - batch_orphaned;
+      schedule = std::move(rebuilt);
+    });
   }
 
-  drive_slrh(scenario, run_params, *schedule, current, scenario.tau + 1, result);
-
-  result.wall_seconds = timer.seconds();
-  result.complete = schedule->complete();
-  result.assigned = schedule->num_assigned();
-  result.t100 = schedule->t100();
-  result.aet = schedule->aet();
-  result.tec = schedule->tec();
-  result.within_tau = schedule->aet() <= scenario.tau;
-  result.schedule = std::move(schedule);
-
-  if (sink != nullptr && sink->wants(obs::EventKind::RunEnd)) {
-    obs::Event event;
-    event.kind = obs::EventKind::RunEnd;
-    event.heuristic = heuristic_name;
-    event.alpha = params.weights.alpha;
-    event.beta = params.weights.beta;
-    event.gamma = params.weights.gamma;
-    event.t100 = result.t100;
-    event.assigned = result.assigned;
-    event.aet = result.aet;
-    event.feasible = result.feasible();
-    event.wall_seconds = result.wall_seconds;
-    event.note = "departures=" + std::to_string(outcome.departures_processed);
-    sink->emit(event);
-  }
+  drive_slrh(scenario, run_params, *schedule, current, scenario.tau + 1, result,
+             &taps);
+  finalize_result(result, std::move(schedule), scenario.tau, timer.seconds());
+  taps.on_run_end(outcome);
   return outcome;
 }
 

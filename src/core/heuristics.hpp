@@ -32,17 +32,11 @@ struct SlrhClock {
 };
 
 /// Run any heuristic on a scenario with the given objective weights.
-/// `sink` (not owned, may be null) receives the run's decision events and
-/// feeds phase metrics — see SlrhParams::sink for the null-sink contract.
-/// `cache` (not owned, may be null) supplies shared precomputed
-/// pure-scenario tables; null makes each run build its own. Supply one when
-/// running the same scenario many times (the tuner, the Lagrangian loop) —
-/// it must have been built from `scenario` and is read-only here, so one
-/// instance may serve concurrent callers. `recorder` (not owned, may be
-/// null) samples per-timestep / per-round obs::Frames — see
-/// SlrhParams::recorder for the null-recorder contract. `ledger` (not
-/// owned, may be null) records per-subtask lifecycle transitions — see
-/// SlrhParams::ledger for the null-ledger contract.
+/// `sink`, `recorder` and `ledger` are the run's observation handles
+/// (core/taps.hpp). `cache` (not owned, may be null) supplies precomputed
+/// pure-scenario tables built from `scenario`; null makes each run build its
+/// own. It is read-only here, so one instance may serve concurrent callers
+/// running the same scenario many times (the tuner, the Lagrangian loop).
 MappingResult run_heuristic(HeuristicKind kind, const workload::Scenario& scenario,
                             const Weights& weights, const SlrhClock& clock = {},
                             AetSign aet_sign = AetSign::Reward,

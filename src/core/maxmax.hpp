@@ -43,26 +43,11 @@ struct MaxMaxParams {
   /// bench that demonstrates exactly that failure mode.
   bool enforce_tau = true;
 
-  /// Optional observability sink (not owned). Null — the default — takes the
-  /// exact pre-telemetry code path (no events, no clock reads, bit-identical
-  /// schedules). With a sink attached the run emits run_begin/run_end, one
-  /// map-decision event per committed triplet (objective-term breakdown
-  /// included), and a stall event when the heuristic gets stuck with
-  /// subtasks still unmapped; selection-round time feeds
-  /// "maxmax.select_seconds" in sink->metrics() when present.
-  obs::Sink* sink = nullptr;
-
-  /// Optional flight recorder (not owned; same null contract as `sink`).
-  /// Max-Max is clock-free, so one obs::Frame is sampled per SELECTION ROUND
-  /// (frame.clock = round index) plus a "select" span per round; the
-  /// recorder only observes.
-  obs::FlightRecorder* recorder = nullptr;
-
-  /// Optional task-major lifecycle ledger (not owned; same null contract as
-  /// `recorder`). Max-Max is clock-free, so transition clocks carry the
-  /// 1-based selection round index (matching frame.clock); release times are
-  /// still the scenario's real release cycles. See SlrhParams::ledger.
-  obs::TaskLedger* ledger = nullptr;
+  // Observation handles, optional and not owned (contract: core/taps.hpp).
+  // Max-Max is clock-free: its records carry the 1-based selection round.
+  obs::Sink* sink = nullptr;  ///< decision events; phase metrics via metrics()
+  obs::FlightRecorder* recorder = nullptr;  ///< one frame + "select" span per round
+  obs::TaskLedger* ledger = nullptr;        ///< per-subtask lifecycle transitions
 
   /// Optional precomputed pure-scenario tables (not owned). Null — the
   /// default — makes the run build its own; supply one to amortise the

@@ -7,7 +7,6 @@
 #include "core/feasibility.hpp"
 #include "sim/comm.hpp"
 #include "support/contract.hpp"
-#include "support/task_ledger.hpp"
 
 namespace ahg::core {
 
@@ -125,29 +124,6 @@ void commit_placement(const workload::Scenario& scenario, sim::Schedule& schedul
     schedule.ledger().reserve(plan.machine, sim::edge_key(plan.task, child),
                               sim::transfer_energy(spec, wc));
   }
-}
-
-void record_placement(obs::TaskLedger& ledger, const sim::Schedule& schedule,
-                      const PlacementPlan& plan, Cycles decision_clock) {
-  obs::TaskPlacementSample sample;
-  sample.task = plan.task;
-  sample.machine = plan.machine;
-  sample.version = plan.version == VersionKind::Primary ? std::int8_t{0}
-                                                        : std::int8_t{1};
-  sample.decision_clock = decision_clock;
-  sample.arrival = plan.arrival;
-  sample.start = plan.start;
-  sample.finish = plan.finish();
-  sample.inputs.reserve(plan.comms.size() + plan.released_parents.size());
-  for (const CommPlan& comm : plan.comms) {
-    sample.inputs.push_back(
-        {comm.parent, comm.from_machine, comm.start, comm.start + comm.duration});
-  }
-  for (const TaskId parent : plan.released_parents) {
-    const Cycles handoff = schedule.assignment(parent).finish;
-    sample.inputs.push_back({parent, plan.machine, handoff, handoff});
-  }
-  ledger.on_placement(std::move(sample));
 }
 
 }  // namespace ahg::core

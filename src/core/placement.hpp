@@ -27,10 +27,6 @@
 #include "support/version.hpp"
 #include "workload/scenario.hpp"
 
-namespace ahg::obs {
-class TaskLedger;
-}  // namespace ahg::obs
-
 namespace ahg::core {
 
 struct CommPlan {
@@ -83,13 +79,5 @@ std::shared_ptr<sim::Schedule> make_schedule(const workload::Scenario& scenario)
 /// task's children. The caller must have verified version_fits_energy().
 void commit_placement(const workload::Scenario& scenario, sim::Schedule& schedule,
                       const PlacementPlan& plan);
-
-/// Record a just-committed plan into the task ledger: the admitted /
-/// transfer / executing / completed transitions plus one causal input edge
-/// per parent (timed cross-machine transfers from plan.comms; instantaneous
-/// same-machine handoffs at the parent's finish from plan.released_parents).
-/// Call AFTER commit_placement, against the same schedule. Pure observation.
-void record_placement(obs::TaskLedger& ledger, const sim::Schedule& schedule,
-                      const PlacementPlan& plan, Cycles decision_clock);
 
 }  // namespace ahg::core

@@ -2,6 +2,7 @@
 // Outcome of one heuristic run on one scenario.
 
 #include <memory>
+#include <utility>
 
 #include "sim/schedule.hpp"
 #include "support/units.hpp"
@@ -40,5 +41,19 @@ struct MappingResult {
 
   bool feasible() const noexcept { return complete && within_tau; }
 };
+
+/// Fill a finished run's outcome from its final schedule, which it takes.
+inline void finalize_result(MappingResult& result,
+                            std::shared_ptr<const sim::Schedule> schedule,
+                            Cycles tau, double wall_seconds) {
+  result.wall_seconds = wall_seconds;
+  result.complete = schedule->complete();
+  result.assigned = schedule->num_assigned();
+  result.t100 = schedule->t100();
+  result.aet = schedule->aet();
+  result.tec = schedule->tec();
+  result.within_tau = schedule->aet() <= tau;
+  result.schedule = std::move(schedule);
+}
 
 }  // namespace ahg::core

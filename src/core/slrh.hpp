@@ -42,6 +42,7 @@ namespace ahg::core {
 
 class ScenarioCache;
 class ReadyFrontier;
+class Taps;
 struct CandidateBatch;
 
 enum class SlrhVariant : std::uint8_t { V1 = 1, V2 = 2, V3 = 3 };
@@ -55,44 +56,11 @@ struct SlrhParams {
   Cycles horizon = 100; ///< receding horizon H in clock cycles (paper: 100)
   AetSign aet_sign = AetSign::Reward;
 
-  /// Optional observability sink (not owned). Null — the default — takes the
-  /// exact pre-telemetry code path: no events, no clock reads, bit-identical
-  /// schedules (see DESIGN.md "Observability" for the contract). With a sink
-  /// attached the run emits run_begin/run_end, per-pool, per-map-decision
-  /// (with the weighted objective-term breakdown and skipped-candidate
-  /// rejection reasons), and stall events, and feeds phase histograms into
-  /// sink->metrics() when present.
-  obs::Sink* sink = nullptr;
-
-  /// Optional flight recorder (not owned). Null — the default — takes the
-  /// exact pre-recorder code path (one branch per timestep, no clock reads,
-  /// bit-identical schedules; same contract as `sink`). With a recorder
-  /// attached the driver samples one obs::Frame at the END of every ACTIVE
-  /// timestep — idle ticks are decimated per FlightRecorder::Options::
-  /// idle_stride (set it to 1 for literally every tick)
-  /// (objective-term breakdown, progress, pool/frontier sizes, per-machine
-  /// battery fraction and busy-until) and adds a wall-clock span per pool
-  /// build; run_slrh wraps the whole run in a span. Recording only observes
-  /// — no decision reads recorder state.
-  obs::FlightRecorder* recorder = nullptr;
-
-  /// Optional task-major lifecycle ledger (not owned; same null contract as
-  /// `recorder`: one branch per instrumentation point, no locks, no
-  /// allocations, bit-identical schedules — asserted by
-  /// tests/test_determinism.cpp). With a ledger attached the driver records
-  /// each subtask's released / frontier-ready / pooled / admitted /
-  /// transfer / executing / completed transitions plus the causal input
-  /// edges; core/critical_path.hpp consumes the result. Recording only
-  /// observes — no decision reads ledger state.
-  obs::TaskLedger* ledger = nullptr;
-
-  /// Optional live-run heartbeat tap (not owned; same null contract: one
-  /// branch per timestep, relaxed atomic stores only, bit-identical
-  /// schedules). With a heartbeat attached the driver publishes the current
-  /// clock and assigned-task count at the end of every tick; the heartbeat's
-  /// background thread turns them into heartbeat.json progress/ETA fields
-  /// and feeds the stall watchdog. See support/runtime_profiler.hpp.
-  obs::Heartbeat* heartbeat = nullptr;
+  // Observation handles, optional and not owned (contract: core/taps.hpp).
+  obs::Sink* sink = nullptr;  ///< decision events; phase metrics via metrics()
+  obs::FlightRecorder* recorder = nullptr;  ///< per-tick frames, pool-build spans
+  obs::TaskLedger* ledger = nullptr;        ///< per-subtask lifecycle transitions
+  obs::Heartbeat* heartbeat = nullptr;      ///< live clock and progress
 
   /// Optional precomputed pure-scenario tables (not owned). Null — the
   /// default — makes the driver build its own once per run; supply one to
@@ -134,10 +102,12 @@ MappingResult run_slrh(const workload::Scenario& scenario, const SlrhParams& par
 /// start_clock until completion, the scenario's tau (inclusive), or
 /// end_clock (EXCLUSIVE) — whichever comes first. Used by run_slrh (fresh schedule, full window) and by the
 /// dynamic machine-loss extension (replayed schedule, resuming at the loss
-/// time). Updates stats.iterations / stats.pools_built in place.
+/// time). Updates stats.iterations / stats.pools_built in place. `taps` is
+/// the caller's run-wide tap (the churn driver shares one across windows);
+/// null makes one from `params` for this window.
 void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
                 sim::Schedule& schedule, Cycles start_clock, Cycles end_clock,
-                MappingResult& stats);
+                MappingResult& stats, Taps* taps = nullptr);
 
 // --- pool construction (exposed for micro-benchmarks and invariant tests) --
 

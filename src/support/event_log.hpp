@@ -8,9 +8,8 @@
 // candidates — enough to answer "why was task t mapped to machine j" from
 // the trace alone (see examples/trace_inspect.cpp).
 //
-// The null-sink contract: every emission site is guarded by a null check;
-// with no sink attached, heuristics take the exact pre-telemetry code path
-// and schedules are bit-identical (guarded by test_event_log.cpp).
+// The SLRH, Max-Max and churn drivers emit through core::Taps, which states
+// the null-handle contract (core/taps.hpp).
 //
 // Sinks must be thread-safe: the weight tuner runs solvers on the global
 // thread pool and events from concurrent runs interleave (each JSONL line is

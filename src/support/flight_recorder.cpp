@@ -27,21 +27,14 @@ double FlightRecorder::now_seconds() const {
 void FlightRecorder::record(const Frame& frame) {
   std::lock_guard lock(mutex_);
   ++frames_recorded_;
-  Frame* slot = nullptr;
   if (frames_.size() < options_.max_frames) {
     frames_.push_back(frame);
-    slot = &frames_.back();
   } else {
     // Copy-assign so the slot's vectors and string keep their capacity —
     // a wrapped ring records without touching the allocator.
     frames_[frames_head_] = frame;
-    slot = &frames_[frames_head_];
     frames_head_ = (frames_head_ + 1) % options_.max_frames;
   }
-  slot->departures = churn_departures_;
-  slot->orphaned = churn_orphaned_;
-  slot->invalidated = churn_invalidated_;
-  slot->energy_forfeited = churn_energy_forfeited_;
 }
 
 void FlightRecorder::add_span(std::string_view name, double start_seconds,
@@ -56,17 +49,6 @@ void FlightRecorder::add_span(std::string_view name, double start_seconds,
     spans_[spans_head_] = std::move(span);
     spans_head_ = (spans_head_ + 1) % options_.max_spans;
   }
-}
-
-void FlightRecorder::set_churn_context(std::uint64_t departures,
-                                       std::uint64_t orphaned,
-                                       std::uint64_t invalidated,
-                                       double energy_forfeited) {
-  std::lock_guard lock(mutex_);
-  churn_departures_ = departures;
-  churn_orphaned_ = orphaned;
-  churn_invalidated_ = invalidated;
-  churn_energy_forfeited_ = energy_forfeited;
 }
 
 std::vector<Frame> FlightRecorder::frames() const {
@@ -165,23 +147,12 @@ void FlightRecorder::write_frames_jsonl(std::ostream& os) const {
 
 namespace {
 
-/// A count or clock read back from a frame: integral, non-negative and no
-/// larger than 2^53 (the last integer a JSON number, stored as a double,
-/// holds exactly). Rejecting the rest keeps a garbled file from turning
-/// "-5" into 2^64 - 5 or "1e300" into whatever llround returns.
-std::uint64_t checked_count(const JsonValue& number, std::string_view field) {
-  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
-  const double x = number.is_number() ? number.as_double() : -1.0;
-  AHG_EXPECTS_MSG(x >= 0.0 && x <= kMaxExact && std::floor(x) == x,
-                  "frame field \"" + std::string(field) +
-                      "\" must be an integer in [0, 2^53]");
-  return static_cast<std::uint64_t>(x);
-}
+/// A count or clock read back from a frame: at most 2^53, the last integer
+/// a JSON number holds exactly. Absent: 0, the Frame default.
+constexpr std::int64_t kMaxCount = std::int64_t{1} << 53;
 
-/// Absent: 0, the Frame default; present: checked_count.
 std::uint64_t get_count(const JsonValue& object, std::string_view field) {
-  const JsonValue* v = object.find(field);
-  return v != nullptr ? checked_count(*v, field) : 0;
+  return static_cast<std::uint64_t>(checked_int(object.find(field), field, 0, kMaxCount));
 }
 
 }  // namespace
@@ -222,7 +193,7 @@ Frame frame_from_json(const JsonValue& value) {
   if (const JsonValue* busy = value.find("busy_until");
       busy != nullptr && busy->is_array()) {
     for (const auto& b : busy->as_array()) {
-      f.busy_until.push_back(static_cast<Cycles>(checked_count(b, "busy_until")));
+      f.busy_until.push_back(checked_int(&b, "busy_until", 0, kMaxCount));
     }
   }
   return f;

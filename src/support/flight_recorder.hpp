@@ -4,11 +4,8 @@
 // a bounded ring of named wall-clock Spans (pool builds, whole runs, churn
 // recoveries).
 //
-// The null-recorder contract mirrors SlrhParams::sink: a driver holding a
-// null FlightRecorder* pays one predictable branch per instrumentation point
-// — no clock read, no allocation, bit-identical schedules (asserted by
-// tests/test_determinism.cpp). With a recorder attached the drivers only
-// OBSERVE schedule state; nothing feeds back into a decision.
+// Drivers reach a recorder through core::Taps, which states the null-handle
+// contract (core/taps.hpp).
 //
 // Memory bound: the recorder never holds more than
 //   max_frames * (sizeof(Frame) + num_machines * 16 bytes)
@@ -18,7 +15,7 @@
 // pathological million-timestep run records its tail instead of dying.
 //
 // This header lives in ahg_support and must not depend on sim/ or core/:
-// Frame carries plain scalars and vectors; the drivers assemble them (the
+// Frame carries plain scalars and vectors; core::Taps assembles them (the
 // same layering rule obs::Event follows).
 
 #include <chrono>
@@ -141,19 +138,12 @@ class FlightRecorder {
   /// Append a copy of `frame` (overwriting the oldest when the ring is
   /// full). Taking a const reference lets drivers reuse one scratch Frame
   /// across ticks — after the ring warms up, a record() is allocation-free
-  /// on both sides. The recorder stamps the cumulative churn context
-  /// (set_churn_context) into the stored copy, so segment drivers need not
-  /// thread it through.
+  /// on both sides.
   void record(const Frame& frame);
 
   void add_span(std::string_view name, double start_seconds,
                 double duration_seconds, Cycles clock = -1,
                 MachineId machine = kInvalidMachine);
-
-  /// Cumulative churn tallies stamped into every subsequently recorded
-  /// frame. The churn driver updates these after each recovery batch.
-  void set_churn_context(std::uint64_t departures, std::uint64_t orphaned,
-                         std::uint64_t invalidated, double energy_forfeited);
 
   std::vector<Frame> frames() const;  ///< oldest-first
   std::vector<Span> spans() const;    ///< oldest-first
@@ -182,11 +172,6 @@ class FlightRecorder {
   std::vector<Span> spans_;
   std::size_t spans_head_ = 0;
   std::uint64_t spans_recorded_ = 0;
-
-  std::uint64_t churn_departures_ = 0;
-  std::uint64_t churn_orphaned_ = 0;
-  std::uint64_t churn_invalidated_ = 0;
-  double churn_energy_forfeited_ = 0.0;
 };
 
 /// Rebuild one frame from its write_frames_jsonl line. Absent fields keep

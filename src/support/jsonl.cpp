@@ -281,6 +281,17 @@ bool JsonValue::get_bool(std::string_view name, bool fallback) const noexcept {
   return (v != nullptr && v->is_bool()) ? v->bool_ : fallback;
 }
 
+std::int64_t checked_int(const JsonValue* value, std::string_view field,
+                         std::int64_t min, std::int64_t max, std::int64_t fallback) {
+  if (value == nullptr) return fallback;
+  const double x = value->is_number() ? value->as_double() : std::nan("");
+  AHG_EXPECTS_MSG(x >= static_cast<double>(min) && x <= static_cast<double>(max) &&
+                      std::floor(x) == x,
+                  "JSON field \"" + std::string(field) + "\" must be an integer in [" +
+                      std::to_string(min) + ", " + std::to_string(max) + "]");
+  return static_cast<std::int64_t>(x);
+}
+
 // --- parser ------------------------------------------------------------------
 
 namespace {

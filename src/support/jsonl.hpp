@@ -118,6 +118,12 @@ class JsonValue {
   Object object_;
 };
 
+/// `value` as an integer in [min, max] (bounds within ±2^53, where a JSON
+/// number is exact), or `fallback` when `value` is null (an absent member).
+/// Anything else throws PreconditionError naming `field`; get_int would wrap.
+std::int64_t checked_int(const JsonValue* value, std::string_view field,
+                         std::int64_t min, std::int64_t max, std::int64_t fallback = 0);
+
 /// Parse one complete JSON document. Throws PreconditionError on malformed
 /// input (with byte offset in the message).
 JsonValue parse_json(std::string_view text);

@@ -47,12 +47,4 @@ class ProfileScope {
   Clock::time_point start_;
 };
 
-/// Time a callable into `histogram` and return its result. Convenience for
-/// one-shot phases (tuner sweeps, bench sections).
-template <typename F>
-auto profiled(Histogram* histogram, F&& fn) {
-  ProfileScope scope(histogram);
-  return std::forward<F>(fn)();
-}
-
 }  // namespace ahg::obs

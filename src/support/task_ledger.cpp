@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <istream>
+#include <limits>
 #include <ostream>
 
 #include "support/checked.hpp"
@@ -288,19 +289,27 @@ void TaskLedger::write_spans_jsonl(std::ostream& os) const {
 
 std::vector<TaskSpan> read_task_spans_jsonl(std::istream& in) {
   std::vector<TaskSpan> out;
+  // Ids: -1 (invalid) up to the type's max; clocks: JSON-exact cycles.
+  constexpr std::int64_t kMaxId = std::numeric_limits<TaskId>::max();
+  static_assert(std::numeric_limits<MachineId>::max() == kMaxId);
+  constexpr std::int64_t kMaxCycle = std::int64_t{1} << 53;
   for (const JsonValue& value : parse_jsonl(in)) {
+    const auto id = [&](const char* name) {
+      return checked_int(value.find(name), name, -1, kMaxId, -1);
+    };
     TaskSpan span;
-    span.task = static_cast<TaskId>(value.get_int("task", kInvalidTask));
+    span.task = static_cast<TaskId>(id("task"));
     span.kind = value.get_string("kind", "");
-    span.parent = static_cast<TaskId>(value.get_int("parent", kInvalidTask));
-    span.machine = static_cast<MachineId>(value.get_int("machine", kInvalidMachine));
+    span.parent = static_cast<TaskId>(id("parent"));
+    span.machine = static_cast<MachineId>(id("machine"));
     const std::string version = value.get_string("version", "");
     span.version = version == "primary" ? std::int8_t{0}
                    : version == "secondary" ? std::int8_t{1}
                                             : std::int8_t{-1};
-    span.attempt = static_cast<std::uint32_t>(value.get_int("attempt", 0));
-    span.start = value.get_int("start", 0);
-    span.finish = value.get_int("finish", 0);
+    span.attempt = static_cast<std::uint32_t>(checked_int(
+        value.find("attempt"), "attempt", 0, std::numeric_limits<std::uint32_t>::max()));
+    span.start = checked_int(value.find("start"), "start", 0, kMaxCycle);
+    span.finish = checked_int(value.find("finish"), "finish", 0, kMaxCycle);
     out.push_back(std::move(span));
   }
   return out;

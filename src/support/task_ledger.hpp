@@ -7,11 +7,8 @@
 // — with machine id, version, clock, and the parent→child causal edges the
 // critical-path analyzer (core/critical_path.hpp) walks.
 //
-// The null-ledger contract mirrors obs::FlightRecorder: a driver holding a
-// null TaskLedger* pays one predictable branch per instrumentation point —
-// no lock, no allocation, bit-identical schedules (asserted by
-// tests/test_determinism.cpp Determinism.*LedgerOnMatchesLedgerOff). With a
-// ledger attached the drivers only OBSERVE; nothing feeds back.
+// Drivers reach a ledger through core::Taps, which states the null-handle
+// contract (core/taps.hpp).
 //
 // Memory bound: exactly num_tasks records allocated up front, each with a
 // per-task transition history capped at Options::max_transitions (overflow
@@ -225,6 +222,9 @@ class TaskLedger {
 void write_task_span_json(std::ostream& os, const TaskSpan& span);
 
 /// Parse a whole `.spans.jsonl` stream, as written by write_spans_jsonl.
+/// Absent fields keep their defaults; a present task, parent or machine must
+/// be an integer in [-1, its type's max], attempt must fit uint32_t, and
+/// start/finish must lie in [0, 2^53], else PreconditionError names it.
 std::vector<TaskSpan> read_task_spans_jsonl(std::istream& in);
 
 }  // namespace ahg::obs

@@ -10,11 +10,13 @@
 #include <string>
 #include <vector>
 
+#include "core/churn.hpp"
 #include "core/heuristics.hpp"
 #include "core/slrh.hpp"
 #include "support/contract.hpp"
 #include "support/jsonl.hpp"
-#include "support/rng.hpp"
+#include "tests/byte_mutation.hpp"
+#include "tests/scenario_fixtures.hpp"
 #include "workload/scenario.hpp"
 
 namespace {
@@ -98,20 +100,28 @@ TEST(FlightRecorder, MemoryBoundScalesWithOptionsAndMachines) {
   EXPECT_GT(a.memory_bound_bytes(4), 0u);
 }
 
-TEST(FlightRecorder, ChurnContextIsStampedOntoLaterFrames) {
-  FlightRecorder recorder;
-  recorder.record(frame_at(0));
-  recorder.set_churn_context(3, 7, 11, 2.5);
-  recorder.record(frame_at(10));
-
+TEST(FlightRecorder, ChurnTalliesReachFramesAfterEachRecovery) {
+  // The churn tallies are part of the frame the driver builds: zero before
+  // the departure is discovered, the run's cumulative outcome after it.
+  const auto scenario = test::one_departure_scenario();
+  FlightRecorder recorder(FlightRecorder::dense_options());
+  core::SlrhParams params;
+  params.recorder = &recorder;
+  const auto outcome = core::run_slrh_with_churn(scenario, params);
+  ASSERT_EQ(outcome.departures_processed, 1u);
   const auto frames = recorder.frames();
-  ASSERT_EQ(frames.size(), 2u);
-  EXPECT_EQ(frames[0].departures, 0u);
-  EXPECT_EQ(frames[0].orphaned, 0u);
-  EXPECT_EQ(frames[1].departures, 3u);
-  EXPECT_EQ(frames[1].orphaned, 7u);
-  EXPECT_EQ(frames[1].invalidated, 11u);
-  EXPECT_DOUBLE_EQ(frames[1].energy_forfeited, 2.5);
+  ASSERT_FALSE(frames.empty());
+  EXPECT_EQ(frames.front().departures, 0u);
+  EXPECT_EQ(frames.front().energy_forfeited, 0.0);
+  const Frame& last = frames.back();
+  EXPECT_EQ(last.departures, 1u);
+  EXPECT_EQ(last.orphaned, outcome.orphaned);
+  EXPECT_EQ(last.invalidated, outcome.invalidated);
+  EXPECT_EQ(last.energy_forfeited, outcome.energy_forfeited);
+
+  // A later run on the same recorder starts from zero again.
+  core::run_slrh(scenario, params);
+  EXPECT_EQ(recorder.frames().back().departures, 0u);
 }
 
 TEST(FlightRecorder, FramesJsonlRoundTripsEveryField) {
@@ -137,7 +147,10 @@ TEST(FlightRecorder, FramesJsonlRoundTripsEveryField) {
   frame.timestep_seconds = 2e-4;
   frame.battery_fraction = {1.0, 0.5, 0.25};
   frame.busy_until = {100, 200, 0};
-  recorder.set_churn_context(1, 2, 3, 4.5);
+  frame.departures = 1;
+  frame.orphaned = 2;
+  frame.invalidated = 3;
+  frame.energy_forfeited = 4.5;
   recorder.record(frame);
 
   std::ostringstream os;
@@ -164,10 +177,10 @@ TEST(FlightRecorder, FramesJsonlRoundTripsEveryField) {
   EXPECT_EQ(f.frontier_unreleased, frame.frontier_unreleased);
   EXPECT_DOUBLE_EQ(f.pool_build_seconds, frame.pool_build_seconds);
   EXPECT_DOUBLE_EQ(f.timestep_seconds, frame.timestep_seconds);
-  EXPECT_EQ(f.departures, 1u);  // stamped by the recorder, not the caller
-  EXPECT_EQ(f.orphaned, 2u);
-  EXPECT_EQ(f.invalidated, 3u);
-  EXPECT_DOUBLE_EQ(f.energy_forfeited, 4.5);
+  EXPECT_EQ(f.departures, frame.departures);
+  EXPECT_EQ(f.orphaned, frame.orphaned);
+  EXPECT_EQ(f.invalidated, frame.invalidated);
+  EXPECT_DOUBLE_EQ(f.energy_forfeited, frame.energy_forfeited);
   EXPECT_EQ(f.battery_fraction, frame.battery_fraction);
   EXPECT_EQ(f.busy_until, frame.busy_until);
 
@@ -299,44 +312,20 @@ TEST(FlightRecorder, FramesJsonlSurvivesByteMutation) {
     obs::write_frame_json(os, frames[i * (frames.size() - 1) / 3]);
     os << "\n";
   }
-  const std::string original = os.str();
-
   constexpr std::uint64_t kMaxExact = std::uint64_t{1} << 53;
-  const std::string alphabet = "0123456789-+.eE\"{}[],: \n\\ntfux";
-  SplitMix64 rng(0xF4A3E5ull);
-  std::size_t parsed = 0;
-  std::size_t rejected = 0;
-  for (int trial = 0; trial < 2000; ++trial) {
-    std::string mutant = original;
-    const int edits = 1 + static_cast<int>(rng.next() % 3);
-    for (int e = 0; e < edits && !mutant.empty(); ++e) {
-      const std::size_t at = rng.next() % mutant.size();
-      const char byte = rng.next() % 4 == 0
-                            ? static_cast<char>(rng.next() & 0xFF)
-                            : alphabet[rng.next() % alphabet.size()];
-      switch (rng.next() % 3) {
-        case 0: mutant[at] = byte; break;
-        case 1: mutant.insert(at, 1, byte); break;
-        default: mutant.erase(at, 1); break;
-      }
+  const auto tally = test::run_byte_mutations(os.str(), 2000, 0xF4A3E5ull,
+                                              [&](std::istream& in) {
+    for (const Frame& f : obs::read_frames_jsonl(in)) {
+      EXPECT_GE(f.clock, 0);
+      EXPECT_GE(f.aet, 0);
+      EXPECT_LE(f.assigned, kMaxExact);
+      EXPECT_LE(f.pools_built, kMaxExact);
+      for (const Cycles c : f.busy_until) EXPECT_GE(c, 0);
     }
-    std::istringstream in(mutant);
-    try {
-      for (const Frame& f : obs::read_frames_jsonl(in)) {
-        EXPECT_GE(f.clock, 0);
-        EXPECT_GE(f.aet, 0);
-        EXPECT_LE(f.assigned, kMaxExact);
-        EXPECT_LE(f.pools_built, kMaxExact);
-        for (const Cycles c : f.busy_until) EXPECT_GE(c, 0);
-      }
-      ++parsed;
-    } catch (const PreconditionError&) {
-      ++rejected;
-    }
-  }
+  });
   // Both outcomes occur: the mutations reach numbers and structure alike.
-  EXPECT_GT(parsed, 0u);
-  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(tally.parsed, 0u);
+  EXPECT_GT(tally.rejected, 0u);
 }
 
 TEST_F(FlightRecorderRunTest, IdleStrideDecimatesOnlyIdleTicks) {

@@ -5,12 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <map>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/slrh.hpp"
+#include "support/contract.hpp"
 #include "support/task_ledger.hpp"
+#include "tests/byte_mutation.hpp"
 #include "tests/scenario_fixtures.hpp"
 
 namespace ahg {
@@ -195,6 +201,106 @@ TEST(TaskLedger, SpansJsonlRoundTrip) {
     EXPECT_EQ(parsed[i].start, spans[i].start) << i;
     EXPECT_EQ(parsed[i].finish, spans[i].finish) << i;
   }
+}
+
+std::vector<obs::TaskSpan> spans_from_text(const std::string& text) {
+  std::istringstream in(text);
+  return obs::read_task_spans_jsonl(in);
+}
+
+TEST(TaskLedger, SpansJsonlRejectsGarbledFields) {
+  // One valid span; each case replaces one field's value.
+  const std::map<std::string, std::string> valid = {
+      {"task", "3"},   {"kind", "\"input\""}, {"parent", "1"}, {"machine", "2"},
+      {"attempt", "1"}, {"start", "10"},       {"finish", "20"}};
+  const auto line = [&](const std::string& field, const std::string& value) {
+    std::string text = "{";
+    for (const auto& [key, v] : valid) {
+      if (text.size() > 1) text += ",";
+      text += "\"" + key + "\":" + (key == field ? value : v);
+    }
+    return text + "}";
+  };
+  const std::string kIntMax = std::to_string(std::numeric_limits<std::int32_t>::max());
+  const std::string kUintMax = std::to_string(std::numeric_limits<std::uint32_t>::max());
+  const std::string kPast2To53 = "18014398509481984";  // 2^54
+  const std::string kNotNumbers[] = {"2.5", "1e300", "\"7\"", "null", "true", "[1]"};
+  struct Field {
+    std::string name;
+    std::vector<std::string> bad;   ///< out of range, beyond kNotNumbers
+    std::vector<std::string> edges; ///< the accepted range's ends
+  };
+  const Field fields[] = {
+      {"task", {"-2", "2147483648"}, {"-1", kIntMax}},
+      {"parent", {"-2", "2147483648"}, {"-1", kIntMax}},
+      {"machine", {"-2", "2147483648"}, {"-1", kIntMax}},
+      {"attempt", {"-1", "4294967296"}, {"0", kUintMax}},
+      {"start", {"-1", kPast2To53}, {"0", "9007199254740992"}},
+      {"finish", {"-1", kPast2To53}, {"0", "9007199254740992"}},
+  };
+  for (const Field& field : fields) {
+    std::vector<std::string> bad = field.bad;
+    bad.insert(bad.end(), std::begin(kNotNumbers), std::end(kNotNumbers));
+    for (const std::string& value : bad) {
+      const std::string text = line(field.name, value);
+      SCOPED_TRACE(text);
+      try {
+        spans_from_text(text);
+        ADD_FAILURE() << "garbled field parsed";
+      } catch (const PreconditionError& e) {
+        EXPECT_NE(std::string(e.what()).find(field.name), std::string::npos) << e.what();
+      }
+    }
+    for (const std::string& value : field.edges) {
+      const std::string text = line(field.name, value);
+      const auto spans = spans_from_text(text);
+      ASSERT_EQ(spans.size(), 1u) << text;
+    }
+  }
+  const auto edge = spans_from_text(line("attempt", kUintMax));
+  EXPECT_EQ(edge.front().attempt, std::numeric_limits<std::uint32_t>::max());
+
+  // Absent fields keep their defaults.
+  const auto sparse = spans_from_text(R"({"kind":"exec"})");
+  ASSERT_EQ(sparse.size(), 1u);
+  EXPECT_EQ(sparse.front().task, kInvalidTask);
+  EXPECT_EQ(sparse.front().parent, kInvalidTask);
+  EXPECT_EQ(sparse.front().machine, kInvalidMachine);
+  EXPECT_EQ(sparse.front().attempt, 0u);
+  EXPECT_EQ(sparse.front().start, 0);
+}
+
+TEST(TaskLedger, SpansJsonlSurvivesByteMutation) {
+  // A spans file recorded from a real run, under random byte edits: each
+  // mutant parses into in-range spans or throws PreconditionError.
+  const auto scenario = test::small_suite_scenario(sim::GridCase::A, 48);
+  obs::TaskLedger ledger(scenario.num_tasks());
+  core::SlrhParams params;
+  params.ledger = &ledger;
+  core::run_slrh(scenario, params);
+  std::ostringstream all;
+  ledger.write_spans_jsonl(all);
+  std::istringstream lines(all.str());
+  std::string original;
+  std::string text;
+  for (int i = 0; i < 8 && std::getline(lines, text); ++i) original += text + "\n";
+  ASSERT_FALSE(original.empty());
+
+  constexpr Cycles kMaxCycle = Cycles{1} << 53;
+  const auto tally = test::run_byte_mutations(original, 2000, 0x5BA115ull,
+                                              [&](std::istream& in) {
+    for (const obs::TaskSpan& s : obs::read_task_spans_jsonl(in)) {
+      EXPECT_GE(s.task, kInvalidTask);
+      EXPECT_GE(s.parent, kInvalidTask);
+      EXPECT_GE(s.machine, kInvalidMachine);
+      EXPECT_GE(s.start, 0);
+      EXPECT_LE(s.start, kMaxCycle);
+      EXPECT_GE(s.finish, 0);
+      EXPECT_LE(s.finish, kMaxCycle);
+    }
+  });
+  EXPECT_GT(tally.parsed, 0u);
+  EXPECT_GT(tally.rejected, 0u);
 }
 
 TEST(TaskLedger, ConcurrentPoolSightingsRecordOnce) {
