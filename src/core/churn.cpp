@@ -7,8 +7,8 @@
 
 #include "core/placement.hpp"
 #include "core/scoring.hpp"
-#include "sim/comm.hpp"
 #include "core/taps.hpp"
+#include "sim/comm.hpp"
 #include "support/contract.hpp"
 #include "support/stopwatch.hpp"
 

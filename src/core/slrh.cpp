@@ -11,6 +11,7 @@
 #include "core/scoring.hpp"
 #include "core/sweep.hpp"
 #include "core/taps.hpp"
+#include "support/profile.hpp"
 #include "support/stopwatch.hpp"
 
 namespace ahg::core {
