@@ -1,28 +1,40 @@
-// Run report: render a `.frames.jsonl` flight recording (written by
-// slrh_cli / trace_export via --frames-jsonl) as a human-readable timeline
-// table plus a summary block — the quick look at "what did the run do over
-// time" without loading a Chrome trace.
+// Run report: the "where did the wall time go" reader for slrh_cli's
+// artifacts. Renders a `.frames.jsonl` flight recording (slrh_cli
+// --frames-jsonl) as a timeline table plus a summary block, summarises a
+// `.spans.jsonl` ledger export (--spans) and the worker rows of a Chrome
+// trace (--workers), and compares two recordings (--diff).
 //
 //   slrh_cli --heuristic slrh1 --frames-jsonl run.frames.jsonl
 //   run_report run.frames.jsonl --every 50
+//   run_report base.frames.jsonl --diff candidate.frames.jsonl
 //
 // The timeline samples one row per `--every` frames (always including the
-// first and last); `--heuristic` filters a multi-heuristic recording (e.g.
-// trace_export writes SLRH-1 and Max-Max into one stream). `--spans` adds a
-// task-major block from a `.spans.jsonl` ledger export.
+// first and last); `--heuristic` filters a multi-heuristic recording (frames
+// carry their heuristic's name, so concatenated recordings split back apart).
+//
+// --diff aligns the two recordings timestep by timestep on (heuristic,
+// clock) and reports where, and by how much, they diverge: A/B-ing a code
+// change, comparing weight settings, or measuring churn against a churn-free
+// run of the same scenario. Sampling differences (idle-stride decimation)
+// leave unmatched frames, which are counted but not compared.
+//
+// Exit status: 0 success (with --diff: identical within --tol), 1 the
+// recordings diverged, 2 usage error or an unreadable or malformed file.
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <map>
 #include <set>
-#include <string>
-#include <vector>
-
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "support/args.hpp"
 #include "support/flight_recorder.hpp"
@@ -31,6 +43,26 @@
 #include "support/task_ledger.hpp"
 
 namespace {
+
+using ahg::obs::Frame;
+
+/// Exit status for usage errors and unreadable or malformed files.
+constexpr int kBadInput = 2;
+
+std::ifstream open_or_throw(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) throw std::runtime_error("cannot open");
+  return in;
+}
+
+std::vector<Frame> load_frames(const std::string& path, const std::string& filter) {
+  std::ifstream in = open_or_throw(path);
+  std::vector<Frame> frames = ahg::obs::read_frames_jsonl(in);
+  if (!filter.empty()) {
+    std::erase_if(frames, [&](const Frame& f) { return f.heuristic != filter; });
+  }
+  return frames;
+}
 
 double min_battery(const ahg::obs::Frame& frame) {
   if (frame.battery_fraction.empty())
@@ -50,17 +82,13 @@ void battery_cell(ahg::TextTable& table, double value) {
 
 /// Task-major summary of a `.spans.jsonl` ledger export: span and task
 /// counts plus total cycles per kind (exec / input / wait).
-int report_spans(const std::string& path) {
+void report_spans(const std::string& path) {
   using namespace ahg;
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "run_report: cannot open " << path << "\n";
-    return 2;
-  }
+  std::ifstream in = open_or_throw(path);
   const auto spans = obs::read_task_spans_jsonl(in);
   if (spans.empty()) {
     std::cout << "spans: none in " << path << "\n";
-    return EXIT_SUCCESS;
+    return;
   }
   std::map<std::string, std::pair<std::uint64_t, Cycles>> by_kind;
   std::set<TaskId> tasks;
@@ -87,34 +115,22 @@ int report_spans(const std::string& path) {
     std::cout << remapped << " exec span(s) from remapped placements\n";
   }
   std::cout << "\n";
-  return EXIT_SUCCESS;
 }
 
-/// Worker-utilization summary of a --worker-trace Chrome trace: parses the
+/// Worker-utilization summary of a --chrome-trace document: parses the
 /// pid-3 runtime process back out of the JSON — thread_name metadata for the
 /// row labels, the per-slot "worker_counters" instants for whole-run totals,
 /// ph-X slices for the per-region busy attribution (ring-bounded: slices
 /// cover the newest window when a long run wrapped the event rings).
-int report_workers(const std::string& path) {
+void report_workers(const std::string& path) {
   using namespace ahg;
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "run_report: cannot open " << path << "\n";
-    return 2;
-  }
+  std::ifstream in = open_or_throw(path);
   std::stringstream buffer;
   buffer << in.rdbuf();
-  obs::JsonValue root;
-  try {
-    root = obs::parse_json(buffer.str());
-  } catch (const std::exception& e) {
-    std::cerr << "run_report: " << path << ": " << e.what() << "\n";
-    return 2;
-  }
+  const obs::JsonValue root = obs::parse_json(buffer.str());
   const obs::JsonValue* events = root.find("traceEvents");
   if (events == nullptr || !events->is_array()) {
-    std::cerr << "run_report: " << path << " has no traceEvents array\n";
-    return 2;
+    throw std::runtime_error("no traceEvents array");
   }
 
   constexpr std::int64_t kRuntimePid = 3;
@@ -149,13 +165,17 @@ int report_workers(const std::string& path) {
       }
     } else if (ph == "i" && event.get_string("name") == "worker_counters" &&
                event_args != nullptr) {
+      // Counters: at most 2^53, the frames reader's bound.
+      const auto count = [&](const char* field) {
+        return static_cast<std::uint64_t>(obs::checked_int(
+            event_args->find(field), field, 0, std::int64_t{1} << 53));
+      };
       WorkerStats& w = workers[tid];
       w.label = event_args->get_string("label");
-      w.tasks = static_cast<std::uint64_t>(event_args->get_int("tasks"));
-      w.steals = static_cast<std::uint64_t>(event_args->get_int("steals"));
-      w.steal_attempts =
-          static_cast<std::uint64_t>(event_args->get_int("steal_attempts"));
-      w.parks = static_cast<std::uint64_t>(event_args->get_int("parks"));
+      w.tasks = count("tasks");
+      w.steals = count("steals");
+      w.steal_attempts = count("steal_attempts");
+      w.parks = count("parks");
       w.busy_seconds = event_args->get_double("busy_seconds");
       w.idle_seconds = event_args->get_double("idle_seconds");
     } else if (ph == "X") {
@@ -178,8 +198,8 @@ int report_workers(const std::string& path) {
 
   if (workers.empty() && regions.empty()) {
     std::cout << "run_report: no runtime (pid 3) events in " << path
-              << " — was the trace written with --worker-trace?\n";
-    return EXIT_SUCCESS;
+              << " — was the trace written by slrh_cli --chrome-trace?\n";
+    return;
   }
 
   std::size_t num_workers = 0;
@@ -251,83 +271,11 @@ int report_workers(const std::string& path) {
     region_table.render(std::cout);
   }
   std::cout << "\n";
-  return EXIT_SUCCESS;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+/// Timeline table plus summary block per heuristic, in first-seen order.
+void report_frames(const std::vector<Frame>& frames, std::size_t every) {
   using namespace ahg;
-
-  ArgParser args("run_report",
-                 "summarise a .frames.jsonl flight recording as a timeline "
-                 "table");
-  args.add_positional("frames",
-                      "the .frames.jsonl file to report on (optional when "
-                      "only --workers/--spans are requested)",
-                      std::optional<std::string>(""));
-  args.add_int("every", 1,
-               "print one timeline row per N frames (first and last frames "
-               "are always shown)");
-  args.add_string("heuristic", "",
-                  "only report frames whose heuristic matches exactly (e.g. "
-                  "\"SLRH-1\", \"Max-Max\"); default: all, grouped");
-  args.add_string("spans", "",
-                  "also summarise a .spans.jsonl task-ledger export (written "
-                  "by slrh_cli / trace_export via --spans-jsonl): span and "
-                  "task counts per kind");
-  args.add_string("workers", "",
-                  "summarise the runtime (pid 3) process of a --worker-trace "
-                  "Chrome trace: per-worker utilization and steal counters "
-                  "plus per-region utilization, steal ratio, and imbalance "
-                  "(max/median worker busy)");
-  if (!args.parse(argc, argv)) return args.error() ? EXIT_FAILURE : EXIT_SUCCESS;
-
-  const std::string spans_path = args.get_string("spans");
-  const std::string workers_path = args.get_string("workers");
-  const std::string path = args.get_string("frames");
-  if (path.empty()) {
-    if (workers_path.empty() && spans_path.empty()) {
-      std::cerr << "run_report: nothing to do — give a frames file, "
-                   "--workers, or --spans\n";
-      return 2;
-    }
-    if (!workers_path.empty()) {
-      if (const int rc = report_workers(workers_path); rc != EXIT_SUCCESS)
-        return rc;
-    }
-    if (!spans_path.empty()) return report_spans(spans_path);
-    return EXIT_SUCCESS;
-  }
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "run_report: cannot open " << path << "\n";
-    return 2;
-  }
-  std::vector<obs::Frame> frames = obs::read_frames_jsonl(in);
-  const std::string filter = args.get_string("heuristic");
-  if (!filter.empty()) {
-    std::erase_if(frames,
-                  [&](const obs::Frame& f) { return f.heuristic != filter; });
-  }
-  if (frames.empty()) {
-    // An empty (or fully filtered) stream is a report, not an error: say so
-    // cleanly instead of printing a degenerate table of garbage rows.
-    std::cout << "run_report: no frames"
-              << (filter.empty() ? "" : " matching --heuristic") << " in "
-              << path << " — nothing to report\n";
-    if (!workers_path.empty()) {
-      if (const int rc = report_workers(workers_path); rc != EXIT_SUCCESS)
-        return rc;
-    }
-    if (!spans_path.empty()) return report_spans(spans_path);
-    return EXIT_SUCCESS;
-  }
-  const auto every = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, args.get_int("every")));
-
-  // Group by heuristic, preserving first-seen order (a trace_export stream
-  // holds both heuristics back to back).
   std::vector<std::string> order;
   for (const auto& frame : frames) {
     if (std::find(order.begin(), order.end(), frame.heuristic) == order.end())
@@ -335,7 +283,7 @@ int main(int argc, char** argv) {
   }
 
   for (const auto& name : order) {
-    std::vector<const obs::Frame*> group;
+    std::vector<const Frame*> group;
     for (const auto& frame : frames)
       if (frame.heuristic == name) group.push_back(&frame);
 
@@ -348,7 +296,7 @@ int main(int argc, char** argv) {
                      Align::Right, Align::Right, Align::Right, Align::Right});
     for (std::size_t i = 0; i < group.size(); ++i) {
       if (i % every != 0 && i + 1 != group.size()) continue;
-      const obs::Frame& f = *group[i];
+      const Frame& f = *group[i];
       table.begin_row();
       table.cell(static_cast<long long>(f.clock));
       table.cell(f.objective, 5);
@@ -365,7 +313,7 @@ int main(int argc, char** argv) {
     }
     table.render(std::cout);
 
-    const obs::Frame& last = *group.back();
+    const Frame& last = *group.back();
     std::uint64_t total_pools = 0;
     std::uint64_t total_reused = 0;
     std::uint64_t total_maps = 0;
@@ -404,10 +352,258 @@ int main(int argc, char** argv) {
     }
     std::cout << "\n";
   }
-  if (!workers_path.empty()) {
-    if (const int rc = report_workers(workers_path); rc != EXIT_SUCCESS)
-      return rc;
+}
+
+struct TermDelta {
+  std::string name;
+  double max_abs = 0.0;
+  ahg::Cycles at_clock = -1;
+
+  void feed(double a, double b, ahg::Cycles clock) {
+    const double delta = std::abs(a - b);
+    if (delta > max_abs) {
+      max_abs = delta;
+      at_clock = clock;
+    }
   }
-  if (!spans_path.empty()) return report_spans(spans_path);
-  return EXIT_SUCCESS;
+};
+
+/// --diff: the first diverging field and the per-term drift. Returns 0 when
+/// every aligned frame matches within `tol`, 1 on divergence, kBadInput when
+/// the recordings share no (heuristic, clock) pair.
+int diff_frames(const std::vector<Frame>& base, const std::vector<Frame>& cand,
+                const std::string& base_path, const std::string& cand_path,
+                double tol) {
+  using namespace ahg;
+  // Index: (heuristic, clock) -> frame. Later duplicates win (a recording
+  // ring that wrapped keeps the newest sample of a clock).
+  std::map<std::pair<std::string, Cycles>, const Frame*> base_index;
+  for (const Frame& f : base) base_index[{f.heuristic, f.clock}] = &f;
+
+  std::size_t aligned = 0;
+  std::size_t cand_only = 0;
+  bool diverged = false;
+  const Frame* first_base = nullptr;
+  const Frame* first_cand = nullptr;
+  std::string first_field;
+
+  TermDelta deltas[] = {{"objective"}, {"term_t100"}, {"term_tec"},
+                        {"term_aet"},  {"tec"}};
+  double battery_drift = 0.0;
+  Cycles battery_drift_clock = -1;
+
+  const auto check_int = [&](const Frame& a, const Frame& b,
+                             const char* field, std::uint64_t va,
+                             std::uint64_t vb) {
+    if (va == vb || diverged) return;
+    diverged = true;
+    first_base = &a;
+    first_cand = &b;
+    first_field = field;
+  };
+  const auto check_double = [&](const Frame& a, const Frame& b,
+                                const char* field, double va, double vb) {
+    if (std::abs(va - vb) <= tol || diverged) return;
+    diverged = true;
+    first_base = &a;
+    first_cand = &b;
+    first_field = field;
+  };
+
+  for (const Frame& c : cand) {
+    const auto it = base_index.find({c.heuristic, c.clock});
+    if (it == base_index.end()) {
+      ++cand_only;
+      continue;
+    }
+    const Frame& b = *it->second;
+    ++aligned;
+
+    check_int(b, c, "assigned", b.assigned, c.assigned);
+    check_int(b, c, "t100", b.t100, c.t100);
+    check_int(b, c, "pools_built", b.pools_built, c.pools_built);
+    check_int(b, c, "maps", b.maps, c.maps);
+    check_int(b, c, "last_pool_size", b.last_pool_size, c.last_pool_size);
+    check_int(b, c, "frontier_ready", b.frontier_ready, c.frontier_ready);
+    check_int(b, c, "frontier_unreleased", b.frontier_unreleased,
+              c.frontier_unreleased);
+    check_int(b, c, "departures", b.departures, c.departures);
+    check_int(b, c, "orphaned", b.orphaned, c.orphaned);
+    check_int(b, c, "invalidated", b.invalidated, c.invalidated);
+    check_double(b, c, "objective", b.objective, c.objective);
+    check_double(b, c, "tec", b.tec, c.tec);
+    check_int(b, c, "aet", static_cast<std::uint64_t>(b.aet),
+              static_cast<std::uint64_t>(c.aet));
+
+    deltas[0].feed(b.objective, c.objective, c.clock);
+    deltas[1].feed(b.term_t100, c.term_t100, c.clock);
+    deltas[2].feed(b.term_tec, c.term_tec, c.clock);
+    deltas[3].feed(b.term_aet, c.term_aet, c.clock);
+    deltas[4].feed(b.tec, c.tec, c.clock);
+
+    const std::size_t machines =
+        std::min(b.battery_fraction.size(), c.battery_fraction.size());
+    if (b.battery_fraction.size() != c.battery_fraction.size())
+      check_int(b, c, "battery_fraction.size", b.battery_fraction.size(),
+                c.battery_fraction.size());
+    for (std::size_t m = 0; m < machines; ++m) {
+      const double drift =
+          std::abs(b.battery_fraction[m] - c.battery_fraction[m]);
+      if (drift > battery_drift) {
+        battery_drift = drift;
+        battery_drift_clock = c.clock;
+      }
+      if (drift > tol) check_double(b, c, "battery_fraction", 0.0, drift);
+    }
+  }
+  const std::size_t base_only = base.size() - aligned;
+
+  std::cout << "aligned " << aligned << " frame(s) on (heuristic, clock); "
+            << base_only << " only in " << base_path << ", " << cand_only
+            << " only in " << cand_path << "\n";
+  if (aligned == 0) {
+    std::cerr << "run_report: nothing to compare — the recordings share no "
+                 "(heuristic, clock) pair (different scenarios or sampling "
+                 "options?)\n";
+    return kBadInput;
+  }
+
+  if (diverged) {
+    std::cout << "FIRST DIVERGENCE: " << first_cand->heuristic << " clock "
+              << first_cand->clock << ", field " << first_field << "\n";
+    TextTable table({"field", "base", "candidate"},
+                    {Align::Left, Align::Right, Align::Right});
+    const auto row = [&](const std::string& name, double a, double b,
+                         int precision) {
+      table.begin_row();
+      table.cell(name);
+      table.cell(a, precision);
+      table.cell(b, precision);
+    };
+    row("objective", first_base->objective, first_cand->objective, 6);
+    row("assigned", static_cast<double>(first_base->assigned),
+        static_cast<double>(first_cand->assigned), 0);
+    row("T100", static_cast<double>(first_base->t100),
+        static_cast<double>(first_cand->t100), 0);
+    row("maps this tick", static_cast<double>(first_base->maps),
+        static_cast<double>(first_cand->maps), 0);
+    row("pool size", static_cast<double>(first_base->last_pool_size),
+        static_cast<double>(first_cand->last_pool_size), 0);
+    row("TEC", first_base->tec, first_cand->tec, 4);
+    table.render(std::cout);
+  } else {
+    std::cout << "no divergence: every aligned frame matches (tol "
+              << format_fixed(tol, 12) << " on floats)\n";
+  }
+
+  std::cout << "max per-term drift over aligned frames:\n";
+  TextTable drift({"term", "max |delta|", "at clock"},
+                  {Align::Left, Align::Right, Align::Right});
+  for (const TermDelta& d : deltas) {
+    drift.begin_row();
+    drift.cell(d.name);
+    drift.cell(d.max_abs, 9);
+    drift.cell(static_cast<long long>(d.at_clock));
+  }
+  drift.begin_row();
+  drift.cell(std::string("battery (per-machine)"));
+  drift.cell(battery_drift, 9);
+  drift.cell(static_cast<long long>(battery_drift_clock));
+  drift.render(std::cout);
+
+  return diverged ? 1 : 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  using namespace ahg;
+
+  ArgParser args("run_report",
+                 "summarise a .frames.jsonl flight recording as a timeline "
+                 "table, or compare two recordings with --diff");
+  args.add_positional("frames",
+                      "the .frames.jsonl file to report on (optional when "
+                      "only --workers/--spans are requested; the base "
+                      "recording with --diff)",
+                      std::optional<std::string>(""));
+  args.add_int("every", 1,
+               "print one timeline row per N frames (first and last frames "
+               "are always shown)");
+  args.add_string("heuristic", "",
+                  "only report frames whose heuristic matches exactly (e.g. "
+                  "\"SLRH-1\", \"Max-Max\"); default: all, grouped");
+  args.add_string("spans", "",
+                  "also summarise a .spans.jsonl task-ledger export (written "
+                  "by slrh_cli --spans-jsonl): span and task counts per kind");
+  args.add_string("workers", "",
+                  "summarise the runtime (pid 3) process of a slrh_cli "
+                  "--chrome-trace document: per-worker utilization and steal "
+                  "counters plus per-region utilization, steal ratio, and "
+                  "imbalance (max/median worker busy)");
+  args.add_string("diff", "",
+                  "instead of the timeline, align this candidate recording "
+                  "with the frames file by (heuristic, clock) and report the "
+                  "first divergence and per-term drift; exit 1 if they "
+                  "diverge");
+  args.add_double("tol", 0.0,
+                  "--diff: absolute tolerance for floating-point fields "
+                  "(terms, objective, TEC, battery); integers always compare "
+                  "exactly");
+  if (!args.parse(argc, argv)) return args.error() ? kBadInput : EXIT_SUCCESS;
+
+  const std::string spans_path = args.get_string("spans");
+  const std::string workers_path = args.get_string("workers");
+  const std::string path = args.get_string("frames");
+  const std::string diff_path = args.get_string("diff");
+  const std::string filter = args.get_string("heuristic");
+  if (path.empty() &&
+      (!diff_path.empty() || (workers_path.empty() && spans_path.empty()))) {
+    std::cerr << "run_report: nothing to do — give a frames file, "
+                 "--workers, or --spans (--diff needs a frames file)\n";
+    return kBadInput;
+  }
+
+  // One catch for every reader: an unreadable or malformed artifact is
+  // reported as `run_report: <path>: <message>` with exit status 2.
+  std::string reading;
+  try {
+    int status = EXIT_SUCCESS;
+    if (!path.empty()) {
+      reading = path;
+      const std::vector<Frame> frames = load_frames(path, filter);
+      if (!diff_path.empty()) {
+        reading = diff_path;
+        const std::vector<Frame> cand = load_frames(diff_path, filter);
+        if (frames.empty() || cand.empty()) {
+          std::cerr << "run_report: " << (frames.empty() ? path : diff_path)
+                    << " holds no frames"
+                    << (filter.empty() ? "" : " matching --heuristic") << "\n";
+          return kBadInput;
+        }
+        status = diff_frames(frames, cand, path, diff_path, args.get_double("tol"));
+      } else if (frames.empty()) {
+        // An empty (or fully filtered) stream is a report, not an error: say
+        // so cleanly instead of printing a degenerate table of garbage rows.
+        std::cout << "run_report: no frames"
+                  << (filter.empty() ? "" : " matching --heuristic") << " in "
+                  << path << " — nothing to report\n";
+      } else {
+        report_frames(frames, static_cast<std::size_t>(
+                                  std::max<std::int64_t>(1, args.get_int("every"))));
+      }
+    }
+    if (!workers_path.empty()) {
+      reading = workers_path;
+      report_workers(workers_path);
+    }
+    if (!spans_path.empty()) {
+      reading = spans_path;
+      report_spans(spans_path);
+    }
+    return status;
+  } catch (const std::exception& e) {
+    std::cerr << "run_report: " << reading << ": " << e.what() << "\n";
+    return kBadInput;
+  }
 }

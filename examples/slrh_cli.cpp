@@ -5,9 +5,15 @@
 //   slrh_cli --scenario-in saved.scn --heuristic maxmax --validate
 //   slrh_cli --tasks 128 --scenario-out saved.scn --heuristic none
 //   slrh_cli --heuristic lagrangian --tasks 128 --case C
+//   slrh_cli --heuristic maxmax --tasks 96 --out-dir traces --critical-path
+//
+// slrh_cli is the one artifact writer: every observation stream and schedule
+// dump comes from its flags; run_report and trace_inspect read them back.
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -19,12 +25,13 @@
 #include "core/lagrangian.hpp"
 #include "core/upper_bound.hpp"
 #include "core/validate.hpp"
+#include "sim/svg.hpp"
+#include "sim/trace.hpp"
 #include "support/args.hpp"
 #include "support/chrome_trace.hpp"
 #include "support/env.hpp"
 #include "support/event_log.hpp"
 #include "support/flight_recorder.hpp"
-#include "support/openmetrics.hpp"
 #include "support/runtime_profiler.hpp"
 #include "support/task_ledger.hpp"
 #include "support/thread_pool.hpp"
@@ -40,6 +47,16 @@ using namespace ahg;
 int fail(const std::string& message) {
   std::cerr << "slrh_cli: " << message << "\n";
   return EXIT_FAILURE;
+}
+
+/// File stem for --out-dir artifacts: the display name of the paper's
+/// heuristics ("SLRH-1", "Max-Max"), the CLI name of the baselines.
+std::string artifact_stem(const std::string& name) {
+  if (name == "slrh1") return core::to_string(core::HeuristicKind::Slrh1);
+  if (name == "slrh2") return core::to_string(core::HeuristicKind::Slrh2);
+  if (name == "slrh3") return core::to_string(core::HeuristicKind::Slrh3);
+  if (name == "maxmax") return core::to_string(core::HeuristicKind::MaxMax);
+  return name;
 }
 
 }  // namespace
@@ -78,20 +95,19 @@ int main(int argc, char** argv) {
                   "trace_inspect");
   args.add_string("metrics", "",
                   "write counters and phase-time histograms as JSON to this "
-                  "file after the run");
+                  "file after the run; an attached task ledger adds its "
+                  "dwell-time histograms, --chrome-trace the pool's runtime "
+                  "counters");
   args.add_string("frames-jsonl", "",
                   "attach a full-fidelity flight recorder (slrh1-3, maxmax; "
                   "churn-aware) and write its per-timestep frames as JSONL to "
-                  "this file — analyse with run_report / run_diff");
+                  "this file — analyse with run_report, compare with "
+                  "run_report --diff");
   args.add_string("chrome-trace", "",
-                  "write the flight recording as Chrome trace_event JSON "
-                  "(load in chrome://tracing or Perfetto): spans as duration "
-                  "events, frames as counter tracks");
-  args.add_string("openmetrics", "",
-                  "write the run's metrics snapshot as OpenMetrics text "
-                  "exposition to this file; with --spans-jsonl or "
-                  "--critical-path the ledger's dwell-time histograms are "
-                  "appended as a second exposition");
+                  "attach the flight recorder, a task ledger and a thread-pool "
+                  "runtime profiler and write them as one Chrome trace_event "
+                  "JSON document (load in chrome://tracing or Perfetto; "
+                  "summarise the worker rows with run_report --workers)");
   args.add_string("spans-jsonl", "",
                   "attach a task ledger (slrh1-3, maxmax; churn-aware) and "
                   "write its task-major spans (exec/input/wait) as JSONL to "
@@ -99,11 +115,10 @@ int main(int argc, char** argv) {
   args.add_flag("critical-path",
                 "attach a task ledger and print the makespan critical path "
                 "with per-category attribution after the run");
-  args.add_string("worker-trace", "",
-                  "attach a runtime profiler to the thread pool and write a "
-                  "wall-clock Chrome trace (one row per worker: run/steal/"
-                  "idle slices, region markers) to this file — analyse with "
-                  "run_report --workers");
+  args.add_string("out-dir", "",
+                  "write the schedule to this directory as "
+                  "<Heuristic>_assignments.csv, _assignments.jsonl "
+                  "(assignments, then comms), _comms.csv and _gantt.svg");
   args.add_string("heartbeat", "",
                   "periodically rewrite this JSON file with live progress "
                   "(phase, clock, tasks placed, per-worker busy %, RSS, ETA) "
@@ -125,7 +140,9 @@ int main(int argc, char** argv) {
 
   // --- scenario -----------------------------------------------------------
   std::optional<workload::Scenario> scenario;
+  std::string scenario_label;  // names the scenario in the SVG Gantt title
   if (const auto path = args.get_string("scenario-in"); !path.empty()) {
+    scenario_label = std::filesystem::path(path).filename().string();
     try {
       scenario = workload::load_scenario(path);
     } catch (const std::exception& e) {
@@ -143,6 +160,7 @@ int main(int argc, char** argv) {
     else if (case_name == "B" || case_name == "b") grid_case = sim::GridCase::B;
     else if (case_name == "C" || case_name == "c") grid_case = sim::GridCase::C;
     else return fail("unknown case '" + case_name + "' (want A, B or C)");
+    scenario_label = sim::to_string(grid_case);
     const workload::ScenarioSuite suite(suite_params);
     scenario = suite.make(grid_case, static_cast<std::size_t>(args.get_int("etc")),
                           static_cast<std::size_t>(args.get_int("dag")));
@@ -208,7 +226,6 @@ int main(int argc, char** argv) {
   const std::string metrics_path = args.get_string("metrics");
   const std::string frames_path = args.get_string("frames-jsonl");
   const std::string chrome_path = args.get_string("chrome-trace");
-  const std::string openmetrics_path = args.get_string("openmetrics");
   obs::MetricsRegistry metrics;
   std::ofstream trace_stream;
   std::unique_ptr<obs::Sink> sink_holder;
@@ -218,7 +235,7 @@ int main(int argc, char** argv) {
     if (!trace_stream) return fail("cannot open trace file " + trace_path);
     sink_holder = std::make_unique<obs::JsonlSink>(trace_stream, &metrics);
     sink = sink_holder.get();
-  } else if (!metrics_path.empty() || !openmetrics_path.empty()) {
+  } else if (!metrics_path.empty()) {
     // Metrics without a decision trace: a forwarding sink with no downstream
     // collects phase histograms but skips event assembly entirely.
     sink_holder = std::make_unique<obs::ForwardSink>(&metrics, nullptr);
@@ -247,11 +264,10 @@ int main(int argc, char** argv) {
   // itself, heuristic-agnostic (any pool user is covered). The heartbeat is
   // declared AFTER the profiler so its background thread stops before the
   // profiler it samples is destroyed.
-  const std::string worker_trace_path = args.get_string("worker-trace");
   const std::string heartbeat_path = args.get_string("heartbeat");
   std::optional<obs::RuntimeProfiler> profiler_storage;
   obs::RuntimeProfiler* profiler = nullptr;
-  if (!worker_trace_path.empty()) {
+  if (!chrome_path.empty()) {
     profiler_storage.emplace(global_pool().size());
     profiler = &*profiler_storage;
     global_pool().set_profiler(profiler);
@@ -345,7 +361,7 @@ int main(int argc, char** argv) {
             << result.tec << ", heuristic " << result.wall_seconds * 1e3 << " ms\n";
 
   // Memory telemetry gauges: per-structure footprints plus process peak RSS,
-  // visible in --metrics / --openmetrics output.
+  // visible in --metrics output.
   if (result.schedule != nullptr) {
     metrics.gauge("memory.timeline_bytes")
         .set(static_cast<double>(result.schedule->timeline_memory_bytes()));
@@ -368,6 +384,8 @@ int main(int argc, char** argv) {
               << "\n";
   }
   if (!metrics_path.empty()) {
+    if (ledger != nullptr) metrics.merge(obs::ledger_metrics_snapshot(*ledger));
+    if (profiler != nullptr) metrics.merge(obs::runtime_metrics_snapshot(*profiler));
     std::ofstream metrics_stream(metrics_path);
     if (!metrics_stream) return fail("cannot open metrics file " + metrics_path);
     metrics.snapshot().write_json(metrics_stream);
@@ -390,15 +408,6 @@ int main(int argc, char** argv) {
               << recorder->frames_recorded() << " frame(s) -> " << chrome_path
               << "\n";
   }
-  if (!worker_trace_path.empty()) {
-    std::ofstream worker_stream(worker_trace_path);
-    if (!worker_stream) return fail("cannot open trace file " + worker_trace_path);
-    obs::write_chrome_trace(worker_stream, recorder, ledger, profiler, "slrh_cli");
-    const obs::RuntimeProfiler::Totals totals = profiler->totals();
-    std::cout << "worker trace: " << global_pool().size() << " worker(s), "
-              << totals.tasks << " task(s), " << totals.steals << " steal(s) -> "
-              << worker_trace_path << "\n";
-  }
   if (!spans_path.empty()) {
     std::ofstream spans_stream(spans_path);
     if (!spans_stream) return fail("cannot open spans file " + spans_path);
@@ -408,13 +417,36 @@ int main(int argc, char** argv) {
               << ledger->transitions_dropped() << " dropped) -> " << spans_path
               << "\n";
   }
-  if (!openmetrics_path.empty()) {
-    std::ofstream om_stream(openmetrics_path);
-    if (!om_stream) return fail("cannot open openmetrics file " + openmetrics_path);
-    obs::write_openmetrics(om_stream, metrics.snapshot());
-    if (ledger != nullptr) obs::write_ledger_openmetrics(om_stream, *ledger);
-    if (profiler != nullptr) obs::write_runtime_openmetrics(om_stream, *profiler);
-    std::cout << "openmetrics -> " << openmetrics_path << "\n";
+  if (const std::filesystem::path out_dir = args.get_string("out-dir");
+      !out_dir.empty() && result.schedule != nullptr) {
+    std::error_code ec;
+    std::filesystem::create_directories(out_dir, ec);
+    if (ec) return fail("cannot create " + out_dir.string() + ": " + ec.message());
+    const sim::Schedule& schedule = *result.schedule;
+    const std::string stem = artifact_stem(name);
+    sim::SvgOptions svg;
+    svg.title = stem + " — " + std::to_string(scenario->num_tasks()) +
+                " subtasks, " + scenario_label;
+    const std::pair<const char*, std::function<void(std::ostream&)>> dumps[] = {
+        {"_assignments.csv",
+         [&](std::ostream& os) { sim::write_assignment_csv(os, schedule); }},
+        {"_assignments.jsonl",
+         [&](std::ostream& os) {
+           sim::write_assignment_jsonl(os, schedule);
+           sim::write_comm_jsonl(os, schedule);
+         }},
+        {"_comms.csv", [&](std::ostream& os) { sim::write_comm_csv(os, schedule); }},
+        {"_gantt.svg",
+         [&](std::ostream& os) { sim::render_svg_gantt(os, schedule, svg); }},
+    };
+    for (const auto& [suffix, write] : dumps) {
+      const auto path = out_dir / (stem + suffix);
+      std::ofstream f(path);
+      if (!f) return fail("cannot open " + path.string());
+      write(f);
+    }
+    std::cout << "schedule: " << stem << "_{assignments.csv,assignments.jsonl,"
+              << "comms.csv,gantt.svg} -> " << out_dir.string() << "\n";
   }
   if (want_critical_path && result.schedule != nullptr) {
     const auto report =

@@ -1,5 +1,6 @@
-// Trace inspector: offline analysis of the per-decision JSONL telemetry
-// emitted by the heuristics (see --trace-jsonl on slrh_cli / trace_export).
+// Trace inspector: the "why was this decision taken" reader. Offline
+// analysis of the per-decision JSONL telemetry the heuristics emit (slrh_cli
+// --trace-jsonl).
 //
 // With no options: per-heuristic run summaries — decisions, stalls, pool
 // statistics, admission-rejection totals, and the final run outcome.
@@ -12,20 +13,39 @@
 //
 //   trace_inspect decisions.jsonl
 //   trace_inspect decisions.jsonl --task 17
+//
+// Exit status: 0 success, 2 usage error or an unreadable or malformed file.
 
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "support/args.hpp"
 #include "support/jsonl.hpp"
+#include "support/units.hpp"
 
 namespace {
 
 using ahg::obs::JsonValue;
+
+// The spans and frames readers' ranges: ids in [-1, int32 max], clocks and
+// counts in [0, 2^53] (the last integer a JSON number holds exactly).
+constexpr std::int64_t kMaxId = std::numeric_limits<ahg::TaskId>::max();
+constexpr std::int64_t kMaxCount = std::int64_t{1} << 53;
+
+std::int64_t id_field(const JsonValue& event, const char* field) {
+  return ahg::obs::checked_int(event.find(field), field, -1, kMaxId, -1);
+}
+
+std::int64_t count_field(const JsonValue& event, const char* field) {
+  return ahg::obs::checked_int(event.find(field), field, 0, kMaxCount);
+}
 
 struct HeuristicStats {
   std::size_t run_begins = 0;
@@ -62,27 +82,33 @@ void drill_down(const std::vector<JsonValue>& events, std::int64_t task) {
   std::size_t hits = 0;
   for (const auto& event : events) {
     if (event.get_string("type") != "map") continue;
-    if (event.get_int("task", -1) != task) continue;
+    if (id_field(event, "task") != task) continue;
     ++hits;
-    std::cout << "why task " << task << " -> machine " << event.get_int("machine")
-              << " (" << event.get_string("heuristic", "?") << ")\n";
-    if (const JsonValue* clock = event.find("clock"); clock != nullptr) {
-      std::cout << "  at clock " << clock->as_int() << ": ";
+    // Read every checked field before printing, so a malformed event fails
+    // before any of its lines are written.
+    const std::int64_t machine = id_field(event, "machine");
+    const std::int64_t clock = count_field(event, "clock");
+    const std::int64_t pool_size = count_field(event, "pool_size");
+    const std::int64_t start = count_field(event, "start_cycles");
+    const std::int64_t finish = count_field(event, "finish_cycles");
+    std::cout << "why task " << task << " -> machine " << machine << " ("
+              << event.get_string("heuristic", "?") << ")\n";
+    if (event.find("clock") != nullptr) {
+      std::cout << "  at clock " << clock << ": ";
     } else {
       std::cout << "  ";
     }
-    std::cout << "pool of " << event.get_int("pool_size") << " candidates; chose "
+    std::cout << "pool of " << pool_size << " candidates; chose "
               << version_name(event) << " version, score "
-              << event.get_double("score") << ", start "
-              << event.get_int("start_cycles") << ", finish "
-              << event.get_int("finish_cycles") << "\n";
+              << event.get_double("score") << ", start " << start << ", finish "
+              << finish << "\n";
     print_terms(event);
     if (const JsonValue* cands = event.find("candidates");
         cands != nullptr && cands->is_array()) {
       bool any_skipped = false;
       for (const auto& cand : cands->as_array()) {
         const std::string reject = cand.get_string("reject");
-        const std::int64_t cand_task = cand.get_int("task", -1);
+        const std::int64_t cand_task = id_field(cand, "task");
         if (cand_task == task && reject.empty()) break;  // the chosen one
         if (!any_skipped) {
           std::cout << "    ranked above it but passed over:\n";
@@ -119,15 +145,15 @@ void summarize(const std::vector<JsonValue>& events) {
       ++stats.stalls;
     } else if (type == "pool") {
       ++stats.pools;
-      stats.pool_members += static_cast<std::size_t>(event.get_int("pool_size"));
+      stats.pool_members += static_cast<std::size_t>(count_field(event, "pool_size"));
       stats.rejected_unreleased +=
-          static_cast<std::size_t>(event.get_int("rejected_unreleased"));
+          static_cast<std::size_t>(count_field(event, "rejected_unreleased"));
       stats.rejected_assigned +=
-          static_cast<std::size_t>(event.get_int("rejected_assigned"));
+          static_cast<std::size_t>(count_field(event, "rejected_assigned"));
       stats.rejected_parents +=
-          static_cast<std::size_t>(event.get_int("rejected_parents"));
+          static_cast<std::size_t>(count_field(event, "rejected_parents"));
       stats.rejected_energy +=
-          static_cast<std::size_t>(event.get_int("rejected_energy"));
+          static_cast<std::size_t>(count_field(event, "rejected_energy"));
     } else if (type == "tuner_point") {
       ++stats.tuner_points;
       if (event.get_bool("feasible")) ++stats.tuner_feasible;
@@ -184,27 +210,23 @@ int main(int argc, char** argv) {
                       "why-was-task-t-mapped-to-machine-j queries");
   args.add_positional("trace", "JSONL trace file written via --trace-jsonl");
   args.add_int("task", -1, "drill into every map decision of this subtask id");
-  if (!args.parse(argc, argv)) return args.error() ? EXIT_FAILURE : EXIT_SUCCESS;
+  if (!args.parse(argc, argv)) return args.error() ? 2 : EXIT_SUCCESS;
 
+  // One catch for the load and the report: an unreadable or malformed trace
+  // is reported as `trace_inspect: <path>: <message>` with exit status 2.
   const std::string path = args.get_string("trace");
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "trace_inspect: cannot open " << path << "\n";
-    return EXIT_FAILURE;
-  }
-
-  std::vector<JsonValue> events;
   try {
-    events = ahg::obs::parse_jsonl(in);
+    std::ifstream in(path);
+    if (!in) throw std::runtime_error("cannot open");
+    const std::vector<JsonValue> events = ahg::obs::parse_jsonl(in);
+    if (const std::int64_t task = args.get_int("task"); task >= 0) {
+      drill_down(events, task);
+    } else {
+      summarize(events);
+    }
   } catch (const std::exception& e) {
     std::cerr << "trace_inspect: " << path << ": " << e.what() << "\n";
-    return EXIT_FAILURE;
-  }
-
-  if (const std::int64_t task = args.get_int("task"); task >= 0) {
-    drill_down(events, task);
-  } else {
-    summarize(events);
+    return 2;
   }
   return EXIT_SUCCESS;
 }

@@ -31,7 +31,8 @@
 // {region, stolen}) and coalesced "idle" intervals, and one ph-"i" instant
 // ("worker_counters") per slot whose args carry the accumulated counters —
 // tasks, steals, steal_attempts, parks, busy/idle seconds — which
-// `run_report --workers` parses back for the utilization summary.
+// `run_report --workers` parses back from `slrh_cli --chrome-trace` output
+// for the utilization summary.
 
 #include <iosfwd>
 #include <string_view>

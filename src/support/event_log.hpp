@@ -6,7 +6,8 @@
 // with the per-term breakdown (alpha*T100/|T|, beta*TEC/TSE, gamma*AET/tau),
 // the candidate-pool context, and the rejection reasons of higher-ranked
 // candidates — enough to answer "why was task t mapped to machine j" from
-// the trace alone (see examples/trace_inspect.cpp).
+// the trace alone (slrh_cli --trace-jsonl writes it; examples/trace_inspect
+// reads it back).
 //
 // The SLRH, Max-Max and churn drivers emit through core::Taps, which states
 // the null-handle contract (core/taps.hpp).

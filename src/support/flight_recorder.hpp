@@ -114,8 +114,8 @@ class FlightRecorder {
     std::uint64_t span_stride = 256;
   };
 
-  /// Full-fidelity configuration for analysis runs (the CLI exporters use
-  /// it): every tick sampled, every pool build timed, deep rings. Overhead
+  /// Full-fidelity configuration for analysis runs (slrh_cli uses it):
+  /// every tick sampled, every pool build timed, deep rings. Overhead
   /// is paid — don't benchmark with this.
   static Options dense_options() {
     Options options;
@@ -158,7 +158,8 @@ class FlightRecorder {
   std::size_t memory_bound_bytes(std::size_t num_machines) const noexcept;
 
   /// One frame per line in JsonWriter form — the `.frames.jsonl` format
-  /// consumed by examples/run_report and examples/run_diff.
+  /// slrh_cli --frames-jsonl writes and examples/run_report (timeline and
+  /// --diff) reads.
   void write_frames_jsonl(std::ostream& os) const;
 
  private:

@@ -1,6 +1,7 @@
 #include "support/runtime_profiler.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -8,6 +9,7 @@
 
 #include "support/contract.hpp"
 #include "support/jsonl.hpp"
+#include "support/metrics.hpp"
 
 #if defined(__linux__)
 #include <unistd.h>
@@ -324,6 +326,38 @@ std::size_t RuntimeProfiler::memory_bound_bytes() const noexcept {
   return slots_.size() *
              (sizeof(Slot) + options_.max_events_per_worker * sizeof(WorkerEvent)) +
          options_.max_regions * (sizeof(RegionRecord) + sizeof(std::uint32_t));
+}
+
+MetricsSnapshot runtime_metrics_snapshot(const RuntimeProfiler& profiler) {
+  // Wall-seconds buckets: parallel_for windows span ~10 µs chunk fan-outs to
+  // multi-second 262k-task cache builds.
+  static constexpr std::array<double, 10> kBounds = {
+      1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 1.0};
+
+  MetricsRegistry registry;
+  const RuntimeProfiler::Totals totals = profiler.totals();
+  registry.counter("runtime.tasks").add(totals.tasks);
+  registry.counter("runtime.steals").add(totals.steals);
+  registry.counter("runtime.steal_attempts").add(totals.steal_attempts);
+  registry.counter("runtime.parks").add(totals.parks);
+  registry.counter("runtime.events_dropped").add(totals.events_dropped);
+  registry.gauge("runtime.workers")
+      .set(static_cast<double>(profiler.num_workers()));
+  registry.gauge("runtime.busy_seconds").set(totals.busy_seconds);
+  registry.gauge("runtime.idle_seconds").set(totals.idle_seconds);
+  registry.gauge("runtime.rss_bytes")
+      .set(static_cast<double>(process_rss_bytes()));
+  registry.gauge("runtime.peak_rss_bytes")
+      .set(static_cast<double>(process_peak_rss_bytes()));
+  registry.gauge("runtime.profiler_bound_bytes")
+      .set(static_cast<double>(profiler.memory_bound_bytes()));
+
+  for (const RuntimeProfiler::RegionRecord& region : profiler.snapshot_regions()) {
+    if (region.duration_seconds < 0.0) continue;  // still open: no duration yet
+    registry.histogram("runtime.region_" + region.name + "_seconds", kBounds)
+        .observe(region.duration_seconds);
+  }
+  return registry.snapshot();
 }
 
 // --- heartbeat -------------------------------------------------------------

@@ -219,6 +219,18 @@ class RuntimeProfiler {
   std::chrono::steady_clock::time_point start_;
 };
 
+struct MetricsSnapshot;
+
+/// Distill a RuntimeProfiler into a metrics snapshot: wall-clock work-
+/// stealing counters (`runtime.tasks/_steals/_steal_attempts/_parks/
+/// _events_dropped`), pool-shape gauges (`runtime.workers`,
+/// `runtime.busy_seconds`, `runtime.idle_seconds`, `runtime.rss_bytes`,
+/// `runtime.peak_rss_bytes`, `runtime.profiler_bound_bytes`), and one
+/// wall-seconds duration histogram per named parallel_for region
+/// (`runtime.region_<name>_seconds` over the recorded ring — newest windows
+/// when the ring wrapped; still-open regions are skipped).
+MetricsSnapshot runtime_metrics_snapshot(const RuntimeProfiler& profiler);
+
 /// RAII region marker; a null profiler makes both ends a no-op.
 class RuntimeRegion {
  public:

@@ -1,6 +1,7 @@
 #include "support/task_ledger.hpp"
 
 #include <algorithm>
+#include <array>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -8,6 +9,7 @@
 #include "support/checked.hpp"
 #include "support/contract.hpp"
 #include "support/jsonl.hpp"
+#include "support/metrics.hpp"
 
 namespace ahg::obs {
 
@@ -313,6 +315,56 @@ std::vector<TaskSpan> read_task_spans_jsonl(std::istream& in) {
     out.push_back(std::move(span));
   }
   return out;
+}
+
+MetricsSnapshot ledger_metrics_snapshot(const TaskLedger& ledger) {
+  // Simulation-seconds buckets (1 cycle = 0.1 s): sub-timestep up to several
+  // horizons.
+  static constexpr std::array<double, 10> kBounds = {
+      0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0, 3000.0};
+
+  MetricsRegistry registry;
+  Histogram& released = registry.histogram("ledger.dwell_released_seconds", kBounds);
+  Histogram& ready = registry.histogram("ledger.dwell_ready_seconds", kBounds);
+  Histogram& pooled = registry.histogram("ledger.dwell_pooled_seconds", kBounds);
+  Histogram& admitted = registry.histogram("ledger.dwell_admitted_seconds", kBounds);
+  Histogram& input = registry.histogram("ledger.input_transfer_seconds", kBounds);
+  Histogram& exec = registry.histogram("ledger.exec_seconds", kBounds);
+
+  const auto observe_delta = [](Histogram& h, Cycles from, Cycles to) {
+    if (from < 0 || to < from) return;  // unobserved, or round-index clocks
+    h.observe(seconds_from_cycles(to - from));
+  };
+
+  std::uint64_t n_released = 0, n_completed = 0, n_orphaned = 0;
+  std::uint64_t n_invalidated = 0, n_remapped = 0, n_degraded = 0;
+  for (const TaskRecord& r : ledger.records()) {
+    if (r.released >= 0) ++n_released;
+    if (r.frontier_ready >= 0) observe_delta(released, r.released, r.frontier_ready);
+    if (r.first_pooled >= 0) observe_delta(ready, r.frontier_ready, r.first_pooled);
+    if (r.admitted_clock >= 0) observe_delta(pooled, r.first_pooled, r.admitted_clock);
+    if (r.exec_start >= 0) {
+      observe_delta(admitted, r.admitted_clock, r.exec_start);
+      observe_delta(exec, r.exec_start, r.exec_finish);
+    }
+    if (r.attempts > 0 && r.state == TaskState::Completed) ++n_completed;
+    if (r.attempts > 1) ++n_remapped;
+    n_orphaned += r.orphan_count;
+    n_invalidated += r.invalidated_count;
+    if (r.degraded) ++n_degraded;
+    for (const TaskInputEdge& e : r.inputs) {
+      if (e.finish > e.start) observe_delta(input, e.start, e.finish);
+    }
+  }
+  registry.counter("ledger.tasks_released").add(n_released);
+  registry.counter("ledger.tasks_completed").add(n_completed);
+  registry.counter("ledger.tasks_orphaned").add(n_orphaned);
+  registry.counter("ledger.tasks_invalidated").add(n_invalidated);
+  registry.counter("ledger.tasks_remapped").add(n_remapped);
+  registry.counter("ledger.tasks_degraded").add(n_degraded);
+  registry.counter("ledger.transitions_recorded").add(ledger.transitions_recorded());
+  registry.counter("ledger.transitions_dropped").add(ledger.transitions_dropped());
+  return registry.snapshot();
 }
 
 }  // namespace ahg::obs

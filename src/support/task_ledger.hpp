@@ -196,7 +196,7 @@ class TaskLedger {
   std::vector<TaskSpan> spans() const;
 
   /// One span per line in JsonWriter form — the `.spans.jsonl` format
-  /// consumed by examples/run_report.
+  /// slrh_cli --spans-jsonl writes and examples/run_report --spans reads.
   void write_spans_jsonl(std::ostream& os) const;
 
  private:
@@ -226,5 +226,19 @@ void write_task_span_json(std::ostream& os, const TaskSpan& span);
 /// be an integer in [-1, its type's max], attempt must fit uint32_t, and
 /// start/finish must lie in [0, 2^53], else PreconditionError names it.
 std::vector<TaskSpan> read_task_spans_jsonl(std::istream& in);
+
+struct MetricsSnapshot;
+
+/// Distill a TaskLedger into a metrics snapshot: per-state dwell-time
+/// histograms in SIMULATION seconds (`ledger.dwell_released_seconds`
+/// release→ready, `ledger.dwell_ready_seconds` ready→first pool,
+/// `ledger.dwell_pooled_seconds` pool→admission, `ledger.dwell_admitted_seconds`
+/// admission→exec start, `ledger.input_transfer_seconds` per timed input edge,
+/// `ledger.exec_seconds` the execution window) plus lifecycle counters
+/// (`ledger.tasks_released/_completed/_orphaned/_invalidated/_remapped/
+/// _degraded`, `ledger.transitions_recorded/_dropped`). Negative deltas —
+/// possible when a driver stamps round indices rather than sim cycles
+/// (Max-Max) — are skipped, never folded into a histogram.
+MetricsSnapshot ledger_metrics_snapshot(const TaskLedger& ledger);
 
 }  // namespace ahg::obs

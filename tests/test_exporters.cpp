@@ -1,10 +1,9 @@
-// Tests for the two flight-recorder export formats: Chrome trace_event JSON
-// (chrome://tracing / Perfetto legacy mode) and OpenMetrics text exposition.
-// Both are checked structurally — parse the output, don't pattern-match it.
+// Tests for the flight-recorder export format: Chrome trace_event JSON
+// (chrome://tracing / Perfetto legacy mode), checked structurally — parse
+// the output, don't pattern-match it.
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,8 +12,6 @@
 #include "support/chrome_trace.hpp"
 #include "support/flight_recorder.hpp"
 #include "support/jsonl.hpp"
-#include "support/metrics.hpp"
-#include "support/openmetrics.hpp"
 #include "support/task_ledger.hpp"
 #include "workload/scenario.hpp"
 
@@ -189,102 +186,6 @@ TEST(ChromeTrace, LedgerAddsTaskRowsAndFlowEvents) {
   EXPECT_GT(flow_starts, 0u);
   EXPECT_GT(flow_finishes, 0u);
   EXPECT_TRUE(saw_machine_row);
-}
-
-TEST(OpenMetrics, LedgerExpositionHasDwellHistogramsAndCounters) {
-  workload::SuiteParams params;
-  params.num_tasks = 48;
-  params.num_etc = 1;
-  params.num_dag = 1;
-  const workload::ScenarioSuite suite(params);
-  const auto scenario = suite.make(sim::GridCase::A, 0, 0);
-  obs::TaskLedger ledger(scenario.num_tasks());
-  core::SlrhParams slrh;
-  slrh.ledger = &ledger;
-  const auto result = core::run_slrh(scenario, slrh);
-
-  std::ostringstream os;
-  obs::write_ledger_openmetrics(os, ledger);
-  const std::string text = os.str();
-  EXPECT_NE(text.find("# TYPE ahg_ledger_exec_seconds histogram"),
-            std::string::npos);
-  EXPECT_NE(text.find("# TYPE ahg_ledger_dwell_admitted_seconds histogram"),
-            std::string::npos);
-  EXPECT_NE(text.find("ahg_ledger_tasks_completed_total " +
-                      std::to_string(result.assigned)),
-            std::string::npos);
-  EXPECT_NE(text.find("ahg_ledger_tasks_orphaned_total 0"), std::string::npos);
-  EXPECT_NE(text.find("# EOF"), std::string::npos);
-
-  const auto snapshot = obs::ledger_metrics_snapshot(ledger);
-  bool exec_hist_populated = false;
-  for (const auto& h : snapshot.histograms) {
-    if (h.name == "ledger.exec_seconds") {
-      exec_hist_populated = h.count == static_cast<std::uint64_t>(result.assigned);
-    }
-  }
-  EXPECT_TRUE(exec_hist_populated);
-}
-
-TEST(OpenMetrics, ExpositionHasTypesCumulativeBucketsAndEof) {
-  obs::MetricsRegistry registry;
-  registry.counter("slrh.maps").add(7);
-  registry.gauge("load").set(0.75);
-  const std::vector<double> bounds = {0.001, 0.01, 0.1};
-  auto& hist = registry.histogram("pool.seconds", bounds);
-  hist.observe(0.0005);
-  hist.observe(0.05);
-  hist.observe(5.0);  // overflow
-
-  std::ostringstream os;
-  obs::write_openmetrics(os, registry.snapshot());
-  const std::string text = os.str();
-
-  // Structure: one "# TYPE" per family, counter values as _total, histogram
-  // buckets CUMULATIVE with an le="+Inf" bucket equal to count, and the
-  // mandatory EOF marker terminating the exposition.
-  EXPECT_NE(text.find("# TYPE ahg_slrh_maps counter"), std::string::npos);
-  EXPECT_NE(text.find("ahg_slrh_maps_total 7"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE ahg_load gauge"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE ahg_pool_seconds histogram"), std::string::npos);
-  EXPECT_NE(text.find("ahg_pool_seconds_count 3"), std::string::npos);
-
-  std::istringstream lines(text);
-  std::string line;
-  std::vector<std::uint64_t> bucket_counts;
-  std::string last_nonempty;
-  while (std::getline(lines, line)) {
-    if (!line.empty()) last_nonempty = line;
-    if (line.rfind("ahg_pool_seconds_bucket", 0) == 0) {
-      bucket_counts.push_back(
-          static_cast<std::uint64_t>(std::stoull(line.substr(line.rfind(' ')))));
-    }
-  }
-  ASSERT_EQ(bucket_counts.size(), 4u);  // 3 bounds + +Inf
-  for (std::size_t i = 1; i < bucket_counts.size(); ++i) {
-    EXPECT_GE(bucket_counts[i], bucket_counts[i - 1]) << "bucket " << i;
-  }
-  EXPECT_EQ(bucket_counts.back(), 3u);  // +Inf bucket == count
-  EXPECT_EQ(last_nonempty, "# EOF");
-}
-
-TEST(OpenMetrics, MetricNamesAreSanitized) {
-  obs::MetricsRegistry registry;
-  registry.counter("slrh.pool-builds/total").add(1);
-
-  std::ostringstream os;
-  obs::write_openmetrics(os, registry.snapshot());
-  const std::string text = os.str();
-  // Dots, dashes and slashes all map to underscores.
-  EXPECT_NE(text.find("ahg_slrh_pool_builds_total_total 1"), std::string::npos);
-  EXPECT_EQ(text.find('/'), std::string::npos);
-  EXPECT_EQ(text.find('-'), std::string::npos);
-
-  // A name that would start with a digit (or be empty) gets an underscore
-  // prepended so the exposition name stays valid.
-  EXPECT_EQ(obs::openmetrics_name("", "9lives"), "_9lives");
-  EXPECT_EQ(obs::openmetrics_name("", ""), "_");
-  EXPECT_EQ(obs::openmetrics_name("ahg", "a.b-c/d"), "ahg_a_b_c_d");
 }
 
 }  // namespace

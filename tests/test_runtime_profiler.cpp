@@ -1,7 +1,7 @@
 // RuntimeProfiler unit coverage: ring-wrap retention, idle coalescing,
 // region nesting/stamping, helper-slot leasing, concurrent writers vs.
-// snapshot readers (the TSan target), the ThreadPool integration, both
-// exporters (Chrome trace pid-3 process, OpenMetrics runtime series), and
+// snapshot readers (the TSan target), the ThreadPool integration, the
+// Chrome trace pid-3 process, the runtime metrics snapshot, and
 // the heartbeat file round-trip + stall watchdog. The bit-identical-
 // schedules side of the contract lives in tests/test_determinism.cpp.
 
@@ -19,7 +19,6 @@
 #include "support/chrome_trace.hpp"
 #include "support/jsonl.hpp"
 #include "support/metrics.hpp"
-#include "support/openmetrics.hpp"
 #include "support/runtime_profiler.hpp"
 #include "support/thread_pool.hpp"
 
@@ -226,7 +225,7 @@ TEST(RuntimeProfiler, ChromeTraceHasWallClockWorkerProcess) {
   EXPECT_TRUE(saw_pid3);
 }
 
-TEST(RuntimeProfiler, OpenMetricsExportsRuntimeSeries) {
+TEST(RuntimeProfiler, MetricsSnapshotHasRuntimeSeries) {
   RuntimeProfiler profiler(2, small_options(32));
   const std::uint32_t token = profiler.region_begin("cache_build");
   profiler.on_task(0, 0.0, 0.1, false);
@@ -252,12 +251,6 @@ TEST(RuntimeProfiler, OpenMetricsExportsRuntimeSeries) {
   EXPECT_TRUE(saw_workers);
   ASSERT_NE(snapshot.find_histogram("runtime.region_cache_build_seconds"),
             nullptr);
-
-  std::ostringstream os;
-  obs::write_runtime_openmetrics(os, profiler);
-  const std::string text = os.str();
-  EXPECT_NE(text.find("ahg_runtime_tasks"), std::string::npos);
-  EXPECT_NE(text.find("# EOF"), std::string::npos);
 }
 
 TEST(RuntimeProfiler, MemoryTelemetryReportsBounds) {

@@ -15,6 +15,7 @@
 
 #include "core/slrh.hpp"
 #include "support/contract.hpp"
+#include "support/metrics.hpp"
 #include "support/task_ledger.hpp"
 #include "tests/byte_mutation.hpp"
 #include "tests/scenario_fixtures.hpp"
@@ -344,6 +345,26 @@ TEST(TaskLedger, SlrhRunPopulatesCompleteRecords) {
     EXPECT_EQ(r.attempts, 1u) << "task " << t;
   }
   EXPECT_EQ(ledger.transitions_dropped(), 0u);
+}
+
+TEST(TaskLedger, MetricsSnapshotHasDwellHistogramsAndCounters) {
+  const auto scenario = test::small_suite_scenario(sim::GridCase::A, 48);
+  obs::TaskLedger ledger(scenario.num_tasks());
+  core::SlrhParams slrh;
+  slrh.ledger = &ledger;
+  const auto result = core::run_slrh(scenario, slrh);
+
+  const auto snapshot = obs::ledger_metrics_snapshot(ledger);
+  ASSERT_NE(snapshot.find_histogram("ledger.dwell_admitted_seconds"), nullptr);
+  const auto* exec = snapshot.find_histogram("ledger.exec_seconds");
+  ASSERT_NE(exec, nullptr);
+  EXPECT_EQ(exec->count, static_cast<std::uint64_t>(result.assigned));
+  const auto* completed = snapshot.find_counter("ledger.tasks_completed");
+  ASSERT_NE(completed, nullptr);
+  EXPECT_EQ(completed->value, static_cast<std::uint64_t>(result.assigned));
+  const auto* orphaned = snapshot.find_counter("ledger.tasks_orphaned");
+  ASSERT_NE(orphaned, nullptr);
+  EXPECT_EQ(orphaned->value, 0u);
 }
 
 }  // namespace
