@@ -134,6 +134,7 @@ void CandidateBatch::reserve(std::size_t n) {
   tec_delta_secondary.reserve(n);
   tec_delta_primary.reserve(n);
   primary_allowed.reserve(n);
+  arrival_lb.reserve(n);
 }
 
 std::size_t build_candidate_batch(const ScenarioCache& cache,
@@ -154,7 +155,7 @@ std::size_t build_candidate_batch(const ScenarioCache& cache,
 
   // Grow the gather columns to the high-water ready-set size and fill
   // through raw pointers: a push_back per column per slot re-checks capacity
-  // and bumps the end pointer six times per task, and at ~10ns/task gather
+  // and bumps the end pointer seven times per task, and at ~10ns/task gather
   // cost that bookkeeping is measurable. Growth is monotone — shrinking to
   // the slot count and regrowing next build would value-initialize (memset)
   // the regrown tail on every pool build, which the SLRH driver pays
@@ -167,6 +168,7 @@ std::size_t build_candidate_batch(const ScenarioCache& cache,
     batch.tec_delta_secondary.resize(cap);
     batch.tec_delta_primary.resize(cap);
     batch.primary_allowed.resize(cap);
+    batch.arrival_lb.resize(cap);
   }
   TaskId* const col_task = batch.task.data();
   double* const col_fs = batch.finish_secondary.data();
@@ -174,6 +176,7 @@ std::size_t build_candidate_batch(const ScenarioCache& cache,
   double* const col_ts = batch.tec_delta_secondary.data();
   double* const col_tp = batch.tec_delta_primary.data();
   std::uint8_t* const col_allowed = batch.primary_allowed.data();
+  Cycles* const col_lb = batch.arrival_lb.data();
   const double headroom = batch.headroom;
   const Cycles start_base = batch.start_base;
 
@@ -193,17 +196,26 @@ std::size_t build_candidate_batch(const ScenarioCache& cache,
     // One parent walk feeds both versions' tec-delta chains: each chain
     // starts from its version's exec energy and adds the identical transfer
     // energies in parent order — the scalar accumulation order, per version.
+    // The same walk bounds plan_placement's arrival (not_before = earliest):
+    // local data lands at the parent's finish, and a transfer cannot start
+    // before max(earliest, finish). The bound leaves out the release, which
+    // gates the start, not the arrival.
     double tec_s = cache.exec_energy(task, machine, VersionKind::Secondary);
     double tec_p = cache.exec_energy(task, machine, VersionKind::Primary);
+    Cycles lb = 0;
     for (const TaskId parent : scenario.dag.parents(task)) {
       AHG_EXPECTS_MSG(schedule.is_assigned(parent), "scoring with unassigned parent");
       const auto& pa = schedule.assignment(parent);
-      if (pa.machine == machine) continue;
-      const double bits = scenario.edge_bits(parent, task, pa.version);
-      if (bits <= 0.0) continue;
+      const double bits =
+          pa.machine == machine ? 0.0 : scenario.edge_bits(parent, task, pa.version);
+      if (bits <= 0.0) {  // same machine or empty edge: no transfer
+        lb = std::max(lb, pa.finish);
+        continue;
+      }
       const auto& sender = scenario.grid.machine(pa.machine);
-      const double transfer =
-          sim::transfer_energy(sender, sim::transfer_cycles(bits, sender, receiver));
+      const Cycles dur = sim::transfer_cycles(bits, sender, receiver);
+      lb = std::max(lb, std::max(earliest, pa.finish) + dur);
+      const double transfer = sim::transfer_energy(sender, dur);
       tec_s += transfer;
       tec_p += transfer;
     }
@@ -219,6 +231,7 @@ std::size_t build_candidate_batch(const ScenarioCache& cache,
     col_tp[slot] = tec_p;
     col_allowed[slot] =
         !degraded && need_p <= headroom ? std::uint8_t{1} : std::uint8_t{0};
+    col_lb[slot] = lb;
     ++slot;
   }
   batch.count_ = slot;

@@ -130,6 +130,11 @@ struct CandidateBatch {
   std::vector<double> finish_secondary, finish_primary;    ///< finish estimates
   std::vector<double> tec_delta_secondary, tec_delta_primary;  ///< exec + incoming-transfer energy
   std::vector<std::uint8_t> primary_allowed;  ///< degrade mask + primary admission
+  /// Lower bound on plan_placement's arrival at not_before = earliest: the
+  /// max over parents of finish (same machine or empty edge) or
+  /// max(earliest, finish) + transfer cycles (cross machine). Channel
+  /// contention can only push a transfer later, never earlier.
+  std::vector<Cycles> arrival_lb;
 
   // Score-kernel outputs.
   std::vector<double> score_secondary, score_primary;
@@ -153,9 +158,10 @@ struct CandidateBatch {
 /// Gather stage: fill `batch` with every task in `ready` whose secondary
 /// version fits the machine's available energy (identical admission verdicts
 /// to version_fits_energy). Walks each task's parents ONCE, accumulating
-/// both versions' tec-delta chains simultaneously. `secondary_only` non-null
-/// masks primary consideration per task (churn degrade policy). Returns the
-/// number of tasks rejected by the admission energy check.
+/// both versions' tec-delta chains and the arrival lower bound together.
+/// `secondary_only` non-null masks primary consideration per task (churn
+/// degrade policy). Returns the number of tasks rejected by the admission
+/// energy check.
 std::size_t build_candidate_batch(const ScenarioCache& cache,
                                   const workload::Scenario& scenario,
                                   const sim::Schedule& schedule,

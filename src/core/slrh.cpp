@@ -74,11 +74,13 @@ class BeyondHorizonMemo {
 /// (machine, clock) scope.
 /// `committed` receives a copy of the committed plan (the sweep epochs read
 /// it). `taps` observes every passed-over candidate, plan and the commit.
-/// `min_beyond` non-null accumulates (running min) the arrival of every
-/// candidate this walk proved beyond the horizon — the raw material for the
-/// cross-tick skip verdicts (core/sweep.hpp). Memo-skipped candidates were
-/// accumulated by the earlier walk that inserted them; arrivals only move
-/// later within a scope, so those remain valid lower bounds.
+/// `min_beyond` non-null accumulates (running min) the smallest proven lower
+/// bound on the arrival of every candidate this walk found beyond the
+/// horizon — exact for a planned candidate, the gather's arrival_lb for a
+/// bound-pruned one — the raw material for the cross-tick skip verdicts
+/// (core/sweep.hpp). Memo-skipped candidates were accumulated by the earlier
+/// walk that inserted them; arrivals only move later within a scope, so
+/// those remain valid lower bounds.
 std::size_t map_first_startable(const workload::Scenario& scenario,
                                 sim::Schedule& schedule, const SlrhParams& params,
                                 const std::vector<SlrhPoolCandidate>& pool,
@@ -88,6 +90,10 @@ std::size_t map_first_startable(const workload::Scenario& scenario,
                                 std::size_t skip_before, Cycles* min_beyond) {
   const auto fits = [&](TaskId task, VersionKind version) {
     return version_fits_energy(cache, schedule, task, machine, version);
+  };
+  const auto beyond_horizon = [&](const SlrhPoolCandidate& cand, Cycles arrival) {
+    if (min_beyond != nullptr && arrival < *min_beyond) *min_beyond = arrival;
+    taps.on_candidate(cand, Reject::BeyondHorizon);
   };
   for (std::size_t k = skip_before; k < pool.size(); ++k) {
     const SlrhPoolCandidate& cand = pool[k];
@@ -113,6 +119,13 @@ std::size_t map_first_startable(const workload::Scenario& scenario,
       taps.on_candidate(cand, Reject::BeyondHorizon);
       continue;
     }
+    if (cand.arrival_lb > clock + params.horizon) {
+      // The parents' data cannot land before the horizon even on idle
+      // channels (plan.arrival >= arrival_lb); the parents stay put within
+      // the scope, so the bound holds for every re-walk. No plan needed.
+      beyond_horizon(cand, cand.arrival_lb);
+      continue;
+    }
     const PlacementPlan plan = taps.on_plan([&] {
       return plan_placement(scenario, schedule, cand.task, machine, version, clock);
     });
@@ -130,11 +143,8 @@ std::size_t map_first_startable(const workload::Scenario& scenario,
       committed = plan;
       return k;
     }
-    if (min_beyond != nullptr && plan.arrival < *min_beyond) {
-      *min_beyond = plan.arrival;
-    }
     memo.insert(cand.task);
-    taps.on_candidate(cand, Reject::BeyondHorizon);
+    beyond_horizon(cand, plan.arrival);
   }
   return static_cast<std::size_t>(-1);
 }
@@ -167,7 +177,8 @@ std::vector<SlrhPoolCandidate> build_slrh_pool_batched(
                 schedule.aet(), params.aet_sign);
     pool.reserve(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      pool.push_back({batch.task[i], batch.version[i], batch.score[i]});
+      pool.push_back(
+          {batch.task[i], batch.version[i], batch.score[i], batch.arrival_lb[i]});
     }
   }
   sort_pool(pool);

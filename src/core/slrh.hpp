@@ -69,11 +69,12 @@ struct SlrhParams {
   const ScenarioCache* cache = nullptr;
 
   /// Cross-tick pool reuse (core/sweep.hpp): when a (machine, timestep)
-  /// scope ends without a commit, remember the smallest beyond-horizon
-  /// arrival it proved, tagged with the frontier revision and the machine's
-  /// energy epoch; while both epochs stand, a later tick whose clock + H
-  /// stays below that arrival skips the machine's pool build outright — the
-  /// serial sweep would provably commit nothing there. Schedules are
+  /// scope ends without a commit, remember the smallest proven lower bound
+  /// on a beyond-horizon arrival (exact when the candidate was planned),
+  /// tagged with the frontier revision and the machine's energy epoch;
+  /// while both epochs stand, a later tick whose clock + H stays below that
+  /// bound skips the machine's pool build outright — the serial sweep would
+  /// provably commit nothing there. Schedules are
   /// bit-identical either way (asserted by tests/test_determinism.cpp); only
   /// pool-build counts and their telemetry differ (MappingResult::
   /// pools_reused tallies the skipped scopes).
@@ -112,11 +113,14 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
 // --- pool construction (exposed for micro-benchmarks and invariant tests) --
 
 /// One entry of the ordered candidate pool U: the subtask with its
-/// objective-maximising version and that version's score.
+/// objective-maximising version and that version's score, plus the gather's
+/// lower bound on its data arrival (CandidateBatch::arrival_lb), which lets
+/// the map walk reject it as beyond the horizon without planning it.
 struct SlrhPoolCandidate {
   TaskId task = kInvalidTask;
   VersionKind version = VersionKind::Primary;
   double score = 0.0;
+  Cycles arrival_lb = 0;
 };
 
 /// Pool-admission rejection tally for one pool build (telemetry only).

@@ -3,11 +3,13 @@
 //
 // Cross-tick pool reuse. When a (machine, timestep) scope ends without
 // committing anything, the driver records a skip verdict: the smallest
-// beyond-horizon arrival the scope proved, tagged with the frontier revision
-// and the machine's energy epoch. While both epochs stand, the machine's
-// pool membership is unchanged (same ready set, same per-machine energy
-// admission) and plan_placement arrivals are monotone non-decreasing in the
-// probe clock and in channel/compute bookings — so a later tick with
+// proven lower bound on a beyond-horizon arrival in the scope — exact when
+// the candidate was planned, the gather's arrival_lb when that bound pruned
+// it — tagged with the frontier revision and the machine's energy epoch.
+// While both epochs stand, the machine's pool membership is unchanged (same
+// ready set, same per-machine energy admission); plan_placement arrivals are
+// monotone non-decreasing in the probe clock and in channel/compute
+// bookings, and the gather's bound in the probe clock — so a later tick with
 // clock' + H < min_arrival provably maps nothing, and the whole scope
 // collapses to this O(1) test. Skipping a scope that would commit nothing
 // leaves the schedule bit-identical to the rebuild-everything sweep; only
@@ -68,14 +70,15 @@ class SweepContext {
     return v.min_arrival == kNoArrival || clock + horizon < v.min_arrival;
   }
 
-  /// Record a no-commit scope outcome. `min_arrival` is the smallest
-  /// beyond-horizon arrival proven across the scope's walks (kNoArrival for
-  /// an empty pool). Only call when the scope's LAST pool was built at the
-  /// CURRENT (frontier revision, energy epoch) — a pool predating a
-  /// mid-scope commit may be missing commit-enabled candidates, and a
-  /// verdict taken from it would skip them forever. Stale verdicts need no
-  /// explicit invalidation: every commit bumps the frontier revision, so
-  /// the epoch compare in can_skip retires them automatically.
+  /// Record a no-commit scope outcome. `min_arrival` is the smallest proven
+  /// lower bound on a beyond-horizon arrival across the scope's walks (exact
+  /// for a planned candidate; kNoArrival for an empty pool). Only call when
+  /// the scope's LAST pool was built at the CURRENT (frontier revision,
+  /// energy epoch) — a pool predating a mid-scope commit may be missing
+  /// commit-enabled candidates, and a verdict taken from it would skip them
+  /// forever. Stale verdicts need no explicit invalidation: every commit
+  /// bumps the frontier revision, so the epoch compare in can_skip retires
+  /// them automatically.
   void record_verdict(MachineId machine, Cycles min_arrival,
                       std::uint64_t frontier_revision) {
     Verdict& v = verdicts_[static_cast<std::size_t>(machine)];

@@ -109,7 +109,10 @@ TEST(Scoring, EarliestLowerBoundsFinishEstimate) {
 // membership == version_fits_energy), bit-identical scores for every
 // admitted (task, machine, version) triple, and the identical
 // primary/secondary classification — under both AET signs and with a
-// degrade mask (secondary_only) active.
+// degrade mask (secondary_only) active. The same sweep proves the gather's
+// arrival lower bound sound: never above plan_placement's arrival, exact
+// without cross-machine data, and strictly below it somewhere once channel
+// outages and earlier transfers contend.
 
 struct BatchedScoringCase {
   sim::GridCase grid_case;
@@ -131,8 +134,11 @@ TEST_P(BatchedScoringProperty, MatchesScalarScoringBitForBit) {
   // Commit roughly the first third of the tasks (in id order, which respects
   // the generator's topological numbering) round-robin across machines, so
   // the batch gather sees real parent placements, partially drained
-  // batteries, and busy timelines.
+  // batteries, and busy timelines. Channel outages on two machines make
+  // transfers wait beyond the data's earliest possible start.
   sim::Schedule schedule(s.grid, s.num_tasks());
+  schedule.block_channels(0, s.tau / 20, s.tau / 4);
+  schedule.block_channels(1, 0, s.tau / 6);
   const TaskId commit_until = num_tasks / 3;
   for (TaskId t = 0; t < commit_until; ++t) {
     const MachineId m = t % num_machines;
@@ -167,6 +173,7 @@ TEST_P(BatchedScoringProperty, MatchesScalarScoringBitForBit) {
 
   const Weights w = Weights::make(0.6, 0.3);
   CandidateBatch batch;
+  std::size_t strict_bounds = 0;
   for (MachineId m = 0; m < num_machines; ++m) {
     for (const Cycles earliest : {Cycles{0}, s.tau / 7}) {
       for (const AetSign sign : {AetSign::Reward, AetSign::Penalize}) {
@@ -222,6 +229,26 @@ TEST_P(BatchedScoringProperty, MatchesScalarScoringBitForBit) {
             }
             EXPECT_EQ(batch.version[slot], expect_version) << "task " << task;
             EXPECT_EQ(batch.score[slot], expect_score);  // exact
+
+            // Arrival lower bound: sound for either version, exact when every
+            // data-carrying parent sits on this machine.
+            bool remote_data = false;
+            for (const TaskId parent : s.dag.parents(task)) {
+              const auto& pa = schedule.assignment(parent);
+              if (pa.machine != m && s.edge_bits(parent, task, pa.version) > 0.0) {
+                remote_data = true;
+              }
+            }
+            for (const VersionKind version :
+                 {VersionKind::Secondary, VersionKind::Primary}) {
+              const Cycles arrival =
+                  plan_placement(s, schedule, task, m, version, earliest).arrival;
+              EXPECT_LE(batch.arrival_lb[slot], arrival) << "task " << task;
+              if (!remote_data) {
+                EXPECT_EQ(batch.arrival_lb[slot], arrival) << "task " << task;
+              }
+              if (batch.arrival_lb[slot] < arrival) ++strict_bounds;
+            }
             ++slot;
           }
           EXPECT_EQ(slot, batch.size());
@@ -230,6 +257,7 @@ TEST_P(BatchedScoringProperty, MatchesScalarScoringBitForBit) {
       }
     }
   }
+  EXPECT_GT(strict_bounds, 0u) << "no slot saw channel contention";
 }
 
 INSTANTIATE_TEST_SUITE_P(

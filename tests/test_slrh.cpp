@@ -5,6 +5,8 @@
 #include <tuple>
 
 #include "core/validate.hpp"
+#include "support/event_log.hpp"
+#include "support/metrics.hpp"
 #include "tests/scenario_fixtures.hpp"
 
 namespace ahg::core {
@@ -136,6 +138,60 @@ TEST(Slrh, FallsBackToSecondaryUnderEnergyPressure) {
   ASSERT_TRUE(result.complete);
   EXPECT_EQ(result.t100, 1u);  // one primary (1.0 u) + one secondary (0.1 u)
   EXPECT_LE(result.tec, 1.3);
+}
+
+TEST(Slrh, ArrivalBoundRejectsBeyondHorizonChildWithoutPlanning) {
+  // Task 1 needs 800 Mbit from task 0 (on machine 0, finishing at 100) and
+  // nothing from task 2, which is released with it at 10 and runs briefly
+  // on machine 1. When machine 1 sees task 1, both parents have finished by
+  // clock + H, but the 8 Mbit/s transfer alone takes 1000 cycles. A single
+  // data edge means no channel contention: the gather's bound is the exact
+  // arrival, so a walk that plans only what the bound admits commits every
+  // plan it makes.
+  auto s = test::make_scenario(sim::GridConfig::make(2, 0), 3,
+                               {{0, 1, 8e8}, {2, 1, 0.0}},
+                               {{10.0, 10.0}, {10.0, 10.0}, {1.0, 1.0}}, 100000);
+  s.releases = {0, 10, 10};
+  for (const auto variant : {SlrhVariant::V1, SlrhVariant::V2, SlrhVariant::V3}) {
+    SCOPED_TRACE(to_string(variant));
+    obs::MetricsRegistry metrics;
+    obs::CollectSink events;
+    obs::ForwardSink sink(&metrics, &events);
+    SlrhParams traced = default_params(variant);
+    traced.sink = &sink;
+    const auto result = run_slrh(s, traced);
+    ASSERT_TRUE(result.complete);
+
+    std::size_t child_beyond = 0;  // on machine 1, the transfer's side
+    for (const auto& event : events.events()) {
+      if (event.machine != 1) continue;
+      for (const auto& cand : event.candidates) {
+        if (cand.task == 1 && cand.reject == "beyond_horizon") ++child_beyond;
+      }
+    }
+    EXPECT_GE(child_beyond, 1u);
+
+    const auto snap = metrics.snapshot();
+    const auto* plans = snap.find_histogram("slrh.earliest_start_seconds");
+    const auto* decisions = snap.find_counter("slrh.map_decisions");
+    ASSERT_NE(plans, nullptr);
+    ASSERT_NE(decisions, nullptr);
+    EXPECT_EQ(decisions->value, 3u);
+    EXPECT_EQ(plans->count, decisions->value);
+
+    SlrhParams rebuild = default_params(variant);
+    rebuild.pool_reuse = false;
+    const auto reference = run_slrh(s, rebuild);
+    for (TaskId t = 0; t < 3; ++t) {
+      const auto& a = result.schedule->assignment(t);
+      const auto& b = reference.schedule->assignment(t);
+      EXPECT_EQ(a.machine, b.machine) << "task " << t;
+      EXPECT_EQ(a.version, b.version) << "task " << t;
+      EXPECT_EQ(a.start, b.start) << "task " << t;
+      EXPECT_EQ(a.finish, b.finish) << "task " << t;
+    }
+    EXPECT_EQ(result.tec, reference.tec);
+  }
 }
 
 TEST(Slrh, DeterministicAcrossRuns) {
