@@ -5,6 +5,8 @@
 // BenchReport timing helper every bench routes its wall-clock measurements
 // through.
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -221,6 +223,42 @@ class RuntimeSession {
   std::unique_ptr<obs::RuntimeProfiler> profiler_;
   std::unique_ptr<obs::Heartbeat> heartbeat_;
 };
+
+/// The large-scale recipe (bench_scale, and Max-Max's gated run in
+/// bench_micro_kernels): the suite's recipe generalised to any machine count —
+/// a half-fast/half-slow grid, the Gamma-CVB ETC, a layered DAG of ~32 levels
+/// whose width scales with |T|, and tau and batteries scaled by the
+/// per-machine pressure relative to the paper's 1024 tasks on 4 machines.
+inline workload::Scenario make_scale_scenario(std::size_t num_tasks,
+                                              std::size_t num_machines,
+                                              std::uint64_t seed) {
+  // Per-machine pressure relative to the paper's 1024 tasks on 4 machines.
+  const double pressure = (static_cast<double>(num_tasks) /
+                           static_cast<double>(num_machines)) /
+                          256.0;
+  auto grid = sim::GridConfig::make(num_machines / 2,
+                                    num_machines - num_machines / 2)
+                  .with_battery_scale(pressure);
+
+  workload::DagGeneratorParams dag_params;
+  dag_params.num_nodes = num_tasks;
+  // Keep DAG depth roughly constant (~32 levels) as |T| grows, so ready
+  // frontiers — and therefore pool sizes — scale with |T|.
+  dag_params.mean_level_width = std::max<std::size_t>(32, num_tasks / 32);
+  auto dag = workload::generate_dag(dag_params, seed);
+  auto data = workload::generate_data_sizes({}, dag, seed + 1);
+  auto etc = workload::generate_etc({}, num_tasks,
+                                    workload::machine_classes(grid), seed + 2);
+
+  workload::Scenario scenario{std::move(grid),
+                              std::move(dag),
+                              std::move(etc),
+                              std::move(data),
+                              workload::VersionModel{},
+                              cycles_from_seconds(34075.0 * pressure)};
+  scenario.validate();
+  return scenario;
+}
 
 struct BenchContext {
   ReproScale scale;

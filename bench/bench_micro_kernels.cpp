@@ -14,6 +14,7 @@
 
 #include "bench/bench_common.hpp"
 #include "core/feasibility.hpp"
+#include "core/maxmax.hpp"
 #include "core/placement.hpp"
 #include "core/scenario_cache.hpp"
 #include "core/scoring.hpp"
@@ -433,6 +434,31 @@ void write_inner_loop_report() {
         .add(scalar_sum == batched_sum ? 1 : 0);
     std::cout << "score kernel @1024: scalar " << scalar_seconds << " s, batched "
               << batched_seconds << " s (" << speedup << "x)\n";
+  }
+
+  // Max-Max record at the perfbench wide-dag shape (2048x16, ~32 levels):
+  // the candidate table's end-to-end run, min-of-N. t100 and the assigned
+  // count are two-sided, so a schedule change trips the gate too.
+  {
+    constexpr int kReps = 5;
+    const auto wide = bench::make_scale_scenario(2048, 16, 20040426);
+    const core::ScenarioCache cache(wide);
+    core::MaxMaxParams params;
+    params.weights = core::Weights::make(0.6, 0.3);
+    params.cache = &cache;
+    double run_seconds = 0.0;
+    core::MappingResult result;
+    for (int rep = 0; rep < kReps; ++rep) {
+      const Stopwatch timer;
+      result = core::run_maxmax(wide, params);
+      const double elapsed = timer.seconds();
+      run_seconds = rep == 0 ? elapsed : std::min(run_seconds, elapsed);
+    }
+    report.metrics().gauge("bench.maxmax_run_seconds").set(run_seconds);
+    report.metrics().counter("bench.maxmax_t100").add(result.t100);
+    report.metrics().counter("bench.maxmax_assigned").add(result.assigned);
+    std::cout << "maxmax @2048x16: " << run_seconds << " s (t100 " << result.t100
+              << ", assigned " << result.assigned << ")\n";
   }
 
   // Earliest-fit record: the hole index over a dense 8192-interval timeline

@@ -6,12 +6,12 @@
 // is the CI-sized run of the same shape. Dumps BENCH_scale.json /
 // BENCH_scale_smoke.json for the regression gate.
 //
-// The scenario generalises the suite's recipe to an arbitrary machine count:
-// a half-fast/half-slow grid, the Gamma-CVB ETC, a layered DAG whose level
-// width scales with |T| (wide levels = large ready frontiers = large pools,
-// the stress this tier measures), and per-machine tau/battery pressure
-// pinned to a constant fraction of the paper's so the runs stay feasible and
-// version-mixed at every size.
+// The scenario (bench::make_scale_scenario) generalises the suite's recipe to
+// an arbitrary machine count: a half-fast/half-slow grid, the Gamma-CVB ETC,
+// a layered DAG whose level width scales with |T| (wide levels = large ready
+// frontiers = large pools, the stress this tier measures), and per-machine
+// tau/battery pressure pinned to a constant fraction of the paper's so the
+// runs stay feasible and version-mixed at every size.
 
 #include <algorithm>
 #include <iostream>
@@ -56,37 +56,6 @@ ScaleShape shape_for(ReproScale scale) {
 /// long before memory does.
 constexpr std::int64_t kMaxScaleTasks = 1 << 20;
 constexpr std::int64_t kMaxScaleMachines = 1 << 15;
-
-workload::Scenario make_scale_scenario(std::size_t num_tasks,
-                                       std::size_t num_machines,
-                                       std::uint64_t seed) {
-  // Per-machine pressure relative to the paper's 1024 tasks on 4 machines.
-  const double pressure = (static_cast<double>(num_tasks) /
-                           static_cast<double>(num_machines)) /
-                          256.0;
-  auto grid = sim::GridConfig::make(num_machines / 2,
-                                    num_machines - num_machines / 2)
-                  .with_battery_scale(pressure);
-
-  workload::DagGeneratorParams dag_params;
-  dag_params.num_nodes = num_tasks;
-  // Keep DAG depth roughly constant (~32 levels) as |T| grows, so ready
-  // frontiers — and therefore pool sizes — scale with |T|.
-  dag_params.mean_level_width = std::max<std::size_t>(32, num_tasks / 32);
-  auto dag = workload::generate_dag(dag_params, seed);
-  auto data = workload::generate_data_sizes({}, dag, seed + 1);
-  auto etc = workload::generate_etc({}, num_tasks,
-                                    workload::machine_classes(grid), seed + 2);
-
-  workload::Scenario scenario{std::move(grid),
-                              std::move(dag),
-                              std::move(etc),
-                              std::move(data),
-                              workload::VersionModel{},
-                              cycles_from_seconds(34075.0 * pressure)};
-  scenario.validate();
-  return scenario;
-}
 
 }  // namespace
 
@@ -153,7 +122,7 @@ int main(int argc, char** argv) {
   session.set_phase("scenario_build");
 
   const auto scenario = report.timed_section("scenario_build", [&] {
-    return make_scale_scenario(shape.num_tasks, shape.num_machines, 20040426);
+    return bench::make_scale_scenario(shape.num_tasks, shape.num_machines, 20040426);
   });
   // ScenarioCache pins atomics for the lazy-build path, so it is neither
   // movable nor copyable: construct it in place inside the timed section.

@@ -1,9 +1,9 @@
 #include "core/maxmax.hpp"
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <optional>
-#include <set>
-#include <tuple>
 #include <vector>
 
 #include "core/feasibility.hpp"
@@ -11,6 +11,8 @@
 #include "core/scenario_cache.hpp"
 #include "core/scoring.hpp"
 #include "core/taps.hpp"
+#include "sim/comm.hpp"
+#include "sim/timeline.hpp"
 #include "support/stopwatch.hpp"
 
 namespace ahg::core {
@@ -41,6 +43,210 @@ struct Triplet {
   }
 };
 
+/// The candidate table (DESIGN.md §4j): one row per frontier task, one entry
+/// per (machine, version). An entry's finish estimate depends only on the
+/// task's arrival lower bound (its committed parents: fixed once it joins the
+/// frontier) and its machine's compute timeline, so a commit stales exactly
+/// the committed machine's column. Its tec delta and admission energy need
+/// depend only on where the parents landed and on the scenario: fixed for the
+/// row's lifetime. Energy headroom is NOT cached: a commit can raise it on
+/// other machines (add_comm settles a reservation at or below the held
+/// amount; released parents drop their holds), so every round re-reads it.
+/// Row order is free (a mapped task's row is swap-removed): better_than is a
+/// strict total order over distinct triplets, so the best entry does not
+/// depend on the order the entries are visited in.
+class CandidateTable {
+ public:
+  CandidateTable(const workload::Scenario& scenario, const ScenarioCache& cache,
+                 const std::vector<Cycles>& tail)
+      : scenario_(scenario),
+        cache_(cache),
+        tail_(tail),
+        num_machines_(scenario.num_machines()),
+        row_of_(scenario.num_tasks(), kNoRow),
+        headroom_(scenario.num_machines()) {}
+
+  /// Fill the row of `task`, which just joined the frontier: one walk over
+  /// its parents for the arrival lower bound, then one per machine for both
+  /// versions' tec deltas — each summed from the version's exec energy in
+  /// parent order, the accumulation order of score_candidate.
+  void add(const sim::Schedule& schedule, TaskId task) {
+    const std::size_t row = tasks_.size();
+    row_of_[static_cast<std::size_t>(task)] = row;
+    tasks_.push_back(task);
+    Cycles arrival_lb = scenario_.release(task);
+    for (const TaskId parent : scenario_.dag.parents(task)) {
+      arrival_lb = std::max(arrival_lb, schedule.assignment(parent).finish);
+    }
+    arrival_lb_.push_back(arrival_lb);
+    const std::size_t width = num_machines_ * 2;
+    finish_.resize(finish_.size() + width);
+    tec_delta_.resize(tec_delta_.size() + width);
+    need_.resize(need_.size() + width);
+    excluded_.resize(excluded_.size() + width, 0);
+    for (MachineId machine = 0; machine < static_cast<MachineId>(num_machines_);
+         ++machine) {
+      double tec_p = cache_.exec_energy(task, machine, VersionKind::Primary);
+      double tec_s = cache_.exec_energy(task, machine, VersionKind::Secondary);
+      const auto& receiver = scenario_.grid.machine(machine);
+      for (const TaskId parent : scenario_.dag.parents(task)) {
+        const auto& pa = schedule.assignment(parent);
+        if (pa.machine == machine) continue;
+        const double bits = scenario_.edge_bits(parent, task, pa.version);
+        if (bits <= 0.0) continue;
+        const auto& sender = scenario_.grid.machine(pa.machine);
+        const double transfer =
+            sim::transfer_energy(sender, sim::transfer_cycles(bits, sender, receiver));
+        tec_p += transfer;
+        tec_s += transfer;
+      }
+      const std::size_t e = entry(row, machine, VersionKind::Primary);
+      tec_delta_[e] = tec_p;
+      tec_delta_[e + 1] = tec_s;
+      need_[e] = cache_.energy_need(task, machine, VersionKind::Primary);
+      need_[e + 1] = cache_.energy_need(task, machine, VersionKind::Secondary);
+      price(schedule, row, machine);
+    }
+  }
+
+  /// Drop the row of `task` (mapped); the last row moves into its place.
+  void remove(TaskId task) {
+    const std::size_t row = row_of_[static_cast<std::size_t>(task)];
+    const std::size_t last = tasks_.size() - 1;
+    row_of_[static_cast<std::size_t>(task)] = kNoRow;
+    if (row != last) {
+      tasks_[row] = tasks_[last];
+      arrival_lb_[row] = arrival_lb_[last];
+      row_of_[static_cast<std::size_t>(tasks_[row])] = row;
+      const std::size_t width = num_machines_ * 2;
+      const auto move_row = [&](auto& column) {
+        std::copy_n(column.begin() + static_cast<std::ptrdiff_t>(last * width), width,
+                    column.begin() + static_cast<std::ptrdiff_t>(row * width));
+      };
+      move_row(finish_);
+      move_row(tec_delta_);
+      move_row(need_);
+      move_row(excluded_);
+    }
+    tasks_.pop_back();
+    arrival_lb_.pop_back();
+    const std::size_t size = tasks_.size() * num_machines_ * 2;
+    finish_.resize(size);
+    tec_delta_.resize(size);
+    need_.resize(size);
+    excluded_.resize(size);
+  }
+
+  /// Re-price every row's finish estimates on `machine`, whose compute
+  /// timeline just gained a booking.
+  void refresh(const sim::Schedule& schedule, MachineId machine) {
+    for (std::size_t row = 0; row < tasks_.size(); ++row) price(schedule, row, machine);
+  }
+
+  /// The best admissible entry under Triplet::better_than, or an invalid
+  /// triplet when none is left. The schedule's totals and every machine's
+  /// energy headroom are read once per call. Each entry is scored with
+  /// objective_value's expression tree on the state score_candidate_with_finish
+  /// would build for it; the per-call constant subtrees (alpha times either
+  /// t100 term, sign times gamma) are hoisted whole, as in score_batch, so
+  /// every score is the same double.
+  Triplet select(const sim::Schedule& schedule, const MaxMaxParams& params,
+                 const ObjectiveTotals& totals) {
+    const std::size_t t100 = schedule.t100();
+    const double tec = schedule.tec();
+    const Cycles aet = schedule.aet();
+    for (MachineId m = 0; m < static_cast<MachineId>(num_machines_); ++m) {
+      headroom_[static_cast<std::size_t>(m)] =
+          schedule.energy().available(m) + kEnergyFitEps;
+    }
+    const double num_tasks = static_cast<double>(totals.num_tasks);
+    const double alpha_t100_s =
+        params.weights.alpha * (static_cast<double>(t100) / num_tasks);
+    const double alpha_t100_p =
+        params.weights.alpha * (static_cast<double>(t100 + 1) / num_tasks);
+    const double beta = params.weights.beta;
+    const double tse = totals.tse;
+    const double tau = static_cast<double>(totals.tau);
+    const double sign_gamma =
+        static_cast<double>(static_cast<int>(params.aet_sign)) * params.weights.gamma;
+    Triplet best;
+    for (std::size_t row = 0; row < tasks_.size(); ++row) {
+      const TaskId task = tasks_[row];
+      const Cycles tail = tail_[static_cast<std::size_t>(task)];
+      for (MachineId machine = 0; machine < static_cast<MachineId>(num_machines_);
+           ++machine) {
+        const double headroom = headroom_[static_cast<std::size_t>(machine)];
+        for (const VersionKind version :
+             {VersionKind::Primary, VersionKind::Secondary}) {
+          const std::size_t e = entry(row, machine, version);
+          if (excluded_[e] != 0 || !(need_[e] <= headroom)) continue;
+          const Cycles finish_est = finish_[e];
+          if (params.enforce_tau && finish_est + tail > scenario_.tau) continue;
+          const double score =
+              (version == VersionKind::Primary ? alpha_t100_p : alpha_t100_s) -
+              beta * ((tec + tec_delta_[e]) / tse) +
+              sign_gamma * (static_cast<double>(std::max(aet, finish_est)) / tau);
+          const Triplet triplet{task, machine, version, score, finish_est};
+          if (triplet.better_than(best)) best = triplet;
+        }
+      }
+    }
+    return best;
+  }
+
+  /// Bar `triplet` from selection until clear_exclusions().
+  void exclude(const Triplet& triplet) {
+    const std::size_t e = entry(row_of_[static_cast<std::size_t>(triplet.task)],
+                                triplet.machine, triplet.version);
+    excluded_[e] = 1;
+    excluded_entries_.push_back(e);
+  }
+
+  void clear_exclusions() {
+    for (const std::size_t e : excluded_entries_) excluded_[e] = 0;
+    excluded_entries_.clear();
+  }
+
+ private:
+  static constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
+
+  std::size_t entry(std::size_t row, MachineId machine, VersionKind version) const {
+    return (row * num_machines_ + static_cast<std::size_t>(machine)) * 2 +
+           (version == VersionKind::Primary ? 0 : 1);
+  }
+
+  /// Hole-aware finish estimates of both versions on `machine`: earliest fit
+  /// (served by the timeline's ordered hole index) from the arrival lower
+  /// bound. Max-Max backfills, so an append-style "ready + exec" estimate
+  /// would misprice every candidate once any machine has a late booking.
+  void price(const sim::Schedule& schedule, std::size_t row, MachineId machine) {
+    const TaskId task = tasks_[row];
+    const sim::Timeline& timeline = schedule.compute_timeline(machine);
+    for (const VersionKind version : {VersionKind::Primary, VersionKind::Secondary}) {
+      const Cycles exec = cache_.exec_cycles(task, machine, version);
+      finish_[entry(row, machine, version)] =
+          timeline.earliest_fit(arrival_lb_[row], exec) + exec;
+    }
+  }
+
+  const workload::Scenario& scenario_;
+  const ScenarioCache& cache_;
+  const std::vector<Cycles>& tail_;
+  std::size_t num_machines_;
+  std::vector<std::size_t> row_of_;  ///< task -> row, kNoRow off the frontier
+  std::vector<double> headroom_;     ///< per machine, re-read every select
+
+  // Rows.
+  std::vector<TaskId> tasks_;
+  std::vector<Cycles> arrival_lb_;  ///< max(release, parents' finish)
+  // Entries, |M| x 2 per row (machine-major, primary first).
+  std::vector<Cycles> finish_;         ///< stale when its machine commits
+  std::vector<double> tec_delta_;      ///< exec + incoming-transfer energy
+  std::vector<double> need_;           ///< admission energy need
+  std::vector<std::uint8_t> excluded_;  ///< exact plan overshot tau this round
+  std::vector<std::size_t> excluded_entries_;
+};
+
 }  // namespace
 
 MappingResult run_maxmax(const workload::Scenario& scenario, const MaxMaxParams& params) {
@@ -59,7 +265,6 @@ MappingResult run_maxmax(const workload::Scenario& scenario, const MaxMaxParams&
   const ScenarioCache& cache =
       params.cache != nullptr ? *params.cache : local_cache.emplace(scenario);
   const auto num_tasks = static_cast<TaskId>(scenario.num_tasks());
-  const auto num_machines = static_cast<MachineId>(scenario.num_machines());
 
   MappingResult result;
 
@@ -98,11 +303,12 @@ MappingResult run_maxmax(const workload::Scenario& scenario, const MaxMaxParams&
     }
   }
 
-  // Triplets whose EXACT placement overshot the deadline budget this round
-  // (the cheap finish estimate ignores communication delays, so an
-  // estimate-feasible pick can still plan past it; exclusions reset per
-  // commit because every commit changes the schedule).
-  std::set<std::tuple<TaskId, MachineId, VersionKind>> excluded;
+  // The table catches up at the start of each selection (so its upkeep is
+  // timed as selection): re-price the last commit's machine, then add the
+  // tasks that joined the frontier.
+  CandidateTable table(scenario, cache, tail);
+  std::vector<TaskId> joined = frontier;
+  MachineId committed = kInvalidMachine;
 
   while (!schedule->complete()) {
     ++result.iterations;
@@ -112,43 +318,11 @@ MappingResult run_maxmax(const workload::Scenario& scenario, const MaxMaxParams&
     Triplet best;
     PlacementPlan best_plan;
     taps.on_pool(frontier, round, [&] {
+      if (committed != kInvalidMachine) table.refresh(*schedule, committed);
+      for (const TaskId task : joined) table.add(*schedule, task);
+      joined.clear();
       for (;;) {
-        best = Triplet{};
-        for (const TaskId task : frontier) {
-          // Data-arrival lower bound: a pure function of the task's (already
-          // committed) parents, hoisted out of the machine x version sweep.
-          Cycles arrival_lb = scenario.release(task);
-          for (const TaskId parent : scenario.dag.parents(task)) {
-            arrival_lb = std::max(arrival_lb, schedule->assignment(parent).finish);
-          }
-          for (MachineId machine = 0; machine < num_machines; ++machine) {
-            for (const VersionKind version :
-                 {VersionKind::Primary, VersionKind::Secondary}) {
-              if (excluded.contains({task, machine, version})) continue;
-              if (!version_fits_energy(cache, *schedule, task, machine, version)) {
-                continue;
-              }
-              // Hole-aware finish estimate: earliest-fit (served by the
-              // timeline's ordered hole index) from the latest parent finish —
-              // Max-Max backfills, so an append-style "ready + exec" estimate
-              // would misprice every candidate once any machine has a late
-              // booking.
-              const Cycles exec = cache.exec_cycles(task, machine, version);
-              const Cycles start_est =
-                  schedule->compute_timeline(machine).earliest_fit(arrival_lb, exec);
-              const Cycles finish_est = start_est + exec;
-              if (params.enforce_tau &&
-                  finish_est + tail[static_cast<std::size_t>(task)] > scenario.tau) {
-                continue;
-              }
-              const double score = score_candidate_with_finish(
-                  cache, scenario, *schedule, params.weights, totals, task, machine,
-                  version, finish_est, params.aet_sign);
-              const Triplet triplet{task, machine, version, score, finish_est};
-              if (triplet.better_than(best)) best = triplet;
-            }
-          }
-        }
+        best = table.select(*schedule, params, totals);
         if (!best.valid()) break;
         best_plan = plan_placement(scenario, *schedule, best.task, best.machine,
                                    best.version, /*not_before=*/0);
@@ -157,9 +331,11 @@ MappingResult run_maxmax(const workload::Scenario& scenario, const MaxMaxParams&
                 scenario.tau) {
           break;
         }
-        // The exact plan (communication included) overshoots tau: exclude this
-        // triplet and re-select.
-        excluded.insert({best.task, best.machine, best.version});
+        // The exact plan (communication included) overshoots tau: the cheap
+        // finish estimate ignores communication delays. Exclude this triplet
+        // and re-select; exclusions reset per commit because every commit
+        // changes the schedule.
+        table.exclude(best);
       }
     });
 
@@ -171,7 +347,9 @@ MappingResult run_maxmax(const workload::Scenario& scenario, const MaxMaxParams&
     taps.on_commit(*schedule, best_plan,
                    {round, frontier.size(), best.score, best.finish_est},
                    [&] { commit_placement(scenario, *schedule, best_plan); });
-    excluded.clear();
+    table.clear_exclusions();
+    table.remove(best.task);
+    committed = best.machine;
 
     // Update the frontier; children it gains are appended from first_ready.
     frontier.erase(std::find(frontier.begin(), frontier.end(), best.task));
@@ -179,6 +357,7 @@ MappingResult run_maxmax(const workload::Scenario& scenario, const MaxMaxParams&
     for (const TaskId child : scenario.dag.children(best.task)) {
       if (--unmapped_parents[static_cast<std::size_t>(child)] == 0) {
         frontier.push_back(child);
+        joined.push_back(child);
       }
     }
     taps.on_tick(*schedule, round, best.machine, frontier, first_ready);

@@ -15,6 +15,13 @@
 //
 // Being static (offline), Max-Max has no clock, no timestep, and no horizon:
 // it sees the whole frontier at once and may backfill arbitrarily.
+//
+// A round does not rescan the frontier. A candidate table (DESIGN.md §4j)
+// holds each frontier task's finish estimate, tec delta and admission energy
+// need per (machine, version), filled once when the task joins the frontier;
+// a commit re-prices only the committed machine's finish estimates. Energy
+// admission is re-read every round. The schedules are the rescan's, bit for
+// bit (scan_maxmax_oracle in tests/oracles.hpp; test_maxmax.cpp).
 
 #include "core/objective.hpp"
 #include "core/result.hpp"

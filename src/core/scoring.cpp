@@ -32,7 +32,7 @@ namespace {
 /// to machine finishing at finish_est — the quantity both the scalar score
 /// and the traced term breakdown evaluate the objective on. `task_exec_energy`
 /// is exec_energy(scenario, task, machine, version), supplied by the caller
-/// so the cached overloads can feed the precomputed (bit-identical) value.
+/// so the cached overload can feed the precomputed (bit-identical) value.
 ObjectiveState hypothetical_state(const workload::Scenario& scenario,
                                   const sim::Schedule& schedule, TaskId task,
                                   MachineId machine, VersionKind version,
@@ -67,8 +67,10 @@ double score_candidate(const ScenarioCache& cache,
   const Cycles duration = cache.exec_cycles(task, machine, version);
   const Cycles finish_est =
       std::max(earliest, schedule.machine_ready(machine)) + duration;
-  return score_candidate_with_finish(cache, scenario, schedule, weights, totals,
-                                     task, machine, version, finish_est, aet_sign);
+  const ObjectiveState state =
+      hypothetical_state(scenario, schedule, task, machine, version, finish_est,
+                         cache.exec_energy(task, machine, version));
+  return objective_value(weights, state, totals, aet_sign);
 }
 
 double score_candidate_with_finish(const workload::Scenario& scenario,
@@ -80,19 +82,6 @@ double score_candidate_with_finish(const workload::Scenario& scenario,
   const ObjectiveState state =
       hypothetical_state(scenario, schedule, task, machine, version, finish_est,
                          exec_energy(scenario, task, machine, version));
-  return objective_value(weights, state, totals, aet_sign);
-}
-
-double score_candidate_with_finish(const ScenarioCache& cache,
-                                   const workload::Scenario& scenario,
-                                   const sim::Schedule& schedule,
-                                   const Weights& weights,
-                                   const ObjectiveTotals& totals, TaskId task,
-                                   MachineId machine, VersionKind version,
-                                   Cycles finish_est, AetSign aet_sign) {
-  const ObjectiveState state =
-      hypothetical_state(scenario, schedule, task, machine, version, finish_est,
-                         cache.exec_energy(task, machine, version));
   return objective_value(weights, state, totals, aet_sign);
 }
 

@@ -49,19 +49,12 @@ double score_candidate(const ScenarioCache& cache,
                        AetSign aet_sign = AetSign::Reward);
 
 /// Same hypothetical-objective computation, but with the finish time
-/// supplied by the caller. Max-Max uses this with a hole-aware earliest-fit
-/// estimate (its placements backfill schedule holes, so the append-style
-/// estimate of score_candidate would misprice every backfilled candidate).
+/// supplied by the caller: Max-Max's hole-aware earliest-fit estimate (its
+/// placements backfill schedule holes, so the append-style estimate of
+/// score_candidate would misprice every backfilled candidate). Max-Max's
+/// candidate table scores with this function's exact expression; the
+/// test-only rescan oracle calls it directly.
 double score_candidate_with_finish(const workload::Scenario& scenario,
-                                   const sim::Schedule& schedule,
-                                   const Weights& weights,
-                                   const ObjectiveTotals& totals, TaskId task,
-                                   MachineId machine, VersionKind version,
-                                   Cycles finish_est,
-                                   AetSign aet_sign = AetSign::Reward);
-
-double score_candidate_with_finish(const ScenarioCache& cache,
-                                   const workload::Scenario& scenario,
                                    const sim::Schedule& schedule,
                                    const Weights& weights,
                                    const ObjectiveTotals& totals, TaskId task,

@@ -395,31 +395,46 @@ void write_heartbeat_json(std::ostream& os, const HeartbeatSample& sample) {
   os << json.str() << "\n";
 }
 
+namespace {
+
+/// A count, byte size or clock read back from a heartbeat: at most 2^53, the
+/// last integer a JSON number holds exactly. Absent: 0, the sample default.
+constexpr std::int64_t kMaxHeartbeatInt = std::int64_t{1} << 53;
+
+std::int64_t heartbeat_int(const JsonValue& object, std::string_view field) {
+  return checked_int(object.find(field), field, 0, kMaxHeartbeatInt);
+}
+
+std::uint64_t heartbeat_count(const JsonValue& object, std::string_view field) {
+  return static_cast<std::uint64_t>(heartbeat_int(object, field));
+}
+
+}  // namespace
+
 HeartbeatSample parse_heartbeat(const JsonValue& root) {
   AHG_EXPECTS_MSG(root.is_object(), "heartbeat sample must be a JSON object");
   HeartbeatSample sample;
   sample.uptime_seconds = root.get_double("uptime_seconds");
-  sample.beats = static_cast<std::uint64_t>(root.get_int("beats"));
+  sample.beats = heartbeat_count(root, "beats");
   sample.phase = root.get_string("phase");
-  sample.clock = root.get_int("clock");
-  sample.clock_limit = root.get_int("clock_limit");
-  sample.tasks_done = static_cast<std::uint64_t>(root.get_int("tasks_done"));
-  sample.tasks_total = static_cast<std::uint64_t>(root.get_int("tasks_total"));
+  sample.clock = heartbeat_int(root, "clock");
+  sample.clock_limit = heartbeat_int(root, "clock_limit");
+  sample.tasks_done = heartbeat_count(root, "tasks_done");
+  sample.tasks_total = heartbeat_count(root, "tasks_total");
   sample.progress = root.get_double("progress");
   sample.eta_seconds = root.get_double("eta_seconds", -1.0);
-  sample.rss_bytes = static_cast<std::uint64_t>(root.get_int("rss_bytes"));
-  sample.peak_rss_bytes = static_cast<std::uint64_t>(root.get_int("peak_rss_bytes"));
+  sample.rss_bytes = heartbeat_count(root, "rss_bytes");
+  sample.peak_rss_bytes = heartbeat_count(root, "peak_rss_bytes");
   sample.stalled = root.get_bool("stalled");
   if (const JsonValue* workers = root.find("workers");
       workers != nullptr && workers->is_array()) {
     for (const JsonValue& entry : workers->as_array()) {
       HeartbeatSample::Worker worker;
       worker.label = entry.get_string("label");
-      worker.tasks = static_cast<std::uint64_t>(entry.get_int("tasks"));
-      worker.steals = static_cast<std::uint64_t>(entry.get_int("steals"));
-      worker.steal_attempts =
-          static_cast<std::uint64_t>(entry.get_int("steal_attempts"));
-      worker.parks = static_cast<std::uint64_t>(entry.get_int("parks"));
+      worker.tasks = heartbeat_count(entry, "tasks");
+      worker.steals = heartbeat_count(entry, "steals");
+      worker.steal_attempts = heartbeat_count(entry, "steal_attempts");
+      worker.parks = heartbeat_count(entry, "parks");
       worker.busy_seconds = entry.get_double("busy_seconds");
       worker.idle_seconds = entry.get_double("idle_seconds");
       worker.busy_fraction = entry.get_double("busy_fraction");

@@ -277,6 +277,9 @@ struct HeartbeatSample {
 };
 
 void write_heartbeat_json(std::ostream& os, const HeartbeatSample& sample);
+/// Read a sample back. Throws PreconditionError unless `root` is an object
+/// whose integer fields (counts, byte sizes, clocks) are integers in
+/// [0, 2^53]; an absent field reads as 0.
 HeartbeatSample parse_heartbeat(const JsonValue& root);
 
 /// Live-run heartbeat: a background thread periodically rewrites a small

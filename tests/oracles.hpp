@@ -9,12 +9,21 @@
 //    scan all |T| subtasks, classify admission per task with on-demand
 //    energy derivations (no ScenarioCache, no ReadyFrontier), score each
 //    candidate through score_candidate, sort.
+//  - scan_maxmax_oracle: Max-Max with the per-round rescan the candidate
+//    table replaced — every round walks each frontier task's parents and
+//    re-admits, re-prices and re-scores every (machine, version) from
+//    scratch through the uncached feasibility and scoring functions.
 
 #include <algorithm>
 #include <limits>
+#include <memory>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "core/feasibility.hpp"
+#include "core/maxmax.hpp"
+#include "core/placement.hpp"
 #include "core/scoring.hpp"
 #include "core/slrh.hpp"
 #include "sim/schedule.hpp"
@@ -93,6 +102,128 @@ inline ScanPool scan_pool_oracle(const workload::Scenario& scenario,
               if (a.score != b.score) return a.score > b.score;
               return a.task < b.task;
             });
+  return out;
+}
+
+struct ScanMaxMax {
+  std::shared_ptr<sim::Schedule> schedule;
+  std::size_t iterations = 0;  ///< selection rounds, the stalled one included
+  std::size_t exclusions = 0;  ///< triplets whose exact plan overshot tau
+};
+
+/// Max-Max (core/maxmax.hpp) without its candidate table: each round rescans
+/// the whole frontier. The selection order, the critical-path deadline test
+/// and the exclusion loop are run_maxmax's; the tail lookahead takes its
+/// per-task minimum from scenario.exec_cycles instead of the ScenarioCache.
+inline ScanMaxMax scan_maxmax_oracle(const workload::Scenario& scenario,
+                                     const core::MaxMaxParams& params) {
+  struct Triplet {
+    TaskId task = kInvalidTask;
+    MachineId machine = kInvalidMachine;
+    VersionKind version = VersionKind::Primary;
+    double score = 0.0;
+    Cycles finish_est = 0;
+
+    bool valid() const noexcept { return task != kInvalidTask; }
+    bool better_than(const Triplet& other) const noexcept {
+      if (!other.valid()) return true;
+      if (score != other.score) return score > other.score;
+      if (finish_est != other.finish_est) return finish_est < other.finish_est;
+      if (task != other.task) return task < other.task;
+      if (machine != other.machine) return machine < other.machine;
+      return version == VersionKind::Primary && other.version == VersionKind::Secondary;
+    }
+  };
+
+  ScanMaxMax out;
+  out.schedule = core::make_schedule(scenario);
+  sim::Schedule& schedule = *out.schedule;
+  const core::ObjectiveTotals totals = core::objective_totals(scenario);
+  const auto num_tasks = static_cast<TaskId>(scenario.num_tasks());
+  const auto num_machines = static_cast<MachineId>(scenario.num_machines());
+
+  std::vector<std::size_t> unmapped_parents(scenario.num_tasks(), 0);
+  std::vector<TaskId> frontier;
+  for (TaskId t = 0; t < num_tasks; ++t) {
+    unmapped_parents[static_cast<std::size_t>(t)] = scenario.dag.parents(t).size();
+    if (unmapped_parents[static_cast<std::size_t>(t)] == 0) frontier.push_back(t);
+  }
+
+  std::vector<Cycles> tail(scenario.num_tasks(), 0);
+  if (params.enforce_tau) {
+    const auto order = scenario.dag.topological_order();
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+      const TaskId t = *it;
+      Cycles min_exec = std::numeric_limits<Cycles>::max();
+      for (MachineId m = 0; m < num_machines; ++m) {
+        min_exec = std::min(min_exec, scenario.exec_cycles(t, m, VersionKind::Secondary));
+      }
+      for (const TaskId parent : scenario.dag.parents(t)) {
+        tail[static_cast<std::size_t>(parent)] =
+            std::max(tail[static_cast<std::size_t>(parent)],
+                     min_exec + tail[static_cast<std::size_t>(t)]);
+      }
+    }
+  }
+
+  std::set<std::tuple<TaskId, MachineId, VersionKind>> excluded;
+  while (!schedule.complete()) {
+    ++out.iterations;
+    Triplet best;
+    core::PlacementPlan best_plan;
+    for (;;) {
+      best = Triplet{};
+      for (const TaskId task : frontier) {
+        Cycles arrival_lb = scenario.release(task);
+        for (const TaskId parent : scenario.dag.parents(task)) {
+          arrival_lb = std::max(arrival_lb, schedule.assignment(parent).finish);
+        }
+        for (MachineId machine = 0; machine < num_machines; ++machine) {
+          for (const VersionKind version :
+               {VersionKind::Primary, VersionKind::Secondary}) {
+            if (excluded.contains({task, machine, version})) continue;
+            if (!core::version_fits_energy(scenario, schedule, task, machine, version)) {
+              continue;
+            }
+            const Cycles exec = scenario.exec_cycles(task, machine, version);
+            const Cycles start_est =
+                schedule.compute_timeline(machine).earliest_fit(arrival_lb, exec);
+            const Cycles finish_est = start_est + exec;
+            if (params.enforce_tau &&
+                finish_est + tail[static_cast<std::size_t>(task)] > scenario.tau) {
+              continue;
+            }
+            const double score = core::score_candidate_with_finish(
+                scenario, schedule, params.weights, totals, task, machine, version,
+                finish_est, params.aet_sign);
+            const Triplet triplet{task, machine, version, score, finish_est};
+            if (triplet.better_than(best)) best = triplet;
+          }
+        }
+      }
+      if (!best.valid()) break;
+      best_plan = core::plan_placement(scenario, schedule, best.task, best.machine,
+                                       best.version, /*not_before=*/0);
+      if (!params.enforce_tau ||
+          best_plan.finish() + tail[static_cast<std::size_t>(best.task)] <=
+              scenario.tau) {
+        break;
+      }
+      excluded.insert({best.task, best.machine, best.version});
+      ++out.exclusions;
+    }
+    if (!best.valid()) break;
+
+    core::commit_placement(scenario, schedule, best_plan);
+    excluded.clear();
+    frontier.erase(std::find(frontier.begin(), frontier.end(), best.task));
+    for (const TaskId child : scenario.dag.children(best.task)) {
+      if (--unmapped_parents[static_cast<std::size_t>(child)] == 0) {
+        frontier.push_back(child);
+      }
+    }
+    std::sort(frontier.begin(), frontier.end());
+  }
   return out;
 }
 

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
+#include "core/scenario_cache.hpp"
 #include "core/validate.hpp"
+#include "tests/oracles.hpp"
 #include "tests/scenario_fixtures.hpp"
 
 namespace ahg::core {
@@ -136,6 +141,63 @@ TEST(MaxMax, DegradedCasesStillValid) {
     const auto report = validate_schedule(s, *result.schedule, options);
     EXPECT_TRUE(report.ok()) << to_string(grid_case) << ": " << report.str();
   }
+}
+
+// The candidate table against the full per-round rescan: identical
+// placements in identical order and identical round counts, over the paper's
+// grid cases, with and without channel outages (transfers wait on blocked
+// channels, which the cheap estimate ignores), with and without the deadline
+// test, under both AET signs, and with every cache arrangement (run-local,
+// shared eager, shared lazy). The exclusion path must run in at least one
+// case.
+TEST(MaxMaxIncrementalProperty, MatchesRescanOracle) {
+  std::size_t exclusions = 0;
+  for (const auto grid_case : {sim::GridCase::A, sim::GridCase::B, sim::GridCase::C}) {
+    for (const int outages : {0, 2}) {
+      auto s = test::small_suite_scenario(grid_case, 256);
+      if (outages > 0) {
+        s.link_outages = {{0, s.tau / 20, s.tau / 4}, {1, 0, s.tau / 6}};
+      }
+      const ScenarioCache shared(s);
+      for (const bool enforce_tau : {true, false}) {
+        for (const AetSign sign : {AetSign::Reward, AetSign::Penalize}) {
+          MaxMaxParams params;
+          params.weights = Weights::make(0.6, 0.3);
+          params.enforce_tau = enforce_tau;
+          params.aet_sign = sign;
+          const auto oracle = test::scan_maxmax_oracle(s, params);
+          exclusions += oracle.exclusions;
+          const auto& want = *oracle.schedule;
+          for (const int cache_mode : {0, 1, 2}) {
+            SCOPED_TRACE(to_string(grid_case) + " outages " +
+                         std::to_string(outages) + " tau " +
+                         std::to_string(enforce_tau) + " sign " +
+                         std::to_string(static_cast<int>(sign)) + " cache " +
+                         std::to_string(cache_mode));
+            std::optional<ScenarioCache> lazy;
+            if (cache_mode == 1) params.cache = &shared;
+            if (cache_mode == 2) params.cache = &lazy.emplace(s, CacheBuild::Lazy);
+            const auto result = run_maxmax(s, params);
+            params.cache = nullptr;
+            EXPECT_EQ(result.iterations, oracle.iterations);
+            const auto& got = *result.schedule;
+            ASSERT_EQ(got.assignment_order().size(), want.assignment_order().size());
+            for (std::size_t i = 0; i < want.assignment_order().size(); ++i) {
+              const TaskId task = want.assignment_order()[i];
+              ASSERT_EQ(got.assignment_order()[i], task) << "commit " << i;
+              const auto& a = got.assignment(task);
+              const auto& b = want.assignment(task);
+              EXPECT_EQ(a.machine, b.machine) << "task " << task;
+              EXPECT_EQ(a.version, b.version) << "task " << task;
+              EXPECT_EQ(a.start, b.start) << "task " << task;
+              EXPECT_EQ(a.finish, b.finish) << "task " << task;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(exclusions, 0u);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // region nesting/stamping, helper-slot leasing, concurrent writers vs.
 // snapshot readers (the TSan target), the ThreadPool integration, the
 // Chrome trace pid-3 process, the runtime metrics snapshot, and
-// the heartbeat file round-trip + stall watchdog. The bit-identical-
+// the heartbeat file round-trip, hostile-input parsing + stall watchdog. The bit-identical-
 // schedules side of the contract lives in tests/test_determinism.cpp.
 
 #include <gtest/gtest.h>
@@ -12,15 +12,19 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "support/chrome_trace.hpp"
+#include "support/contract.hpp"
 #include "support/jsonl.hpp"
 #include "support/metrics.hpp"
 #include "support/runtime_profiler.hpp"
 #include "support/thread_pool.hpp"
+#include "tests/byte_mutation.hpp"
 
 namespace ahg {
 namespace {
@@ -303,6 +307,76 @@ TEST(Heartbeat, FileRoundTrip) {
   EXPECT_EQ(sample.workers[0].tasks, 1u);
   EXPECT_NEAR(sample.workers[0].busy_seconds, 0.25, 1e-6);
   std::remove(path.c_str());
+}
+
+TEST(Heartbeat, ParseRejectsOutOfRangeIntegers) {
+  // Values the writer never produces: each must be refused, not wrapped
+  // (a negative count cast to uint64) or rounded (a fraction, 1e300).
+  for (const char* text :
+       {R"({"beats":-1})", R"({"tasks_done":2.5})", R"({"rss_bytes":1e300})",
+        R"({"clock":-7})", R"({"clock_limit":"9"})",
+        R"({"workers":[{"label":"w","tasks":-3}]})",
+        R"({"workers":[{"label":"w","parks":1e20}]})"}) {
+    SCOPED_TRACE(text);
+    EXPECT_THROW(obs::parse_heartbeat(obs::parse_json(text)), PreconditionError);
+  }
+  const auto sample = obs::parse_heartbeat(obs::parse_json(R"({"beats":3})"));
+  EXPECT_EQ(sample.beats, 3u);
+  EXPECT_EQ(sample.tasks_total, 0u);  // absent: the default
+}
+
+TEST(Heartbeat, JsonSurvivesByteMutation) {
+  // A heartbeat sample with random byte edits (overwrite, insert, delete):
+  // each mutant either parses into a sample whose integers are in range, or
+  // throws PreconditionError. A negative count must not wrap to 2^64 - n.
+  obs::HeartbeatSample sample;
+  sample.uptime_seconds = 12.5;
+  sample.beats = 42;
+  sample.phase = "slrh3_run";
+  sample.clock = 125000;
+  sample.clock_limit = 1000000;
+  sample.tasks_done = 400;
+  sample.tasks_total = 1024;
+  sample.progress = 0.125;
+  sample.eta_seconds = 87.5;
+  sample.rss_bytes = 123456789;
+  sample.peak_rss_bytes = 234567890;
+  for (int w = 0; w < 2; ++w) {
+    obs::HeartbeatSample::Worker worker;
+    worker.label = "worker " + std::to_string(w);
+    worker.tasks = 17u + static_cast<std::uint64_t>(w);
+    worker.steals = 3;
+    worker.steal_attempts = 9;
+    worker.parks = 2;
+    worker.busy_seconds = 1.5;
+    worker.idle_seconds = 0.25;
+    worker.busy_fraction = 0.85;
+    sample.workers.push_back(worker);
+  }
+  std::ostringstream os;
+  obs::write_heartbeat_json(os, sample);
+  constexpr std::uint64_t kMaxExact = std::uint64_t{1} << 53;
+  const auto tally = test::run_byte_mutations(os.str(), 2000, 0x4EA47ull,
+                                              [&](std::istream& in) {
+    const std::string text{std::istreambuf_iterator<char>(in), {}};
+    const auto parsed = obs::parse_heartbeat(obs::parse_json(text));
+    EXPECT_LE(parsed.beats, kMaxExact);
+    EXPECT_GE(parsed.clock, 0);
+    EXPECT_GE(parsed.clock_limit, 0);
+    EXPECT_LE(parsed.tasks_done, kMaxExact);
+    EXPECT_LE(parsed.tasks_total, kMaxExact);
+    EXPECT_LE(parsed.rss_bytes, kMaxExact);
+    EXPECT_LE(parsed.peak_rss_bytes, kMaxExact);
+    for (const auto& worker : parsed.workers) {
+      EXPECT_LE(worker.tasks, kMaxExact);
+      EXPECT_LE(worker.steals, kMaxExact);
+      EXPECT_LE(worker.steal_attempts, kMaxExact);
+      EXPECT_LE(worker.parks, kMaxExact);
+    }
+  });
+  // Both outcomes occur: the mutations reach numbers and structure alike.
+  EXPECT_GT(tally.parsed, 0u);
+  EXPECT_GT(tally.rejected, 0u);
 }
 
 TEST(Heartbeat, StallWatchdogFlagsAndClears) {
