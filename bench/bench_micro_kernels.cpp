@@ -238,9 +238,9 @@ double batched_score_kernel(const workload::Scenario& scenario,
                             const core::Weights& weights,
                             const core::ObjectiveTotals& totals,
                             std::span<const TaskId> ready,
-                            core::CandidateBatch& batch) {
+                            core::GatherRows& rows, core::CandidateBatch& batch) {
   core::build_candidate_batch(cache, scenario, schedule, ready, /*machine=*/0,
-                              /*earliest=*/0, nullptr, batch);
+                              /*earliest=*/0, nullptr, rows, batch);
   core::score_batch(batch, weights, totals, schedule.t100(), schedule.tec(),
                     schedule.aet());
   double acc = 0.0;
@@ -271,10 +271,11 @@ void BM_ScoreBatch_Batched(benchmark::State& state) {
   const auto totals = core::objective_totals(scenario);
   const auto weights = core::Weights::make(0.6, 0.3);
   const auto ready = all_tasks(scenario.num_tasks());
+  core::GatherRows rows(scenario.num_tasks(), scenario.num_machines());
   core::CandidateBatch batch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(batched_score_kernel(scenario, cache, schedule,
-                                                  weights, totals, ready, batch));
+    benchmark::DoNotOptimize(batched_score_kernel(scenario, cache, schedule, weights,
+                                                  totals, ready, rows, batch));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
@@ -402,6 +403,7 @@ void write_inner_loop_report() {
     const auto totals = core::objective_totals(pool_scenario);
     const auto weights = core::Weights::make(0.6, 0.3);
     const auto ready = all_tasks(pool_scenario.num_tasks());
+    core::GatherRows rows(pool_scenario.num_tasks(), pool_scenario.num_machines());
     core::CandidateBatch batch;
     double scalar_seconds = 0.0;
     double batched_seconds = 0.0;
@@ -417,7 +419,7 @@ void write_inner_loop_report() {
 
       const Stopwatch batched_timer;
       batched_sum = batched_score_kernel(pool_scenario, cache, schedule, weights,
-                                         totals, ready, batch);
+                                         totals, ready, rows, batch);
       const double batched_elapsed = batched_timer.seconds();
       batched_seconds =
           rep == 0 ? batched_elapsed : std::min(batched_seconds, batched_elapsed);

@@ -11,7 +11,6 @@
 #include "core/scenario_cache.hpp"
 #include "core/scoring.hpp"
 #include "core/taps.hpp"
-#include "sim/comm.hpp"
 #include "sim/timeline.hpp"
 #include "support/stopwatch.hpp"
 
@@ -67,9 +66,8 @@ class CandidateTable {
         headroom_(scenario.num_machines()) {}
 
   /// Fill the row of `task`, which just joined the frontier: one walk over
-  /// its parents for the arrival lower bound, then one per machine for both
-  /// versions' tec deltas — each summed from the version's exec energy in
-  /// parent order, the accumulation order of score_candidate.
+  /// its parents for the arrival lower bound, then one walk_parents per
+  /// machine for both versions' tec deltas.
   void add(const sim::Schedule& schedule, TaskId task) {
     const std::size_t row = tasks_.size();
     row_of_[static_cast<std::size_t>(task)] = row;
@@ -86,23 +84,13 @@ class CandidateTable {
     excluded_.resize(excluded_.size() + width, 0);
     for (MachineId machine = 0; machine < static_cast<MachineId>(num_machines_);
          ++machine) {
-      double tec_p = cache_.exec_energy(task, machine, VersionKind::Primary);
-      double tec_s = cache_.exec_energy(task, machine, VersionKind::Secondary);
-      const auto& receiver = scenario_.grid.machine(machine);
-      for (const TaskId parent : scenario_.dag.parents(task)) {
-        const auto& pa = schedule.assignment(parent);
-        if (pa.machine == machine) continue;
-        const double bits = scenario_.edge_bits(parent, task, pa.version);
-        if (bits <= 0.0) continue;
-        const auto& sender = scenario_.grid.machine(pa.machine);
-        const double transfer =
-            sim::transfer_energy(sender, sim::transfer_cycles(bits, sender, receiver));
-        tec_p += transfer;
-        tec_s += transfer;
-      }
+      const ParentTerms parents = walk_parents(
+          scenario_, schedule, task, machine,
+          cache_.exec_energy(task, machine, VersionKind::Secondary),
+          cache_.exec_energy(task, machine, VersionKind::Primary));
       const std::size_t e = entry(row, machine, VersionKind::Primary);
-      tec_delta_[e] = tec_p;
-      tec_delta_[e + 1] = tec_s;
+      tec_delta_[e] = parents.tec_delta_primary;
+      tec_delta_[e + 1] = parents.tec_delta_secondary;
       need_[e] = cache_.energy_need(task, machine, VersionKind::Primary);
       need_[e + 1] = cache_.energy_need(task, machine, VersionKind::Secondary);
       price(schedule, row, machine);

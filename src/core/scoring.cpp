@@ -4,7 +4,6 @@
 
 #include "core/feasibility.hpp"
 #include "core/scenario_cache.hpp"
-#include "sim/comm.hpp"
 #include "support/contract.hpp"
 
 namespace ahg::core {
@@ -37,21 +36,12 @@ ObjectiveState hypothetical_state(const workload::Scenario& scenario,
                                   const sim::Schedule& schedule, TaskId task,
                                   MachineId machine, VersionKind version,
                                   Cycles finish_est, double task_exec_energy) {
-  double tec_delta = task_exec_energy;
-  for (const TaskId parent : scenario.dag.parents(task)) {
-    AHG_EXPECTS_MSG(schedule.is_assigned(parent), "scoring with unassigned parent");
-    const auto& pa = schedule.assignment(parent);
-    if (pa.machine == machine) continue;
-    const double bits = scenario.edge_bits(parent, task, pa.version);
-    if (bits <= 0.0) continue;
-    const auto& sender = scenario.grid.machine(pa.machine);
-    const auto& receiver = scenario.grid.machine(machine);
-    tec_delta += sim::transfer_energy(sender, sim::transfer_cycles(bits, sender, receiver));
-  }
+  const ParentTerms parents = walk_parents(scenario, schedule, task, machine,
+                                           task_exec_energy, task_exec_energy);
 
   ObjectiveState state;
   state.t100 = schedule.t100() + (version == VersionKind::Primary ? 1 : 0);
-  state.tec = schedule.tec() + tec_delta;
+  state.tec = schedule.tec() + parents.tec_delta_primary;
   state.aet = std::max(schedule.aet(), finish_est);
   return state;
 }
@@ -109,6 +99,49 @@ ObjectiveTerms score_candidate_terms_with_finish(
   return objective_terms(weights, state, totals, aet_sign);
 }
 
+// --- parent terms -----------------------------------------------------------
+
+GatherRows::GatherRows(std::size_t num_tasks, std::size_t num_machines)
+    : num_machines_(num_machines), row_of_(num_tasks, kNoRow) {}
+
+const ParentTerms& GatherRows::terms(const ScenarioCache& cache,
+                                     const workload::Scenario& scenario,
+                                     const sim::Schedule& schedule, TaskId task,
+                                     MachineId machine) {
+  std::uint32_t& row = row_of_[static_cast<std::size_t>(task)];
+  if (row == kNoRow) {
+    if (free_.empty()) {
+      row = static_cast<std::uint32_t>(entries_.size() / num_machines_);
+      entries_.resize(entries_.size() + num_machines_);
+      filled_.resize(filled_.size() + num_machines_, 0);
+    } else {
+      row = free_.back();
+      free_.pop_back();
+    }
+    ++in_use_;
+  }
+  const std::size_t e = static_cast<std::size_t>(row) * num_machines_ +
+                        static_cast<std::size_t>(machine);
+  if (filled_[e] == 0) {
+    entries_[e] = walk_parents(scenario, schedule, task, machine,
+                               cache.exec_energy(task, machine, VersionKind::Secondary),
+                               cache.exec_energy(task, machine, VersionKind::Primary));
+    filled_[e] = 1;
+  }
+  return entries_[e];
+}
+
+void GatherRows::drop(TaskId task) noexcept {
+  std::uint32_t& row = row_of_[static_cast<std::size_t>(task)];
+  if (row == kNoRow) return;
+  const auto first = static_cast<std::ptrdiff_t>(static_cast<std::size_t>(row) *
+                                                 num_machines_);
+  std::fill_n(filled_.begin() + first, num_machines_, std::uint8_t{0});
+  free_.push_back(row);
+  row = kNoRow;
+  --in_use_;
+}
+
 // --- batched SoA scoring -----------------------------------------------
 
 void CandidateBatch::clear() noexcept {
@@ -132,7 +165,7 @@ std::size_t build_candidate_batch(const ScenarioCache& cache,
                                   std::span<const TaskId> ready,
                                   MachineId machine, Cycles earliest,
                                   const std::vector<std::uint8_t>* secondary_only,
-                                  CandidateBatch& batch) {
+                                  GatherRows& rows, CandidateBatch& batch) {
   batch.machine = machine;
   // Hoisted per-machine state: pure during a pool build. The admission
   // comparison and the finish base reproduce version_fits_energy and
@@ -140,7 +173,6 @@ std::size_t build_candidate_batch(const ScenarioCache& cache,
   // side; max(earliest, ready) is integer — hoisting is exact).
   batch.headroom = schedule.energy().available(machine) + kEnergyFitEps;
   batch.start_base = std::max(earliest, schedule.machine_ready(machine));
-  const auto& receiver = scenario.grid.machine(machine);
 
   // Grow the gather columns to the high-water ready-set size and fill
   // through raw pointers: a push_back per column per slot re-checks capacity
@@ -182,32 +214,10 @@ std::size_t build_candidate_batch(const ScenarioCache& cache,
         secondary_only != nullptr &&
         (*secondary_only)[static_cast<std::size_t>(task)] != 0;
 
-    // One parent walk feeds both versions' tec-delta chains: each chain
-    // starts from its version's exec energy and adds the identical transfer
-    // energies in parent order — the scalar accumulation order, per version.
-    // The same walk bounds plan_placement's arrival (not_before = earliest):
-    // local data lands at the parent's finish, and a transfer cannot start
-    // before max(earliest, finish). The bound leaves out the release, which
-    // gates the start, not the arrival.
-    double tec_s = cache.exec_energy(task, machine, VersionKind::Secondary);
-    double tec_p = cache.exec_energy(task, machine, VersionKind::Primary);
-    Cycles lb = 0;
-    for (const TaskId parent : scenario.dag.parents(task)) {
-      AHG_EXPECTS_MSG(schedule.is_assigned(parent), "scoring with unassigned parent");
-      const auto& pa = schedule.assignment(parent);
-      const double bits =
-          pa.machine == machine ? 0.0 : scenario.edge_bits(parent, task, pa.version);
-      if (bits <= 0.0) {  // same machine or empty edge: no transfer
-        lb = std::max(lb, pa.finish);
-        continue;
-      }
-      const auto& sender = scenario.grid.machine(pa.machine);
-      const Cycles dur = sim::transfer_cycles(bits, sender, receiver);
-      lb = std::max(lb, std::max(earliest, pa.finish) + dur);
-      const double transfer = sim::transfer_energy(sender, dur);
-      tec_s += transfer;
-      tec_p += transfer;
-    }
+    // Both tec-delta chains and the arrival bound come from the task's row:
+    // its parents are committed, so the entry filled by the first gather of
+    // this (task, machine) pair holds for every later build in the window.
+    const ParentTerms& parents = rows.terms(cache, scenario, schedule, task, machine);
 
     col_task[slot] = task;
     // Exact integer finish estimates, converted once (values < 2^53, so the
@@ -216,11 +226,11 @@ std::size_t build_candidate_batch(const ScenarioCache& cache,
         start_base + cache.exec_cycles(task, machine, VersionKind::Secondary));
     col_fp[slot] = static_cast<double>(
         start_base + cache.exec_cycles(task, machine, VersionKind::Primary));
-    col_ts[slot] = tec_s;
-    col_tp[slot] = tec_p;
+    col_ts[slot] = parents.tec_delta_secondary;
+    col_tp[slot] = parents.tec_delta_primary;
     col_allowed[slot] =
         !degraded && need_p <= headroom ? std::uint8_t{1} : std::uint8_t{0};
-    col_lb[slot] = lb;
+    col_lb[slot] = parents.arrival_lb(earliest);
     ++slot;
   }
   batch.count_ = slot;

@@ -10,11 +10,13 @@
 // machine ready time) + execution time — and run the exact placement search
 // only for the candidates actually considered for selection.
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "core/objective.hpp"
+#include "sim/comm.hpp"
 #include "sim/schedule.hpp"
 #include "support/units.hpp"
 #include "support/version.hpp"
@@ -79,6 +81,110 @@ ObjectiveTerms score_candidate_terms_with_finish(
     MachineId machine, VersionKind version, Cycles finish_est,
     AetSign aet_sign = AetSign::Reward);
 
+// --- parent terms -----------------------------------------------------------
+//
+// What a task's committed parents fix for one candidate machine: both
+// versions' tec deltas and the data-arrival lower bound, from ONE walk over
+// the parents. Every scoring path that prices incoming transfers (the scalar
+// score, the SLRH gather rows, Max-Max's candidate table) goes through
+// walk_parents, so the accumulation order exists once.
+
+/// The parent-dependent terms of one (task, machine) pair. The arrival
+/// bound is split so it can be re-evaluated at any clock without the walk:
+///   arrival_lb(earliest) = max(A, earliest + D)
+/// where A is the max over same-machine or empty-edge parents of `finish`
+/// and over cross-machine parents of `finish + dur`, and D is the max
+/// cross-machine transfer duration (absent without a cross-machine parent).
+/// Per cross-machine parent, max(earliest, finish) + dur ==
+/// max(earliest + dur, finish + dur), so the split is exact in integers.
+struct ParentTerms {
+  static constexpr Cycles kNoTransfer = -1;  ///< D when no data crosses machines
+
+  double tec_delta_secondary = 0.0;  ///< secondary exec + incoming-transfer energy
+  double tec_delta_primary = 0.0;    ///< primary exec + incoming-transfer energy
+  Cycles arrival_base = 0;           ///< A
+  Cycles transfer_max = kNoTransfer; ///< D
+
+  /// Lower bound on plan_placement's arrival at not_before = `earliest`.
+  Cycles arrival_lb(Cycles earliest) const noexcept {
+    return transfer_max == kNoTransfer
+               ? arrival_base
+               : std::max(arrival_base, earliest + transfer_max);
+  }
+};
+
+/// One walk over `task`'s parents (all must be assigned) for `machine`. Each
+/// tec chain starts from the supplied exec energy and adds the identical
+/// transfer energies in parent order — the accumulation order of
+/// score_candidate. Channel contention can only push a transfer later, never
+/// earlier, so arrival_lb never exceeds the planned arrival; the bound leaves
+/// out the release, which gates the start, not the arrival. Inline, so a
+/// caller that reads only the tec deltas (Max-Max) compiles the bound away.
+inline ParentTerms walk_parents(const workload::Scenario& scenario,
+                                const sim::Schedule& schedule, TaskId task,
+                                MachineId machine, double exec_energy_secondary,
+                                double exec_energy_primary) {
+  ParentTerms out;
+  out.tec_delta_secondary = exec_energy_secondary;
+  out.tec_delta_primary = exec_energy_primary;
+  const auto& receiver = scenario.grid.machine(machine);
+  for (const TaskId parent : scenario.dag.parents(task)) {
+    const auto& pa = schedule.assignment(parent);  // throws if unassigned
+    const double bits =
+        pa.machine == machine ? 0.0 : scenario.edge_bits(parent, task, pa.version);
+    if (bits <= 0.0) {  // same machine or empty edge: the data is there at finish
+      out.arrival_base = std::max(out.arrival_base, pa.finish);
+      continue;
+    }
+    const auto& sender = scenario.grid.machine(pa.machine);
+    const Cycles dur = sim::transfer_cycles(bits, sender, receiver);
+    out.arrival_base = std::max(out.arrival_base, pa.finish + dur);
+    out.transfer_max = std::max(out.transfer_max, dur);
+    const double transfer = sim::transfer_energy(sender, dur);
+    out.tec_delta_secondary += transfer;
+    out.tec_delta_primary += transfer;
+  }
+  return out;
+}
+
+/// Per-ready-task parent terms for one drive window. Once a task is ready
+/// its parents are committed and cannot move inside the window, so the entry
+/// for (task, machine) is filled by one walk_parents call on first use and
+/// read by every later pool build. A task gets a row (one entry per machine)
+/// when a gather first meets it and gives it back when it commits
+/// (drop()); freed rows are reused, so storage is O(peak ready x |M|) plus
+/// one row index per task. Not thread-safe: one table per driver run.
+class GatherRows {
+ public:
+  GatherRows(std::size_t num_tasks, std::size_t num_machines);
+
+  /// The entry of (task, machine), walking the parents on first use. The
+  /// reference is valid until the next terms() call (a new row may grow the
+  /// table).
+  const ParentTerms& terms(const ScenarioCache& cache,
+                           const workload::Scenario& scenario,
+                           const sim::Schedule& schedule, TaskId task,
+                           MachineId machine);
+
+  /// Release `task`'s row (the task committed). A task without a row is a
+  /// no-op.
+  void drop(TaskId task) noexcept;
+
+  /// Rows currently held (ready tasks a gather has met and that have not
+  /// committed).
+  std::size_t rows_in_use() const noexcept { return in_use_; }
+
+ private:
+  static constexpr std::uint32_t kNoRow = static_cast<std::uint32_t>(-1);
+
+  std::size_t num_machines_;
+  std::vector<std::uint32_t> row_of_;  ///< task -> row, kNoRow without one
+  std::vector<ParentTerms> entries_;   ///< rows x |M|
+  std::vector<std::uint8_t> filled_;   ///< rows x |M|
+  std::vector<std::uint32_t> free_;    ///< released rows
+  std::size_t in_use_ = 0;
+};
+
 // --- batched SoA scoring -----------------------------------------------
 //
 // One SLRH pool build evaluates every ready task against a single machine at
@@ -86,9 +192,10 @@ ObjectiveTerms score_candidate_terms_with_finish(
 // two call chains per candidate — each re-reading machine state, re-walking
 // the parents and re-dividing the objective normalisers. The batched path
 // (the only one SLRH uses) splits the work into a GATHER stage
-// (build_candidate_batch: admission + one parent walk per task, filling
-// contiguous structure-of-arrays columns from the ScenarioCache tables and
-// the per-machine schedule state) and a SCORE kernel (score_batch:
+// (build_candidate_batch: admission plus a read of each task's GatherRows
+// entry, filling contiguous structure-of-arrays columns from the entry, the
+// ScenarioCache tables and the per-machine schedule state) and a SCORE
+// kernel (score_batch:
 // branch-free arithmetic over the columns, admission classification by
 // conditional select).
 //
@@ -123,10 +230,8 @@ struct CandidateBatch {
   std::vector<double> finish_secondary, finish_primary;    ///< finish estimates
   std::vector<double> tec_delta_secondary, tec_delta_primary;  ///< exec + incoming-transfer energy
   std::vector<std::uint8_t> primary_allowed;  ///< degrade mask + primary admission
-  /// Lower bound on plan_placement's arrival at not_before = earliest: the
-  /// max over parents of finish (same machine or empty edge) or
-  /// max(earliest, finish) + transfer cycles (cross machine). Channel
-  /// contention can only push a transfer later, never earlier.
+  /// Lower bound on plan_placement's arrival at not_before = earliest
+  /// (ParentTerms::arrival_lb).
   std::vector<Cycles> arrival_lb;
 
   // Score-kernel outputs.
@@ -150,18 +255,18 @@ struct CandidateBatch {
 
 /// Gather stage: fill `batch` with every task in `ready` whose secondary
 /// version fits the machine's available energy (identical admission verdicts
-/// to version_fits_energy). Walks each task's parents ONCE, accumulating
-/// both versions' tec-delta chains and the arrival lower bound together.
-/// `secondary_only` non-null masks primary consideration per task (churn
-/// degrade policy). Returns the number of tasks rejected by the admission
-/// energy check.
+/// to version_fits_energy). The tec-delta columns and the arrival bound come
+/// from each task's `rows` entry (filled by one parent walk the first time
+/// the pair is gathered; no walk after that). `secondary_only` non-null
+/// masks primary consideration per task (churn degrade policy). Returns the
+/// number of tasks rejected by the admission energy check.
 std::size_t build_candidate_batch(const ScenarioCache& cache,
                                   const workload::Scenario& scenario,
                                   const sim::Schedule& schedule,
                                   std::span<const TaskId> ready,
                                   MachineId machine, Cycles earliest,
                                   const std::vector<std::uint8_t>* secondary_only,
-                                  CandidateBatch& batch);
+                                  GatherRows& rows, CandidateBatch& batch);
 
 /// Score kernel: compute both versions' scores and the admission
 /// classification (primary iff allowed and >= secondary) for every slot,

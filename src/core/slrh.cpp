@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/feasibility.hpp"
@@ -25,93 +26,78 @@ std::string to_string(SlrhVariant variant) {
   return "SLRH-?";
 }
 
-namespace {
-
-/// Order the candidate pool by score descending (ties: smaller task id, for
-/// determinism). Scores are distinct per task, so the result is independent
-/// of the insertion order.
-void sort_pool(std::vector<SlrhPoolCandidate>& pool) {
-  std::sort(pool.begin(), pool.end(),
-            [](const SlrhPoolCandidate& a, const SlrhPoolCandidate& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.task < b.task;
-            });
+void rank_dead(SlrhPool& pool) {
+  std::sort(pool.slots.begin() + static_cast<std::ptrdiff_t>(pool.live),
+            pool.slots.end(), ranks_before);
 }
 
-/// Per-(machine, clock) memo of candidates whose exact placement was proven
-/// beyond the horizon. Within one such scope a commit can only ADD channel
-/// bookings and never reassigns a candidate's (already mapped) parents, so
-/// plan_placement's arrival is monotonically non-decreasing across the
-/// variant-2/3 re-walks — a candidate once beyond the horizon at this clock
-/// stays beyond it, and re-planning it is pure waste. The arrival is also
-/// version-independent (incoming edge volumes depend on the PARENTS'
-/// committed versions), so one bit per task suffices. Generation stamping
-/// makes scope resets O(1).
-class BeyondHorizonMemo {
- public:
-  explicit BeyondHorizonMemo(std::size_t num_tasks) : stamp_(num_tasks, 0) {}
-
-  void begin_scope() noexcept { ++generation_; }
-
-  bool contains(TaskId task) const noexcept {
-    return stamp_[static_cast<std::size_t>(task)] == generation_;
-  }
-
-  void insert(TaskId task) noexcept {
-    stamp_[static_cast<std::size_t>(task)] = generation_;
-  }
-
- private:
-  std::vector<std::uint64_t> stamp_;
-  std::uint64_t generation_ = 1;
-};
-
-/// Walk the ordered pool and commit the first candidate whose exact
-/// earliest start (communication included) falls within the horizon.
-/// Returns the index into `pool` of the mapped candidate, or npos.
-/// Admission energies come from the precomputed tables; `memo` skips
-/// re-planning candidates already proven beyond-horizon in this
-/// (machine, clock) scope.
-/// `committed` receives a copy of the committed plan (the sweep epochs read
-/// it). `taps` observes every passed-over candidate, plan and the commit.
-/// `min_beyond` non-null accumulates (running min) the smallest proven lower
-/// bound on the arrival of every candidate this walk found beyond the
-/// horizon — exact for a planned candidate, the gather's arrival_lb for a
-/// bound-pruned one — the raw material for the cross-tick skip verdicts
-/// (core/sweep.hpp). Memo-skipped candidates were accumulated by the earlier
-/// walk that inserted them; arrivals only move later within a scope, so
-/// those remain valid lower bounds.
 std::size_t map_first_startable(const workload::Scenario& scenario,
                                 sim::Schedule& schedule, const SlrhParams& params,
-                                const std::vector<SlrhPoolCandidate>& pool,
-                                MachineId machine, Cycles clock,
-                                const ScenarioCache& cache, BeyondHorizonMemo& memo,
-                                Taps& taps, PlacementPlan& committed,
-                                std::size_t skip_before, Cycles* min_beyond) {
-  const auto fits = [&](TaskId task, VersionKind version) {
-    return version_fits_energy(cache, schedule, task, machine, version);
+                                const SlrhPool& pool, MachineId machine,
+                                Cycles clock, const ScenarioCache& cache,
+                                BeyondHorizonMemo& memo, Taps& taps,
+                                PlacementPlan& committed, std::size_t skip_before,
+                                Cycles* min_beyond) {
+  // Re-check energy: earlier commits in this timestep (variants 2/3) may
+  // have consumed what the pool admission saw. The walk plans the pooled
+  // version, else secondary when only that still fits; nullopt: neither.
+  const auto fitting_version = [&](const SlrhPoolCandidate& cand) {
+    const auto fits = [&](VersionKind version) {
+      return version_fits_energy(cache, schedule, cand.task, machine, version);
+    };
+    std::optional<VersionKind> version;
+    if (fits(cand.version)) {
+      version = cand.version;
+    } else if (cand.version == VersionKind::Primary && fits(VersionKind::Secondary)) {
+      version = VersionKind::Secondary;
+    }
+    return version;
   };
-  const auto beyond_horizon = [&](const SlrhPoolCandidate& cand, Cycles arrival) {
-    if (min_beyond != nullptr && arrival < *min_beyond) *min_beyond = arrival;
-    taps.on_candidate(cand, Reject::BeyondHorizon);
+
+  // Dead slots are never walked. For a tap that lists rejections they are
+  // reported where the full walk would have met them: each one ranked
+  // before the live candidate about to be visited, with the first check
+  // that would have rejected it (the arrival bound, unless it was assigned
+  // or its energy ran out first).
+  const std::span<const SlrhPoolCandidate> dead = pool.dead();
+  std::size_t next_dead = dead.size();
+  if (taps.lists_candidates()) {
+    next_dead = skip_before == 0
+                    ? 0
+                    : static_cast<std::size_t>(
+                          std::partition_point(
+                              dead.begin(), dead.end(),
+                              [&](const SlrhPoolCandidate& d) {
+                                return ranks_before(d, pool.slots[skip_before - 1]);
+                              }) -
+                          dead.begin());
+  }
+  const auto report_dead_before = [&](const SlrhPoolCandidate* bound) {
+    for (; next_dead < dead.size() &&
+           (bound == nullptr || ranks_before(dead[next_dead], *bound));
+         ++next_dead) {
+      const SlrhPoolCandidate& cand = dead[next_dead];
+      Reject reject = Reject::BeyondHorizon;
+      if (schedule.is_assigned(cand.task)) {
+        reject = Reject::AlreadyAssigned;
+      } else if (!fitting_version(cand)) {
+        reject = Reject::EnergyExhausted;
+      }
+      taps.on_candidate(cand, reject);
+    }
   };
-  for (std::size_t k = skip_before; k < pool.size(); ++k) {
-    const SlrhPoolCandidate& cand = pool[k];
+
+  for (std::size_t k = skip_before; k < pool.live; ++k) {
+    const SlrhPoolCandidate& cand = pool.slots[k];
+    report_dead_before(&cand);
     if (schedule.is_assigned(cand.task)) {
       taps.on_candidate(cand, Reject::AlreadyAssigned);
       continue;
     }
-    // Re-check energy: earlier commits in this timestep (variants 2/3) may
-    // have consumed what the pool admission saw.
-    VersionKind version = cand.version;
-    if (!fits(cand.task, version)) {
-      if (version == VersionKind::Primary &&
-          fits(cand.task, VersionKind::Secondary)) {
-        version = VersionKind::Secondary;
-      } else {
-        taps.on_candidate(cand, Reject::EnergyExhausted);
-        continue;
-      }
+    const std::optional<VersionKind> version = fitting_version(cand);
+    if (!version) {
+      taps.on_candidate(cand, Reject::EnergyExhausted);
+      continue;
     }
     if (memo.contains(cand.task)) {
       // Proven beyond-horizon earlier in this (machine, clock) scope; the
@@ -119,15 +105,8 @@ std::size_t map_first_startable(const workload::Scenario& scenario,
       taps.on_candidate(cand, Reject::BeyondHorizon);
       continue;
     }
-    if (cand.arrival_lb > clock + params.horizon) {
-      // The parents' data cannot land before the horizon even on idle
-      // channels (plan.arrival >= arrival_lb); the parents stay put within
-      // the scope, so the bound holds for every re-walk. No plan needed.
-      beyond_horizon(cand, cand.arrival_lb);
-      continue;
-    }
     const PlacementPlan plan = taps.on_plan([&] {
-      return plan_placement(scenario, schedule, cand.task, machine, version, clock);
+      return plan_placement(scenario, schedule, cand.task, machine, *version, clock);
     });
     // The horizon test uses the earliest possible start "given precedence
     // and communication requirements" (paper §IV) — i.e. data readiness on
@@ -144,44 +123,56 @@ std::size_t map_first_startable(const workload::Scenario& scenario,
       return k;
     }
     memo.insert(cand.task);
-    beyond_horizon(cand, plan.arrival);
+    if (min_beyond != nullptr && plan.arrival < *min_beyond) *min_beyond = plan.arrival;
+    taps.on_candidate(cand, Reject::BeyondHorizon);
+  }
+  report_dead_before(nullptr);
+  if (min_beyond != nullptr && pool.dead_min_arrival < *min_beyond) {
+    *min_beyond = pool.dead_min_arrival;
   }
   return static_cast<std::size_t>(-1);
 }
 
-}  // namespace
-
-std::vector<SlrhPoolCandidate> build_slrh_pool_batched(
+SlrhPool build_slrh_pool_batched(
     const workload::Scenario& scenario, const ScenarioCache& cache,
     const ReadyFrontier& frontier, const sim::Schedule& schedule,
     const SlrhParams& params, const ObjectiveTotals& totals, MachineId machine,
-    Cycles clock, SlrhPoolRejects* rejects, obs::Histogram* scoring_histogram,
-    CandidateBatch* scratch) {
+    Cycles clock, GatherRows& rows, CandidateBatch& batch, SlrhPoolRejects* rejects,
+    obs::Histogram* scoring_histogram) {
   if (rejects != nullptr) {
     rejects->unreleased = frontier.num_unreleased();
     rejects->assigned = frontier.num_assigned_released();
     rejects->parents = frontier.num_parents_blocked();
   }
-  CandidateBatch local;
-  CandidateBatch& batch = scratch != nullptr ? *scratch : local;
-  std::vector<SlrhPoolCandidate> pool;
+  SlrhPool pool;
   {
     // The scoring histogram covers gather + kernel (the admission compare
     // folded into the gather is noise). Telemetry only.
     obs::ProfileScope scoring(scoring_histogram);
     const std::size_t rejected_energy = build_candidate_batch(
         cache, scenario, schedule, frontier.ready(), machine, clock,
-        params.secondary_only, batch);
+        params.secondary_only, rows, batch);
     if (rejects != nullptr) rejects->energy = rejected_energy;
     score_batch(batch, params.weights, totals, schedule.t100(), schedule.tec(),
                 schedule.aet(), params.aet_sign);
-    pool.reserve(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      pool.push_back(
-          {batch.task[i], batch.version[i], batch.score[i], batch.arrival_lb[i]});
+    // Live slots fill the front, dead ones the back.
+    const std::size_t n = batch.size();
+    const Cycles limit = clock + params.horizon;
+    pool.slots.resize(n);
+    std::size_t back = n;
+    for (std::size_t i = 0; i < n; ++i) {
+      const SlrhPoolCandidate cand{batch.task[i], batch.version[i], batch.score[i],
+                                   batch.arrival_lb[i]};
+      if (cand.arrival_lb > limit) {
+        pool.slots[--back] = cand;
+        pool.dead_min_arrival = std::min(pool.dead_min_arrival, cand.arrival_lb);
+      } else {
+        pool.slots[pool.live++] = cand;
+      }
     }
   }
-  sort_pool(pool);
+  std::sort(pool.slots.begin(),
+            pool.slots.begin() + static_cast<std::ptrdiff_t>(pool.live), ranks_before);
   return pool;
 }
 
@@ -207,8 +198,10 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
   frontier.set_ledger(params.ledger);
   BeyondHorizonMemo memo(scenario.num_tasks());
 
-  // SoA scratch for the batched score kernel, reused across every pool build
-  // of the window (allocation-free steady state).
+  // Parent terms per ready task (filled once, dropped on commit) and the SoA
+  // scratch for the batched score kernel, reused across every pool build of
+  // the window (allocation-free steady state).
+  GatherRows rows(scenario.num_tasks(), scenario.num_machines());
   CandidateBatch batch_scratch;
 
   // Cross-tick skip verdicts (core/sweep.hpp), keyed on the frontier
@@ -224,8 +217,8 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
     return taps.on_pool(machine, clock, [&](SlrhPoolRejects* rejects,
                                             obs::Histogram* scoring) {
       return build_slrh_pool_batched(scenario, cache, frontier, schedule, params,
-                                     totals, machine, clock, rejects, scoring,
-                                     &batch_scratch);
+                                     totals, machine, clock, rows, batch_scratch,
+                                     rejects, scoring);
     });
   };
 
@@ -233,7 +226,7 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
   // empty pool, V2 stops at its end). Every commit is mirrored into the
   // frontier and the sweep epochs immediately; a walk that commits nothing
   // is a stall.
-  const auto try_map = [&](const std::vector<SlrhPoolCandidate>& pool,
+  const auto try_map = [&](const SlrhPool& pool,
                            MachineId machine, Cycles clock,
                            std::size_t skip_before, Cycles* min_beyond) {
     PlacementPlan committed;
@@ -243,7 +236,8 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
                                  min_beyond);
     });
     if (mapped != npos) {
-      frontier.on_commit(pool[mapped].task);
+      frontier.on_commit(pool.slots[mapped].task);
+      rows.drop(pool.slots[mapped].task);
       sweep.note_commit(committed);
     } else {
       taps.on_stall(clock, machine, pool.size());
@@ -306,11 +300,12 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
           // score order until exhausted or nothing starts within the horizon.
           const auto pool = make_pool(machine, clock);
           snapshot_pool_epochs();
-          std::size_t next = 0;
-          while (next < pool.size()) {
+          if (pool.empty()) break;
+          for (std::size_t next = 0;;) {
             const std::size_t mapped = try_map(pool, machine, clock, next, min_beyond);
             if (mapped == npos) break;
             scope_committed = true;
+            if (!pool.continues_after(mapped)) break;
             next = mapped + 1;
           }
           break;

@@ -25,7 +25,11 @@
 // its own turn comes (DESIGN.md §4h). The one sweep accelerator is the
 // cross-tick skip verdict (SlrhParams::pool_reuse, core/sweep.hpp).
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <span>
+#include <vector>
 
 #include "core/objective.hpp"
 #include "core/result.hpp"
@@ -43,7 +47,9 @@ namespace ahg::core {
 class ScenarioCache;
 class ReadyFrontier;
 class Taps;
+class GatherRows;
 struct CandidateBatch;
+struct PlacementPlan;
 
 enum class SlrhVariant : std::uint8_t { V1 = 1, V2 = 2, V3 = 3 };
 
@@ -77,7 +83,8 @@ struct SlrhParams {
   /// provably commit nothing there. Schedules are
   /// bit-identical either way (asserted by tests/test_determinism.cpp); only
   /// pool-build counts and their telemetry differ (MappingResult::
-  /// pools_reused tallies the skipped scopes).
+  /// pools_reused tallies the skipped scopes). It still pays with the cheap
+  /// rebuilds of DESIGN.md §4k (SLRH-3 1.9x at the smoke tier), so it stays.
   bool pool_reuse = true;
 
   /// Optional per-task degrade mask (not owned; indexed by TaskId). A task
@@ -123,6 +130,49 @@ struct SlrhPoolCandidate {
   Cycles arrival_lb = 0;
 };
 
+/// The pool order: score descending, ties by smaller task id. Scores are
+/// distinct per task, so it is a strict total order over a pool.
+inline bool ranks_before(const SlrhPoolCandidate& a,
+                         const SlrhPoolCandidate& b) noexcept {
+  if (a.score != b.score) return a.score > b.score;
+  return a.task < b.task;
+}
+
+/// The pool U of one (machine, clock) scope, split by the arrival bound. A
+/// slot with arrival_lb > clock + H is dead: the map walk would reject it
+/// without planning, and its parents stay put for the whole scope, so it
+/// stays dead through every re-walk and rebuild in the scope. The pool keeps
+/// every slot — its size, the ledger's pool sightings and the stall and map
+/// records count them all — but only the live prefix is ranked and walked.
+struct SlrhPool {
+  /// [0, live): live slots in pool order; [live, size()): dead slots, in
+  /// pool order only after rank_dead().
+  std::vector<SlrhPoolCandidate> slots;
+  std::size_t live = 0;
+  /// Smallest arrival_lb over the dead slots (max() when there are none).
+  Cycles dead_min_arrival = std::numeric_limits<Cycles>::max();
+
+  std::size_t size() const noexcept { return slots.size(); }
+  bool empty() const noexcept { return slots.empty(); }
+  std::span<const SlrhPoolCandidate> dead() const noexcept {
+    return std::span<const SlrhPoolCandidate>(slots).subspan(live);
+  }
+  /// Whether any slot ranks after live slot `k`: a walk over the whole pool
+  /// in order would go on past it.
+  bool continues_after(std::size_t k) const noexcept {
+    if (k + 1 < live) return true;
+    const std::span<const SlrhPoolCandidate> tail = dead();
+    return std::any_of(tail.begin(), tail.end(), [&](const SlrhPoolCandidate& d) {
+      return ranks_before(slots[k], d);
+    });
+  }
+};
+
+/// Put the dead tail in pool order. Only an observer that lists the walk's
+/// rejections needs it (the map walk then reports the dead slots in the
+/// order the full walk would have met them).
+void rank_dead(SlrhPool& pool);
+
 /// Pool-admission rejection tally for one pool build (telemetry only).
 struct SlrhPoolRejects {
   std::size_t unreleased = 0;
@@ -136,23 +186,82 @@ struct SlrhPoolRejects {
 /// The SLRH pool builder: iterate only the frontier's ready tasks (released,
 /// unassigned, parents assigned — typically << |T|) and run admission,
 /// gathering and scoring through the structure-of-arrays CandidateBatch +
-/// score_batch kernel (core/scoring.hpp) — one parent walk per task,
-/// branch-free scores over contiguous columns. The frontier must have been
-/// advanced to `clock` and notified of every commit. `rejects` non-null
-/// receives the per-build admission tallies (the machine-independent ones
-/// straight from the frontier's running counters); `scoring_histogram`
-/// non-null accumulates the gather+score share of the build. `scratch`
-/// non-null reuses that batch's storage across builds (allocation-free
-/// steady state); null uses a local. The pool matches a scan over all |T|
-/// subtasks with per-candidate score_candidate calls — membership, order,
-/// version, scores and tallies (asserted against the test-only scan oracle
-/// in tests/oracles.hpp by tests/test_determinism.cpp).
-std::vector<SlrhPoolCandidate> build_slrh_pool_batched(
+/// score_batch kernel (core/scoring.hpp) — parent terms from `rows` (one
+/// parent walk per ready (task, machine) pair per drive window), branch-free
+/// scores over contiguous columns — then split the slots into live and dead
+/// (SlrhPool) and rank the live prefix. The frontier must have been
+/// advanced to `clock` and notified of every commit, and `rows` must have
+/// dropped every committed task. `batch` is scratch storage reused across
+/// builds (allocation-free steady state). `rejects` non-null receives the
+/// per-build admission tallies (the machine-independent ones straight from
+/// the frontier's running counters); `scoring_histogram` non-null
+/// accumulates the gather+score share of the build. The slots match a scan
+/// over all |T| subtasks with per-candidate score_candidate calls —
+/// membership, order, version, scores and tallies (asserted against the
+/// test-only scan oracle in tests/oracles.hpp by tests/test_determinism.cpp).
+SlrhPool build_slrh_pool_batched(
     const workload::Scenario& scenario, const ScenarioCache& cache,
     const ReadyFrontier& frontier, const sim::Schedule& schedule,
     const SlrhParams& params, const ObjectiveTotals& totals, MachineId machine,
-    Cycles clock, SlrhPoolRejects* rejects = nullptr,
-    obs::Histogram* scoring_histogram = nullptr,
-    CandidateBatch* scratch = nullptr);
+    Cycles clock, GatherRows& rows, CandidateBatch& batch,
+    SlrhPoolRejects* rejects = nullptr,
+    obs::Histogram* scoring_histogram = nullptr);
+
+/// Per-(machine, clock) memo of candidates whose exact placement was proven
+/// beyond the horizon. Within one such scope a commit can only ADD channel
+/// bookings and never reassigns a candidate's (already mapped) parents, so
+/// plan_placement's arrival is monotonically non-decreasing across the
+/// variant-2/3 re-walks — a candidate once beyond the horizon at this clock
+/// stays beyond it, and re-planning it is pure waste. The arrival is also
+/// version-independent (incoming edge volumes depend on the PARENTS'
+/// committed versions), so one bit per task suffices. Generation stamping
+/// makes scope resets O(1).
+class BeyondHorizonMemo {
+ public:
+  explicit BeyondHorizonMemo(std::size_t num_tasks) : stamp_(num_tasks, 0) {}
+
+  void begin_scope() noexcept { ++generation_; }
+
+  bool contains(TaskId task) const noexcept {
+    return stamp_[static_cast<std::size_t>(task)] == generation_;
+  }
+
+  void insert(TaskId task) noexcept {
+    stamp_[static_cast<std::size_t>(task)] = generation_;
+  }
+
+ private:
+  std::vector<std::uint64_t> stamp_;
+  std::uint64_t generation_ = 1;
+};
+
+/// Walk the live slots pool.slots[skip_before, live) in order and commit the
+/// first candidate whose exact earliest start (communication included)
+/// falls within the horizon. Returns its index into pool.slots, or npos.
+/// Admission energies come from the precomputed tables; `memo` skips
+/// re-planning candidates already proven beyond-horizon in this
+/// (machine, clock) scope. `committed` receives a copy of the committed
+/// plan (the sweep epochs read it). `taps` observes every passed-over
+/// candidate, plan and the commit; when it lists rejections, the dead slots
+/// (ranked by rank_dead) are reported in walk order among the live ones,
+/// with the reason the full walk would have given them.
+/// `min_beyond` non-null accumulates (running min) the smallest proven lower
+/// bound on the arrival of every candidate this walk found beyond the
+/// horizon — exact for a planned candidate, the gather's arrival_lb for a
+/// bound-pruned one — the raw material for the cross-tick skip verdicts
+/// (core/sweep.hpp). The dead slots' minimum is folded in when the walk
+/// stalls; only a scope without a commit records a verdict, and such a
+/// scope ran exactly one walk over a fresh pool, in which every slot passed
+/// admission, so the fold equals the minimum the full walk would take.
+/// Memo-skipped candidates were accumulated by the earlier walk that
+/// inserted them; arrivals only move later within a scope, so those remain
+/// valid lower bounds.
+std::size_t map_first_startable(const workload::Scenario& scenario,
+                                sim::Schedule& schedule, const SlrhParams& params,
+                                const SlrhPool& pool, MachineId machine,
+                                Cycles clock, const ScenarioCache& cache,
+                                BeyondHorizonMemo& memo, Taps& taps,
+                                PlacementPlan& committed, std::size_t skip_before,
+                                Cycles* min_beyond);
 
 }  // namespace ahg::core

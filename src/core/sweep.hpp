@@ -4,8 +4,9 @@
 // Cross-tick pool reuse. When a (machine, timestep) scope ends without
 // committing anything, the driver records a skip verdict: the smallest
 // proven lower bound on a beyond-horizon arrival in the scope — exact when
-// the candidate was planned, the gather's arrival_lb when that bound pruned
-// it — tagged with the frontier revision and the machine's energy epoch.
+// the candidate was planned, the gather's arrival_lb for a dead slot (one
+// the walk never visits; the stalled walk folds the dead slots' minimum in
+// once) — tagged with the frontier revision and the machine's energy epoch.
 // While both epochs stand, the machine's pool membership is unchanged (same
 // ready set, same per-machine energy admission); plan_placement arrivals are
 // monotone non-decreasing in the probe clock and in channel/compute
@@ -13,7 +14,9 @@
 // clock' + H < min_arrival provably maps nothing, and the whole scope
 // collapses to this O(1) test. Skipping a scope that would commit nothing
 // leaves the schedule bit-identical to the rebuild-everything sweep; only
-// pool-build counts (and their telemetry) differ.
+// pool-build counts (and their telemetry) differ. The gather rows and the
+// live/dead split (DESIGN.md §4k) made rebuilds cheaper, and the skip still
+// pays: 1.9x on SLRH-3 at the smoke tier (bench.SLRH-3_sweep_speedup).
 //
 // Epochs: the frontier revision (ReadyFrontier::revision) moves on every
 // commit and every ready-list insertion; energy_epoch(m) counts the commits that touched machine m's energy ledger

@@ -115,7 +115,7 @@ void Taps::run_end(const MappingResult* result, const ChurnRunOutcome* churn) {
   sink_->emit(e);
 }
 
-void Taps::pool_built(const std::vector<SlrhPoolCandidate>& pool,
+void Taps::pool_built(const SlrhPool& pool,
                       const SlrhPoolRejects& rejects, MachineId machine, Cycles clock,
                       double t0) {
   if (recorder_ != nullptr) {
@@ -132,7 +132,9 @@ void Taps::pool_built(const std::vector<SlrhPoolCandidate>& pool,
   if (ledger_ != nullptr) {
     // First sighting per task is a relaxed load + early-out, so sweeping
     // the whole pool every build stays inside the ≤1.05x overhead budget.
-    for (const SlrhPoolCandidate& cand : pool) ledger_->on_pooled(cand.task, clock, machine);
+    for (const SlrhPoolCandidate& cand : pool.slots) {
+      ledger_->on_pooled(cand.task, clock, machine);
+    }
   }
   if (trace_pools_ && (!pool.empty() || rejects.any())) {
     obs::Event e = event(obs::EventKind::PoolBuilt, clock, machine);

@@ -79,17 +79,19 @@ class Taps {
   }
 
   template <typename Build>
-  std::vector<SlrhPoolCandidate> on_pool(MachineId machine, Cycles clock,
-                                         Build&& build) {
+  SlrhPool on_pool(MachineId machine, Cycles clock, Build&& build) {
     if (!active_) return build(nullptr, nullptr);
     // One build in span_stride is timed: empty polls are ~100 ns on the
     // frontier fast path, and timing each would double its cost.
     const bool timed = recorder_ != nullptr && --span_countdown_ == 0;
     const double t0 = timed ? recorder_->now_seconds() : -1.0;
     SlrhPoolRejects rejects;
-    std::vector<SlrhPoolCandidate> pool = [&] {
+    SlrhPool pool = [&] {
       obs::ProfileScope scope(pool_build_);
-      return build(trace_pools_ ? &rejects : nullptr, scoring_);
+      SlrhPool built = build(trace_pools_ ? &rejects : nullptr, scoring_);
+      // The map walk reports dead slots in pool order only for a listener.
+      if (lists_candidates()) rank_dead(built);
+      return built;
     }();
     if (pools_ != nullptr) pools_->add();
     if (recorder_ != nullptr || ledger_ != nullptr || trace_pools_) {
@@ -110,8 +112,12 @@ class Taps {
     return mapped;
   }
 
+  /// True when a map or stall record lists the walk's rejected candidates.
+  bool lists_candidates() const noexcept {
+    return active_ && (trace_maps_ || trace_stalls_);
+  }
   void on_candidate(const SlrhPoolCandidate& candidate, Reject reject) {
-    if (active_ && (trace_maps_ || trace_stalls_)) rejected(candidate, reject);
+    if (lists_candidates()) rejected(candidate, reject);
   }
 
   template <typename Plan>
@@ -223,7 +229,7 @@ class Taps {
                     std::size_t ready, std::size_t unreleased);
   void run_begin(std::span<const TaskId> ready, const ChurnRecovery* churn);
   void run_end(const MappingResult* result, const ChurnRunOutcome* churn);
-  void pool_built(const std::vector<SlrhPoolCandidate>& pool, const SlrhPoolRejects& rejects,
+  void pool_built(const SlrhPool& pool, const SlrhPoolRejects& rejects,
                   MachineId machine, Cycles clock, double t0);
   void rejected(const SlrhPoolCandidate& candidate, Reject reject);
   void map_decision(const sim::Schedule& schedule, const PlacementPlan& plan,

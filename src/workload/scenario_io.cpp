@@ -1,5 +1,6 @@
 #include "workload/scenario_io.hpp"
 
+#include <cstdint>
 #include <fstream>
 #include <iomanip>
 #include <istream>
@@ -7,7 +8,9 @@
 #include <sstream>
 #include <vector>
 
+#include "support/checked.hpp"
 #include "support/contract.hpp"
+#include "support/jsonl.hpp"
 
 namespace ahg::workload {
 
@@ -18,6 +21,26 @@ constexpr const char* kHeader = "adhoc-grid-scenario v1";
 [[noreturn]] void parse_fail(std::size_t line, const std::string& message) {
   throw PreconditionError("scenario parse error at line " + std::to_string(line) +
                           ": " + message);
+}
+
+/// The count of a `<keyword> <count>` header line: an integer in [1, max]
+/// (read through obs::checked_int, so a sign, a fraction or a value past
+/// the cap is refused instead of wrapping into a size).
+std::size_t parse_count(std::size_t line_no, const std::string& line,
+                        const std::string& keyword, std::size_t max) {
+  std::istringstream ss(line);
+  std::string kw;
+  std::string token;
+  if (!(ss >> kw >> token) || kw != keyword) {
+    parse_fail(line_no, "expected '" + keyword + " <count>'");
+  }
+  try {
+    const obs::JsonValue value = obs::parse_json(token);
+    return static_cast<std::size_t>(
+        obs::checked_int(&value, keyword, 1, static_cast<std::int64_t>(max)));
+  } catch (const PreconditionError& e) {
+    parse_fail(line_no, e.what());
+  }
 }
 
 }  // namespace
@@ -89,14 +112,8 @@ Scenario read_scenario(std::istream& is) {
 
   // --- machines ---------------------------------------------------------------
   next_line(true);
-  std::size_t num_machines = 0;
-  {
-    std::istringstream ss(line);
-    std::string kw;
-    if (!(ss >> kw >> num_machines) || kw != "machines" || num_machines == 0) {
-      parse_fail(line_no, "expected 'machines <count>'");
-    }
-  }
+  const std::size_t num_machines =
+      parse_count(line_no, line, "machines", kMaxScenarioMachines);
   std::vector<sim::MachineSpec> machines;
   for (std::size_t j = 0; j < num_machines; ++j) {
     next_line(true);
@@ -121,13 +138,12 @@ Scenario read_scenario(std::istream& is) {
 
   // --- sizes / constraints -----------------------------------------------------
   next_line(true);
-  std::size_t num_tasks = 0;
-  {
-    std::istringstream ss(line);
-    std::string kw;
-    if (!(ss >> kw >> num_tasks) || kw != "tasks" || num_tasks == 0) {
-      parse_fail(line_no, "expected 'tasks <count>'");
-    }
+  const std::size_t num_tasks = parse_count(line_no, line, "tasks", kMaxScenarioTasks);
+  if (checked_mul(num_tasks, num_machines, "scenario ETC table") >
+      kMaxScenarioEtcEntries) {
+    parse_fail(line_no, std::to_string(num_tasks) + " tasks x " +
+                            std::to_string(num_machines) + " machines exceeds " +
+                            std::to_string(kMaxScenarioEtcEntries) + " ETC entries");
   }
   next_line(true);
   Cycles tau = 0;

@@ -9,6 +9,11 @@
 //    scan all |T| subtasks, classify admission per task with on-demand
 //    energy derivations (no ScenarioCache, no ReadyFrontier), score each
 //    candidate through score_candidate, sort.
+//  - gather_parents_oracle: the SLRH gather's per-build parent walk, which
+//    the per-window GatherRows replaced — both tec-delta chains and the
+//    arrival bound at one clock, re-derived from the parents every call.
+//  - map_first_startable_oracle: the SLRH map walk over the WHOLE pool in
+//    order, dead slots included, each rejected where the walk meets it.
 //  - scan_maxmax_oracle: Max-Max with the per-round rescan the candidate
 //    table replaced — every round walks each frontier task's parents and
 //    re-admits, re-prices and re-scores every (machine, version) from
@@ -25,7 +30,10 @@
 #include "core/maxmax.hpp"
 #include "core/placement.hpp"
 #include "core/scoring.hpp"
+#include "core/scenario_cache.hpp"
 #include "core/slrh.hpp"
+#include "core/taps.hpp"
+#include "sim/comm.hpp"
 #include "sim/schedule.hpp"
 #include "sim/timeline.hpp"
 #include "workload/scenario.hpp"
@@ -103,6 +111,104 @@ inline ScanPool scan_pool_oracle(const workload::Scenario& scenario,
               return a.task < b.task;
             });
   return out;
+}
+
+struct GatherParents {
+  double tec_delta_secondary = 0.0;
+  double tec_delta_primary = 0.0;
+  Cycles arrival_lb = 0;
+};
+
+/// One parent walk for (task, machine) at `earliest`: each tec chain starts
+/// from its version's exec energy and adds the transfer energies in parent
+/// order; local data lands at the parent's finish, a transfer no earlier
+/// than max(earliest, finish) plus its duration.
+inline GatherParents gather_parents_oracle(const core::ScenarioCache& cache,
+                                           const workload::Scenario& scenario,
+                                           const sim::Schedule& schedule,
+                                           TaskId task, MachineId machine,
+                                           Cycles earliest) {
+  GatherParents out;
+  out.tec_delta_secondary = cache.exec_energy(task, machine, VersionKind::Secondary);
+  out.tec_delta_primary = cache.exec_energy(task, machine, VersionKind::Primary);
+  const auto& receiver = scenario.grid.machine(machine);
+  for (const TaskId parent : scenario.dag.parents(task)) {
+    const auto& pa = schedule.assignment(parent);
+    const double bits =
+        pa.machine == machine ? 0.0 : scenario.edge_bits(parent, task, pa.version);
+    if (bits <= 0.0) {
+      out.arrival_lb = std::max(out.arrival_lb, pa.finish);
+      continue;
+    }
+    const auto& sender = scenario.grid.machine(pa.machine);
+    const Cycles dur = sim::transfer_cycles(bits, sender, receiver);
+    out.arrival_lb = std::max(out.arrival_lb, std::max(earliest, pa.finish) + dur);
+    const double transfer = sim::transfer_energy(sender, dur);
+    out.tec_delta_secondary += transfer;
+    out.tec_delta_primary += transfer;
+  }
+  return out;
+}
+
+struct WalkRejection {
+  TaskId task = kInvalidTask;
+  core::Reject reject = core::Reject::BeyondHorizon;
+};
+
+/// The SLRH map walk over `pool` — every slot, in pool order — from
+/// `skip_before`: reject an assigned task, then one whose energy ran out
+/// (primary falls back to secondary), then one `memo` (indexed by task,
+/// cleared per scope) already proved beyond the horizon, then one whose
+/// arrival bound lies beyond clock + H; plan the rest and commit the first
+/// whose data is ready within the horizon. Returns the committed index or
+/// npos; `min_beyond` takes the running minimum of every beyond-horizon
+/// arrival (planned or bounded), `rejected` lists the passed-over slots.
+inline std::size_t map_first_startable_oracle(
+    const workload::Scenario& scenario, sim::Schedule& schedule,
+    const core::SlrhParams& params, const std::vector<core::SlrhPoolCandidate>& pool,
+    MachineId machine, Cycles clock, const core::ScenarioCache& cache,
+    std::vector<std::uint8_t>& memo, core::PlacementPlan& committed,
+    std::size_t skip_before, Cycles& min_beyond,
+    std::vector<WalkRejection>& rejected) {
+  const auto fits = [&](TaskId task, VersionKind version) {
+    return core::version_fits_energy(cache, schedule, task, machine, version);
+  };
+  for (std::size_t k = skip_before; k < pool.size(); ++k) {
+    const core::SlrhPoolCandidate& cand = pool[k];
+    if (schedule.is_assigned(cand.task)) {
+      rejected.push_back({cand.task, core::Reject::AlreadyAssigned});
+      continue;
+    }
+    VersionKind version = cand.version;
+    if (!fits(cand.task, version)) {
+      if (version == VersionKind::Primary && fits(cand.task, VersionKind::Secondary)) {
+        version = VersionKind::Secondary;
+      } else {
+        rejected.push_back({cand.task, core::Reject::EnergyExhausted});
+        continue;
+      }
+    }
+    if (memo[static_cast<std::size_t>(cand.task)] != 0) {
+      rejected.push_back({cand.task, core::Reject::BeyondHorizon});
+      continue;
+    }
+    if (cand.arrival_lb > clock + params.horizon) {
+      min_beyond = std::min(min_beyond, cand.arrival_lb);
+      rejected.push_back({cand.task, core::Reject::BeyondHorizon});
+      continue;
+    }
+    const core::PlacementPlan plan =
+        core::plan_placement(scenario, schedule, cand.task, machine, version, clock);
+    if (std::max(clock, plan.arrival) <= clock + params.horizon) {
+      core::commit_placement(scenario, schedule, plan);
+      committed = plan;
+      return k;
+    }
+    memo[static_cast<std::size_t>(cand.task)] = 1;
+    min_beyond = std::min(min_beyond, plan.arrival);
+    rejected.push_back({cand.task, core::Reject::BeyondHorizon});
+  }
+  return static_cast<std::size_t>(-1);
 }
 
 struct ScanMaxMax {

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <limits>
 #include <thread>
 #include <vector>
@@ -624,9 +625,11 @@ TEST(Determinism, TunerWithSharedCacheMatchesRunLocalCache) {
 // carries real placements, partly drained batteries and booked
 // communication channels. At the next tick's clock every machine present is
 // asked for its pool both ways: build_slrh_pool_batched (frontier + tables
-// + SoA kernel) and test::scan_pool_oracle (scan all |T|, on-demand
-// derivations, per-candidate score_candidate). Membership, order, version,
-// exact score and the rejection tallies must all agree.
+// + gather rows + SoA kernel) and test::scan_pool_oracle (scan all |T|,
+// on-demand derivations, per-candidate score_candidate). Membership, order,
+// version, exact score and the rejection tallies must all agree: the live
+// prefix and the ranked dead tail, merged in pool order, are the oracle's
+// pool, and the split follows each slot's arrival bound.
 
 /// Adds the number of pooled candidates compared to `candidates`.
 void expect_pools_match_scan_oracle(const workload::Scenario& scenario,
@@ -645,14 +648,28 @@ void expect_pools_match_scan_oracle(const workload::Scenario& scenario,
     core::ReadyFrontier frontier(scenario, *schedule);
     frontier.advance_to(stop);
     core::CandidateBatch scratch;
+    core::GatherRows rows(scenario.num_tasks(), scenario.num_machines());
     for (MachineId m = 0; m < static_cast<MachineId>(scenario.num_machines()); ++m) {
       if (!scenario.machine_available(m, stop)) continue;
       SCOPED_TRACE("machine " + std::to_string(m));
       core::SlrhPoolRejects rejects;
-      const auto pool =
+      core::SlrhPool split =
           core::build_slrh_pool_batched(scenario, cache, frontier, *schedule,
-                                        params, totals, m, stop, &rejects,
-                                        nullptr, &scratch);
+                                        params, totals, m, stop, rows, scratch,
+                                        &rejects);
+      core::rank_dead(split);
+      const Cycles limit = stop + params.horizon;
+      for (std::size_t k = 0; k < split.size(); ++k) {
+        EXPECT_EQ(split.slots[k].arrival_lb > limit, k >= split.live) << "slot " << k;
+        if (k >= split.live) {
+          EXPECT_LE(split.dead_min_arrival, split.slots[k].arrival_lb);
+        }
+      }
+      std::vector<core::SlrhPoolCandidate> pool;
+      std::merge(split.slots.begin(),
+                 split.slots.begin() + static_cast<std::ptrdiff_t>(split.live),
+                 split.slots.begin() + static_cast<std::ptrdiff_t>(split.live),
+                 split.slots.end(), std::back_inserter(pool), core::ranks_before);
       const test::ScanPool oracle =
           test::scan_pool_oracle(scenario, *schedule, params, totals, m, stop);
       EXPECT_EQ(rejects.unreleased, oracle.rejects.unreleased);

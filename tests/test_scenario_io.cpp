@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "support/contract.hpp"
+#include "tests/byte_mutation.hpp"
 #include "tests/scenario_fixtures.hpp"
 
 namespace ahg::workload {
@@ -124,6 +126,77 @@ TEST(ScenarioIo, ErrorMentionsLineNumber) {
   } catch (const PreconditionError& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
   }
+}
+
+// --- hostile header counts -------------------------------------------------
+
+/// A complete header — `machines` machine lines, `tasks`, tau and versions —
+/// with no etc lines, so a header the reader accepts reaches the table
+/// allocation and then fails on the first missing etc entry.
+std::string header(const std::string& machines_count, std::size_t machine_lines,
+                   const std::string& tasks_count) {
+  std::string text = "adhoc-grid-scenario v1\nmachines " + machines_count + "\n";
+  for (std::size_t j = 0; j < machine_lines; ++j) {
+    text += "machine fast 580 0.1 0.2 8e6\n";
+  }
+  return text + "tasks " + tasks_count + "\ntau 100\nversions 0.1 0.1\n";
+}
+
+std::string refusal(const std::string& text) {
+  std::istringstream input(text);
+  try {
+    read_scenario(input);
+  } catch (const PreconditionError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ScenarioIo, RefusesHeaderCountsBeyondTheCapsBeforeAllocating) {
+  // A negative count once wrapped to SIZE_MAX tasks and reached the ETC
+  // allocation (std::length_error rather than a parse error); "12abc" was
+  // read as 12.
+  EXPECT_NE(refusal(header("1", 1, "-1")).find("line 4"), std::string::npos);
+  EXPECT_NE(refusal(header("1", 1, "18446744073709551615")), "");
+  EXPECT_NE(refusal(header("1", 1, std::to_string(kMaxScenarioTasks + 1))), "");
+  EXPECT_NE(refusal(header("1", 1, "12abc")), "");
+  EXPECT_NE(refusal(header("1", 1, "2.5")), "");
+  EXPECT_NE(refusal(header("1", 1, "0")), "");
+  EXPECT_NE(refusal(header("-1", 0, "1")).find("line 2"), std::string::npos);
+  EXPECT_NE(refusal(header(std::to_string(kMaxScenarioMachines + 1), 0, "1")), "");
+  // Each count within its cap, the product beyond the ETC cap: refused on
+  // the tasks line, naming the product.
+  const std::size_t machines = kMaxScenarioEtcEntries / kMaxScenarioTasks * 2;
+  const std::string product =
+      refusal(header(std::to_string(machines), machines,
+                     std::to_string(kMaxScenarioTasks)));
+  EXPECT_NE(product.find("ETC entries"), std::string::npos) << product;
+  EXPECT_NE(product.find("line " + std::to_string(3 + machines)), std::string::npos)
+      << product;
+  // A header within the caps is accepted and parsing goes on to the etc
+  // entries.
+  EXPECT_NE(refusal(header("1", 1, "1")).find("missing etc entry"), std::string::npos);
+}
+
+TEST(ScenarioIo, ByteMutantsParseInRangeOrThrowPreconditionError) {
+  // A small scenario, so the mutations reach the header counts often.
+  const Scenario small = test::make_scenario(
+      sim::GridConfig::make(1, 1), 4, {{0, 1, 8e6}, {0, 2, 4e6}, {2, 3, 1e6}},
+      {{10.0, 20.0}, {5.0, 9.0}, {7.0, 14.0}, {3.0, 6.0}}, 100000);
+  std::ostringstream os;
+  write_scenario(os, small);
+  const auto tally = test::run_byte_mutations(os.str(), 2000, 0x5CE4A10ull,
+                                              [&](std::istream& in) {
+    const Scenario loaded = read_scenario(in);
+    EXPECT_GE(loaded.num_tasks(), 1u);
+    EXPECT_LE(loaded.num_tasks(), kMaxScenarioTasks);
+    EXPECT_GE(loaded.num_machines(), 1u);
+    EXPECT_LE(loaded.num_machines(), kMaxScenarioMachines);
+    EXPECT_LE(loaded.num_tasks() * loaded.num_machines(), kMaxScenarioEtcEntries);
+    EXPECT_GT(loaded.tau, 0);
+  });
+  EXPECT_GT(tally.parsed, 0u);
+  EXPECT_GT(tally.rejected, 0u);
 }
 
 TEST(ScenarioIo, FileRoundTrip) {

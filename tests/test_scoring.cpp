@@ -9,7 +9,9 @@
 #include "core/feasibility.hpp"
 #include "core/placement.hpp"
 #include "core/scenario_cache.hpp"
+#include "tests/oracles.hpp"
 #include "tests/scenario_fixtures.hpp"
+#include "workload/dynamics.hpp"
 
 namespace ahg::core {
 namespace {
@@ -172,6 +174,7 @@ TEST_P(BatchedScoringProperty, MatchesScalarScoringBitForBit) {
   }
 
   const Weights w = Weights::make(0.6, 0.3);
+  GatherRows rows(s.num_tasks(), s.num_machines());
   CandidateBatch batch;
   std::size_t strict_bounds = 0;
   for (MachineId m = 0; m < num_machines; ++m) {
@@ -186,7 +189,7 @@ TEST_P(BatchedScoringProperty, MatchesScalarScoringBitForBit) {
                        (mask != nullptr ? " masked" : ""));
           const std::size_t rejected = build_candidate_batch(
               cache, s, schedule, std::span<const TaskId>(ready), m, earliest,
-              mask, batch);
+              mask, rows, batch);
           score_batch(batch, w, totals, schedule.t100(), schedule.tec(),
                       schedule.aet(), sign);
 
@@ -268,6 +271,114 @@ INSTANTIATE_TEST_SUITE_P(
                       BatchedScoringCase{sim::GridCase::A, 96, 777},
                       BatchedScoringCase{sim::GridCase::B, 64, 31337},
                       BatchedScoringCase{sim::GridCase::C, 80, 4242}));
+
+// --- gather rows vs the per-build parent walk --------------------------------
+//
+// GatherRows fills a (task, machine) entry with one parent walk the first
+// time a gather meets the pair and evaluates the arrival bound at every
+// later clock as max(A, clock + D). Over several rounds of a growing
+// schedule — link outages on two machines, a degrade mask, release times on
+// some shapes, committed tasks dropping their rows and new ready tasks
+// reusing them — every gathered slot's tec deltas must be bit-identical to
+// the per-build walk's (test::gather_parents_oracle) and its bound equal,
+// at several clocks per round. Both branches of the split must be hit:
+// a cross-machine parent whose finish + dur dominates (A) and one where the
+// clock does (clock + D).
+
+struct GatherRowsCase {
+  sim::GridCase grid_case;
+  std::size_t num_tasks;
+  std::uint64_t seed;
+  bool releases;
+};
+
+class SlrhGatherRowsProperty : public ::testing::TestWithParam<GatherRowsCase> {};
+
+TEST_P(SlrhGatherRowsProperty, RowsMatchPerBuildParentWalk) {
+  const auto& cfg = GetParam();
+  auto s = test::small_suite_scenario(cfg.grid_case, cfg.num_tasks, cfg.seed);
+  if (cfg.releases) {
+    s.releases = workload::generate_release_times(workload::ReleaseParams{0.3},
+                                                  s.dag, s.tau, cfg.seed);
+  }
+  const ScenarioCache cache(s);
+  const auto num_tasks = static_cast<TaskId>(s.num_tasks());
+  const auto num_machines = static_cast<MachineId>(s.num_machines());
+
+  sim::Schedule schedule(s.grid, s.num_tasks());
+  schedule.block_channels(0, s.tau / 20, s.tau / 4);
+  schedule.block_channels(1, 0, s.tau / 6);
+  std::vector<std::uint8_t> degrade(s.num_tasks(), 0);
+  for (std::size_t t = 0; t < degrade.size(); t += 3) degrade[t] = 1;
+
+  GatherRows rows(s.num_tasks(), s.num_machines());
+  CandidateBatch batch;
+  std::size_t compared = 0;
+  std::size_t base_wins = 0;   // cross-machine data, A > clock + D
+  std::size_t clock_wins = 0;  // cross-machine data, clock + D > A
+  const Cycles step = s.tau / 64;
+  for (Cycles round_clock = 0; round_clock < s.tau / 2; round_clock += step) {
+    std::vector<TaskId> ready;
+    for (TaskId t = 0; t < num_tasks; ++t) {
+      if (schedule.is_assigned(t) || s.release(t) > round_clock) continue;
+      bool parents_placed = true;
+      for (const TaskId parent : s.dag.parents(t)) {
+        if (!schedule.is_assigned(parent)) parents_placed = false;
+      }
+      if (parents_placed) ready.push_back(t);
+    }
+    if (ready.empty()) continue;
+
+    for (MachineId m = 0; m < num_machines; ++m) {
+      for (const Cycles clock : {round_clock / 2, round_clock, round_clock + step}) {
+        SCOPED_TRACE("machine " + std::to_string(m) + " clock " + std::to_string(clock));
+        build_candidate_batch(cache, s, schedule, std::span<const TaskId>(ready), m,
+                              clock, m % 2 == 0 ? &degrade : nullptr, rows, batch);
+        for (std::size_t slot = 0; slot < batch.size(); ++slot) {
+          const TaskId task = batch.task[slot];
+          const test::GatherParents oracle =
+              test::gather_parents_oracle(cache, s, schedule, task, m, clock);
+          EXPECT_EQ(batch.tec_delta_secondary[slot], oracle.tec_delta_secondary)
+              << "task " << task;  // exact
+          EXPECT_EQ(batch.tec_delta_primary[slot], oracle.tec_delta_primary)
+              << "task " << task;  // exact
+          EXPECT_EQ(batch.arrival_lb[slot], oracle.arrival_lb) << "task " << task;
+          const ParentTerms& terms = rows.terms(cache, s, schedule, task, m);
+          EXPECT_EQ(terms.arrival_lb(clock), oracle.arrival_lb) << "task " << task;
+          if (terms.transfer_max != ParentTerms::kNoTransfer) {
+            if (terms.arrival_base > clock + terms.transfer_max) ++base_wins;
+            if (terms.arrival_base < clock + terms.transfer_max) ++clock_wins;
+          }
+          ++compared;
+        }
+      }
+    }
+    // Rows exist only for ready tasks: O(peak ready x |M|) storage.
+    EXPECT_LE(rows.rows_in_use(), ready.size());
+
+    // Commit a third of the ready tasks (their rows go), so the next round
+    // gathers newly ready children into reused rows.
+    for (std::size_t i = 0; i < ready.size(); i += 3) {
+      const TaskId task = ready[i];
+      const MachineId m = static_cast<MachineId>(task % num_machines);
+      if (!version_fits_energy(cache, schedule, task, m, VersionKind::Secondary)) continue;
+      commit_placement(s, schedule, plan_placement(s, schedule, task, m,
+                                                   VersionKind::Secondary, round_clock));
+      rows.drop(task);
+    }
+  }
+  EXPECT_GT(compared, 0u);
+  EXPECT_GT(base_wins, 0u) << "no slot had a parent's finish + dur above clock + D";
+  EXPECT_GT(clock_wins, 0u) << "no slot had clock + D above its other arrivals";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, SlrhGatherRowsProperty,
+    ::testing::Values(GatherRowsCase{sim::GridCase::A, 48, 20040426, false},
+                      GatherRowsCase{sim::GridCase::B, 48, 20040426, false},
+                      GatherRowsCase{sim::GridCase::C, 48, 20040426, false},
+                      GatherRowsCase{sim::GridCase::A, 64, 4242, true},
+                      GatherRowsCase{sim::GridCase::C, 80, 777, true}));
 
 TEST(Scoring, RequiresParentsAssigned) {
   const auto s = make_scenario(sim::GridConfig::make(1, 0), 2, {{0, 1, 1e6}},

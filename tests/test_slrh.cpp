@@ -2,11 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <tuple>
+#include <vector>
 
+#include "core/frontier.hpp"
+#include "core/placement.hpp"
+#include "core/scenario_cache.hpp"
+#include "core/scoring.hpp"
+#include "core/taps.hpp"
 #include "core/validate.hpp"
 #include "support/event_log.hpp"
 #include "support/metrics.hpp"
+#include "tests/oracles.hpp"
 #include "tests/scenario_fixtures.hpp"
 
 namespace ahg::core {
@@ -191,6 +200,176 @@ TEST(Slrh, ArrivalBoundRejectsBeyondHorizonChildWithoutPlanning) {
       EXPECT_EQ(a.finish, b.finish) << "task " << t;
     }
     EXPECT_EQ(result.tec, reference.tec);
+  }
+}
+
+// --- the live walk vs the full-order walk -----------------------------------
+//
+// The map walk visits only the live slots (arrival bound within clock + H)
+// and reports the dead ones among them for a listening tap. Against
+// test::map_first_startable_oracle — the walk over the whole pool in order,
+// on an independently built pool (scan oracle plus the per-build parent
+// walk's bound) — every scope of a mid-run schedule must commit the same
+// task, version and start, and list the same rejections with the same
+// reasons, walk after walk (V2 re-walks one pool; V3 rebuilds after each
+// commit). A scope that commits nothing must fold the same min_beyond: that
+// is the only case the driver records it for. Batteries are cut so that V2
+// meets dead slots whose energy ran out earlier in the scope.
+
+const char* reject_name(Reject reject) {
+  switch (reject) {
+    case Reject::AlreadyAssigned: return "already_assigned";
+    case Reject::EnergyExhausted: return "energy_exhausted";
+    case Reject::BeyondHorizon: return "beyond_horizon";
+  }
+  return "?";
+}
+
+struct LiveWalkTally {
+  std::size_t walks = 0;
+  std::size_t dead = 0;           ///< dead slots in the pools built
+  std::size_t dead_exhausted = 0; ///< dead slots rejected as energy_exhausted
+  std::size_t verdict_mins = 0;   ///< commit-free scopes whose minimum was compared
+};
+
+void expect_live_walk_matches_full_walk(const workload::Scenario& s,
+                                        const SlrhParams& params,
+                                        LiveWalkTally& tally) {
+  constexpr auto npos = static_cast<std::size_t>(-1);
+  const ScenarioCache cache(s);
+  const ObjectiveTotals totals = objective_totals(s);
+  auto live_schedule = make_schedule(s);
+  auto full_schedule = make_schedule(s);
+  sim::Schedule& live_side = *live_schedule;
+  sim::Schedule& full_side = *full_schedule;
+  ReadyFrontier frontier(s, live_side);
+  GatherRows rows(s.num_tasks(), s.num_machines());
+  CandidateBatch batch;
+  BeyondHorizonMemo memo(s.num_tasks());
+  obs::CollectSink sink;
+  SlrhParams traced = params;
+  traced.sink = &sink;
+  Taps taps(s, traced);
+  for (Cycles stop = 0; !live_side.complete() && stop <= s.tau; stop += params.dt) {
+    frontier.advance_to(stop);
+    for (MachineId m = 0; m < static_cast<MachineId>(s.num_machines()); ++m) {
+      if (!s.machine_available(m, stop) || live_side.machine_ready(m) > stop) continue;
+      SCOPED_TRACE("clock " + std::to_string(stop) + " machine " + std::to_string(m));
+      memo.begin_scope();
+      std::vector<std::uint8_t> full_memo(s.num_tasks(), 0);
+      Cycles live_min = std::numeric_limits<Cycles>::max();
+      Cycles full_min = live_min;
+      bool scope_committed = false;
+      for (bool rebuild = true; rebuild;) {
+        rebuild = false;
+        const SlrhPool pool =
+            taps.on_pool(m, stop, [&](SlrhPoolRejects* rejects, obs::Histogram* scoring) {
+              return build_slrh_pool_batched(s, cache, frontier, live_side, params,
+                                             totals, m, stop, rows, batch, rejects,
+                                             scoring);
+            });
+        std::vector<SlrhPoolCandidate> full =
+            test::scan_pool_oracle(s, full_side, params, totals, m, stop).pool;
+        for (SlrhPoolCandidate& cand : full) {
+          cand.arrival_lb =
+              test::gather_parents_oracle(cache, s, full_side, cand.task, m, stop)
+                  .arrival_lb;
+        }
+        ASSERT_EQ(pool.size(), full.size());
+        if (pool.empty()) break;
+        tally.dead += pool.dead().size();
+
+        for (std::size_t live_next = 0, full_next = 0;;) {
+          ++tally.walks;
+          PlacementPlan live_plan;
+          PlacementPlan full_plan;
+          std::vector<test::WalkRejection> full_rejected;
+          const std::size_t a =
+              map_first_startable(s, live_side, params, pool, m, stop, cache, memo,
+                                  taps, live_plan, live_next, &live_min);
+          const std::size_t b = test::map_first_startable_oracle(
+              s, full_side, params, full, m, stop, cache, full_memo, full_plan,
+              full_next, full_min, full_rejected);
+          ASSERT_EQ(a == npos, b == npos);
+          if (a == npos) taps.on_stall(stop, m, pool.size());
+
+          // The walk's record: the map decision or the stall, listing every
+          // rejection in walk order (a map decision appends its choice).
+          const obs::Event record = sink.events().back();
+          std::vector<obs::CandidateTrace> listed = record.candidates;
+          if (a != npos) {
+            ASSERT_EQ(record.kind, obs::EventKind::MapDecision);
+            ASSERT_FALSE(listed.empty());
+            listed.pop_back();
+          } else {
+            ASSERT_EQ(record.kind, obs::EventKind::Stall);
+          }
+          ASSERT_EQ(listed.size(), full_rejected.size());
+          for (std::size_t i = 0; i < listed.size(); ++i) {
+            EXPECT_EQ(listed[i].task, full_rejected[i].task) << "rejection " << i;
+            EXPECT_EQ(listed[i].reject, reject_name(full_rejected[i].reject))
+                << "rejection " << i;
+            const auto& dead = pool.dead();
+            const bool is_dead =
+                std::any_of(dead.begin(), dead.end(), [&](const SlrhPoolCandidate& d) {
+                  return d.task == full_rejected[i].task;
+                });
+            if (is_dead && full_rejected[i].reject == Reject::EnergyExhausted) {
+              ++tally.dead_exhausted;
+            }
+          }
+
+          if (a == npos) {
+            if (!scope_committed) {
+              EXPECT_EQ(live_min, full_min);
+              ++tally.verdict_mins;
+            }
+            break;
+          }
+          EXPECT_EQ(pool.slots[a].task, full[b].task);
+          EXPECT_EQ(live_plan.version, full_plan.version);
+          EXPECT_EQ(live_plan.start, full_plan.start);
+          frontier.on_commit(pool.slots[a].task);
+          rows.drop(pool.slots[a].task);
+          scope_committed = true;
+          if (params.variant == SlrhVariant::V3) {
+            rebuild = true;
+            break;
+          }
+          if (params.variant == SlrhVariant::V1) break;
+          EXPECT_EQ(pool.continues_after(a), b + 1 < full.size());
+          if (!pool.continues_after(a)) break;
+          live_next = a + 1;
+          full_next = b + 1;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(live_side.num_assigned(), full_side.num_assigned());
+  EXPECT_EQ(live_side.tec(), full_side.tec());
+}
+
+TEST(Slrh, LiveWalkMatchesFullOrderWalk) {
+  for (const auto variant : {SlrhVariant::V1, SlrhVariant::V2, SlrhVariant::V3}) {
+    LiveWalkTally tally;
+    for (const double battery_scale : {1.0, 0.05}) {
+      for (auto s : test::paper_shape_fixtures()) {
+        std::vector<sim::MachineSpec> machines = s.grid.machines();
+        for (sim::MachineSpec& spec : machines) spec.battery_capacity *= battery_scale;
+        s.grid = sim::GridConfig(std::move(machines));
+        SCOPED_TRACE(to_string(variant) + " battery x" + std::to_string(battery_scale));
+        SlrhParams params = default_params(variant);
+        params.weights = Weights::make(0.6, 0.3);
+        expect_live_walk_matches_full_walk(s, params, tally);
+      }
+    }
+    SCOPED_TRACE(to_string(variant));
+    EXPECT_GT(tally.walks, 0u);
+    EXPECT_GT(tally.dead, 0u) << "no pool had a dead slot";
+    EXPECT_GT(tally.verdict_mins, 0u) << "no commit-free scope";
+    if (variant == SlrhVariant::V2) {
+      EXPECT_GT(tally.dead_exhausted, 0u) << "no dead slot ran out of energy";
+    }
   }
 }
 
