@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -190,14 +191,8 @@ class CellCache {
     return out;
   }
 
- private:
-  std::filesystem::path entry_path(std::uint64_t key) const {
-    std::ostringstream name;
-    name << std::hex << key;
-    return std::filesystem::path(dir_) / (name.str() + ".json");
-  }
-
-  /// Parse + rebuild. Throws on any shape mismatch (treated as a miss).
+  /// Parse + rebuild (exposed for tests). Throws PreconditionError on any
+  /// shape mismatch or out-of-range count (load treats it as a miss).
   static core::CaseHeuristicSummary deserialize(const std::string& text,
                                                 sim::GridCase grid_case,
                                                 core::HeuristicKind heuristic) {
@@ -215,20 +210,28 @@ class CellCache {
     const obs::JsonValue* scenarios = root.find("scenarios");
     AHG_EXPECTS_MSG(scenarios != nullptr && scenarios->is_array(),
                     "cache entry needs a scenarios array");
+    // Indices and subtask counts fit a TaskId; the AET is a cycle count,
+    // exact as a JSON number up to 2^53.
+    constexpr std::int64_t kMaxCount = std::numeric_limits<TaskId>::max();
+    constexpr std::int64_t kMaxCycles = std::int64_t{1} << 53;
     for (const auto& s : scenarios->as_array()) {
+      AHG_EXPECTS_MSG(s.is_object(), "cache entry scenarios must be objects");
+      const auto count = [&](std::string_view field) {
+        return static_cast<std::size_t>(obs::checked_int(s.find(field), field, 0, kMaxCount));
+      };
       core::ScenarioEvaluation eval;
-      eval.etc_index = static_cast<std::size_t>(s.get_int("etc"));
-      eval.dag_index = static_cast<std::size_t>(s.get_int("dag"));
-      eval.upper_bound = static_cast<std::size_t>(s.get_int("bound"));
+      eval.etc_index = count("etc");
+      eval.dag_index = count("dag");
+      eval.upper_bound = count("bound");
       eval.tune.found = s.get_bool("found");
       eval.tune.alpha = s.get_double("alpha");
       eval.tune.beta = s.get_double("beta");
       auto& best = eval.tune.best;
       best.complete = s.get_bool("complete");
       best.within_tau = s.get_bool("within_tau");
-      best.t100 = static_cast<std::size_t>(s.get_int("t100"));
-      best.assigned = static_cast<std::size_t>(s.get_int("assigned"));
-      best.aet = static_cast<Cycles>(s.get_int("aet"));
+      best.t100 = count("t100");
+      best.assigned = count("assigned");
+      best.aet = obs::checked_int(s.find("aet"), "aet", 0, kMaxCycles);
       best.tec = s.get_double("tec");
       best.wall_seconds = s.get_double("wall_seconds");
       // Replaying the shared aggregation path in stored (etc-major) order
@@ -240,6 +243,13 @@ class CellCache {
       summary.phases = obs::snapshot_from_json(*phases);
     }
     return summary;
+  }
+
+ private:
+  std::filesystem::path entry_path(std::uint64_t key) const {
+    std::ostringstream name;
+    name << std::hex << key;
+    return std::filesystem::path(dir_) / (name.str() + ".json");
   }
 
   std::string dir_;

@@ -132,23 +132,39 @@ inline void write_baseline(std::ostream& os, const GateBaseline& baseline) {
   os << json.str() << "\n";
 }
 
-/// Inverse of write_baseline. Throws PreconditionError on a malformed file.
+/// Inverse of write_baseline. Throws PreconditionError on a malformed file:
+/// a direction other than "upper", "lower" or "two-sided" (absent included),
+/// or a negative or non-finite value or tolerance — each would otherwise
+/// gate something other than what the file says.
 inline GateBaseline parse_baseline(const obs::JsonValue& root) {
   AHG_EXPECTS_MSG(root.is_object(), "gate baseline must be a JSON object");
+  const auto non_negative = [](double x, const std::string& what) {
+    AHG_EXPECTS_MSG(std::isfinite(x) && x >= 0.0,
+                    "gate baseline " + what + " must be finite and non-negative");
+    return x;
+  };
   GateBaseline baseline;
   baseline.bench = root.get_string("bench");
-  baseline.default_tolerance = root.get_double("default_tolerance", 0.25);
+  baseline.default_tolerance =
+      non_negative(root.get_double("default_tolerance", 0.25), "default_tolerance");
   const obs::JsonValue* metrics = root.find("metrics");
   AHG_EXPECTS_MSG(metrics != nullptr && metrics->is_object(),
                   "gate baseline needs a \"metrics\" object");
   for (const auto& [key, entry] : metrics->as_object()) {
     GateMetric metric;
-    metric.value = entry.get_double("value");
-    metric.tolerance = entry.get_double("tolerance", baseline.default_tolerance);
+    metric.value = non_negative(entry.get_double("value"), key + " value");
+    metric.tolerance = non_negative(
+        entry.get_double("tolerance", baseline.default_tolerance), key + " tolerance");
     const std::string direction = entry.get_string("direction");
-    metric.direction = direction == "upper"   ? GateDirection::Upper
-                       : direction == "lower" ? GateDirection::Lower
-                                              : GateDirection::TwoSided;
+    if (direction == "upper") {
+      metric.direction = GateDirection::Upper;
+    } else if (direction == "lower") {
+      metric.direction = GateDirection::Lower;
+    } else {
+      AHG_EXPECTS_MSG(direction == "two-sided",
+                      key + ": unknown gate direction \"" + direction + "\"");
+      metric.direction = GateDirection::TwoSided;
+    }
     baseline.metrics.emplace(key, metric);
   }
   return baseline;

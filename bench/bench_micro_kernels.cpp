@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "bench/bench_common.hpp"
+#include "core/churn.hpp"
 #include "core/feasibility.hpp"
 #include "core/maxmax.hpp"
 #include "core/placement.hpp"
@@ -24,6 +25,7 @@
 #include "support/rng.hpp"
 #include "support/task_ledger.hpp"
 #include "support/thread_pool.hpp"
+#include "workload/dynamics.hpp"
 #include "workload/scenario.hpp"
 
 namespace {
@@ -371,6 +373,54 @@ void BM_SlrhInnerLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_SlrhInnerLoop)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
+/// One overhead guard's measurement: each side's fastest run and the median
+/// of the per-rep paired on/off ratios.
+struct PairedOverhead {
+  double off_seconds = 0.0;
+  double on_seconds = 0.0;
+  double ratio = 1.0;
+};
+
+/// Run `reps` back-to-back (off, on) pairs; each callable runs once and
+/// returns its own elapsed seconds, so set-up stays outside its timer. The
+/// gated ratio is the MEDIAN of the per-pair ratios: host drift (a noisy
+/// shared core slowing one stretch of the bench) hits both sides of a pair
+/// equally and the median discards the spiked pairs, where a ratio of
+/// independent min-of-N times wandered ±10% on a loaded host. Which side
+/// runs first alternates, so first-run warm-up or scheduler bias cancels
+/// across pairs instead of tilting the ratio.
+template <typename Off, typename On>
+PairedOverhead paired_overhead(int reps, Off&& run_off, On&& run_on) {
+  PairedOverhead out;
+  std::vector<double> ratios;
+  ratios.reserve(static_cast<std::size_t>(reps));
+  for (int rep = 0; rep < reps; ++rep) {
+    const bool on_first = (rep % 2) != 0;
+    const double first = on_first ? run_on() : run_off();
+    const double second = on_first ? run_off() : run_on();
+    const double off_elapsed = on_first ? second : first;
+    const double on_elapsed = on_first ? first : second;
+    out.off_seconds = rep == 0 ? off_elapsed : std::min(out.off_seconds, off_elapsed);
+    out.on_seconds = rep == 0 ? on_elapsed : std::min(out.on_seconds, on_elapsed);
+    if (off_elapsed > 0.0) ratios.push_back(on_elapsed / off_elapsed);
+  }
+  if (!ratios.empty()) {
+    const auto mid =
+        static_cast<std::vector<double>::difference_type>(ratios.size() / 2);
+    std::nth_element(ratios.begin(), ratios.begin() + mid, ratios.end());
+    out.ratio = ratios[ratios.size() / 2];
+  }
+  return out;
+}
+
+/// Wall seconds of one call of `fn`, its result discarded.
+template <typename F>
+double timed_seconds(F&& fn) {
+  const Stopwatch timer;
+  static_cast<void>(fn());
+  return timer.seconds();
+}
+
 // End-to-end record for the SLRH inner loop: run each variant over the same
 // scenario and dump the wall times as BENCH_inner_loop.json (the
 // *_fast_seconds keys keep their historical name). Schedule bit-identity is
@@ -463,6 +513,41 @@ void write_inner_loop_report() {
               << ", assigned " << result.assigned << ")\n";
   }
 
+  // Churn-recovery record at the perfbench churn-recovery shape (2048x16,
+  // 1.5 departures per machine): SLRH-3 with Remap, min-of-N. The
+  // invalidated / orphaned / t100 counters are exact, so a recovery change
+  // that moves a single decision trips the gate too.
+  {
+    constexpr int kReps = 5;
+    auto churny = bench::make_scale_scenario(2048, 16, 20040426);
+    workload::ChurnParams churn;
+    churn.departures_per_machine = 1.5;
+    churny.machine_windows = workload::generate_machine_churn(
+                                 churn, churny.num_machines(), churny.tau, 20040426)
+                                 .windows;
+    const core::ScenarioCache cache(churny);
+    core::SlrhParams params;
+    params.variant = core::SlrhVariant::V3;
+    params.weights = core::Weights::make(0.6, 0.3);
+    params.cache = &cache;
+    double run_seconds = 0.0;
+    core::ChurnRunOutcome outcome;
+    for (int rep = 0; rep < kReps; ++rep) {
+      const Stopwatch timer;
+      outcome = core::run_slrh_with_churn(churny, params, core::ChurnRecovery::Remap);
+      const double elapsed = timer.seconds();
+      run_seconds = rep == 0 ? elapsed : std::min(run_seconds, elapsed);
+    }
+    report.metrics().gauge("bench.churn_run_seconds").set(run_seconds);
+    report.metrics().counter("bench.churn_invalidated").add(outcome.invalidated);
+    report.metrics().counter("bench.churn_orphaned").add(outcome.orphaned);
+    report.metrics().counter("bench.churn_t100").add(outcome.result.t100);
+    std::cout << "churn @2048x16 (SLRH-3, remap): " << run_seconds << " s ("
+              << outcome.departures_processed << " departures, orphaned "
+              << outcome.orphaned << ", invalidated " << outcome.invalidated
+              << ", t100 " << outcome.result.t100 << ")\n";
+  }
+
   // Earliest-fit record: the hole index over a dense 8192-interval timeline
   // (the |T|=100k placement regime).
   {
@@ -528,141 +613,88 @@ void write_inner_loop_report() {
               << "x reuse)\n";
   }
 
-  // Flight-recorder overhead guard (ISSUE: <= 3% on run_slrh at |T|=1024).
-  // Min-of-3 on each side cuts scheduler noise; the ratio gauge is what the
-  // regression gate watches.
+  // Flight-recorder overhead guard (budget: <= 3% on run_slrh at |T|=1024),
+  // gated two-sided on the paired median ratio.
+  constexpr int kOverheadReps = 101;
+  core::SlrhParams overhead_params;
+  overhead_params.weights = core::Weights::make(0.7, 0.25);
+  static_cast<void>(core::run_slrh(scenario, overhead_params));  // warm caches/pool
+  const auto run_off = [&] {
+    return timed_seconds([&] { return core::run_slrh(scenario, overhead_params); });
+  };
   {
-    constexpr int kReps = 9;
-    core::SlrhParams params;
-    params.weights = core::Weights::make(0.7, 0.25);
     // One recorder reused across reps: after the first run the ring has
-    // wrapped and record() is allocation-free, so min-of-N measures the
+    // wrapped and record() is allocation-free, so the ratio measures the
     // steady-state overhead of an attached recorder (the cold first run is
     // ring warm-up, not recording cost).
     obs::FlightRecorder recorder;
-    double off_seconds = 0.0;
-    double on_seconds = 0.0;
     std::uint64_t frames = 0;
-    for (int rep = 0; rep < kReps; ++rep) {
-      const Stopwatch off_timer;
-      const auto off = core::run_slrh(scenario, params);
-      const double off_elapsed = off_timer.seconds();
-      static_cast<void>(off);
-      off_seconds = rep == 0 ? off_elapsed : std::min(off_seconds, off_elapsed);
-
+    const auto overhead = paired_overhead(kOverheadReps, run_off, [&] {
       const std::uint64_t frames_before = recorder.frames_recorded();
+      core::SlrhParams params = overhead_params;
       params.recorder = &recorder;
-      const Stopwatch on_timer;
-      const auto on = core::run_slrh(scenario, params);
-      const double on_elapsed = on_timer.seconds();
-      static_cast<void>(on);
-      params.recorder = nullptr;
-      on_seconds = rep == 0 ? on_elapsed : std::min(on_seconds, on_elapsed);
+      const double elapsed =
+          timed_seconds([&] { return core::run_slrh(scenario, params); });
       frames = recorder.frames_recorded() - frames_before;
-    }
-    const double ratio = off_seconds > 0.0 ? on_seconds / off_seconds : 1.0;
-    report.metrics().gauge("bench.recorder_off_seconds").set(off_seconds);
-    report.metrics().gauge("bench.recorder_on_seconds").set(on_seconds);
-    report.metrics().gauge("bench.recorder_overhead_ratio").set(ratio);
+      return elapsed;
+    });
+    report.metrics().gauge("bench.recorder_off_seconds").set(overhead.off_seconds);
+    report.metrics().gauge("bench.recorder_on_seconds").set(overhead.on_seconds);
+    report.metrics().gauge("bench.recorder_overhead_ratio").set(overhead.ratio);
     report.metrics().counter("bench.recorder_frames").add(frames);
-    std::cout << "recorder: off " << off_seconds << " s, on " << on_seconds
-              << " s (" << ratio << "x, " << frames << " frames)\n";
+    std::cout << "recorder: off " << overhead.off_seconds << " s, on "
+              << overhead.on_seconds << " s (median " << overhead.ratio << "x, "
+              << frames << " frames)\n";
   }
 
   // Task-ledger overhead guard (ISSUE: <= 1.05x on run_slrh at |T|=1024).
-  // A FRESH ledger per on-rep — unlike the recorder's ring there is no
+  // A FRESH ledger per on-run — unlike the recorder's ring there is no
   // steady state to reuse; a second run on the same ledger would take the
   // on_pooled fast path everywhere and undercount. Construction happens
-  // outside the Stopwatch so only the recording cost is timed.
+  // outside the timer so only the recording cost is timed.
   {
-    constexpr int kReps = 9;
-    core::SlrhParams params;
-    params.weights = core::Weights::make(0.7, 0.25);
-    double off_seconds = 0.0;
-    double on_seconds = 0.0;
     std::uint64_t transitions = 0;
-    for (int rep = 0; rep < kReps; ++rep) {
-      const Stopwatch off_timer;
-      const auto off = core::run_slrh(scenario, params);
-      const double off_elapsed = off_timer.seconds();
-      static_cast<void>(off);
-      off_seconds = rep == 0 ? off_elapsed : std::min(off_seconds, off_elapsed);
-
+    const auto overhead = paired_overhead(kOverheadReps, run_off, [&] {
       obs::TaskLedger ledger(scenario.num_tasks());
+      core::SlrhParams params = overhead_params;
       params.ledger = &ledger;
-      const Stopwatch on_timer;
-      const auto on = core::run_slrh(scenario, params);
-      const double on_elapsed = on_timer.seconds();
-      static_cast<void>(on);
-      params.ledger = nullptr;
-      on_seconds = rep == 0 ? on_elapsed : std::min(on_seconds, on_elapsed);
+      const double elapsed =
+          timed_seconds([&] { return core::run_slrh(scenario, params); });
       transitions = ledger.transitions_recorded();
-    }
-    const double ratio = off_seconds > 0.0 ? on_seconds / off_seconds : 1.0;
-    report.metrics().gauge("bench.ledger_off_seconds").set(off_seconds);
-    report.metrics().gauge("bench.ledger_on_seconds").set(on_seconds);
-    report.metrics().gauge("bench.ledger_overhead_ratio").set(ratio);
+      return elapsed;
+    });
+    report.metrics().gauge("bench.ledger_off_seconds").set(overhead.off_seconds);
+    report.metrics().gauge("bench.ledger_on_seconds").set(overhead.on_seconds);
+    report.metrics().gauge("bench.ledger_overhead_ratio").set(overhead.ratio);
     report.metrics().counter("bench.ledger_transitions").add(transitions);
-    std::cout << "ledger: off " << off_seconds << " s, on " << on_seconds
-              << " s (" << ratio << "x, " << transitions << " transitions)\n";
+    std::cout << "ledger: off " << overhead.off_seconds << " s, on "
+              << overhead.on_seconds << " s (median " << overhead.ratio << "x, "
+              << transitions << " transitions)\n";
   }
 
   // Runtime-profiler overhead guard (ISSUE: <= 1.05x on run_slrh at
   // |T|=1024, gated as an UPPER bound — see bench/baselines). One profiler
   // reused across reps, like the recorder: the rings overwrite in place, so
   // the steady-state cost of timed run slices + idle intervals on every pool
-  // pop is what's measured, not ring allocation. The gated ratio is the
-  // MEDIAN of per-rep paired on/off ratios: each pair runs back to back, so
-  // host drift (a noisy shared core slowing one stretch of the bench) hits
-  // both sides of a pair equally and the median discards the spiked pairs —
-  // a ratio of independent min-of-N times wandered ±10% on a loaded host,
-  // which the 1.05x gate cannot absorb.
+  // pop is what's measured, not ring allocation.
   {
-    constexpr int kReps = 101;
-    core::SlrhParams params;
-    params.weights = core::Weights::make(0.7, 0.25);
     obs::RuntimeProfiler profiler(global_pool().size());
-    static_cast<void>(core::run_slrh(scenario, params));  // warm caches/pool
-    double off_seconds = 0.0;
-    double on_seconds = 0.0;
-    std::vector<double> ratios;
-    ratios.reserve(kReps);
     std::uint64_t tasks = 0;
-    const auto timed_run = [&](bool with_profiler) {
-      if (with_profiler) global_pool().set_profiler(&profiler);
-      const Stopwatch timer;
-      const auto result = core::run_slrh(scenario, params);
-      const double elapsed = timer.seconds();
-      static_cast<void>(result);
-      if (with_profiler) global_pool().set_profiler(nullptr);
-      return elapsed;
-    };
-    for (int rep = 0; rep < kReps; ++rep) {
-      // Alternate which side of the pair runs first so any first-run warmup
-      // or scheduler bias cancels across pairs instead of tilting the ratio.
-      const bool on_first = (rep % 2) != 0;
+    const auto overhead = paired_overhead(kOverheadReps, run_off, [&] {
       const std::uint64_t tasks_before = profiler.totals().tasks;
-      const double first = timed_run(on_first);
-      const double second = timed_run(!on_first);
-      const double off_elapsed = on_first ? second : first;
-      const double on_elapsed = on_first ? first : second;
-      off_seconds = rep == 0 ? off_elapsed : std::min(off_seconds, off_elapsed);
-      on_seconds = rep == 0 ? on_elapsed : std::min(on_seconds, on_elapsed);
+      global_pool().set_profiler(&profiler);
+      const double elapsed =
+          timed_seconds([&] { return core::run_slrh(scenario, overhead_params); });
+      global_pool().set_profiler(nullptr);
       tasks = profiler.totals().tasks - tasks_before;
-      if (off_elapsed > 0.0) ratios.push_back(on_elapsed / off_elapsed);
-    }
-    double ratio = 1.0;
-    if (!ratios.empty()) {
-      const auto mid =
-          static_cast<std::vector<double>::difference_type>(ratios.size() / 2);
-      std::nth_element(ratios.begin(), ratios.begin() + mid, ratios.end());
-      ratio = ratios[ratios.size() / 2];
-    }
-    report.metrics().gauge("bench.profiler_off_seconds").set(off_seconds);
-    report.metrics().gauge("bench.profiler_on_seconds").set(on_seconds);
-    report.metrics().gauge("bench.profiler_overhead_ratio").set(ratio);
-    std::cout << "profiler: off " << off_seconds << " s, on " << on_seconds
-              << " s (median " << ratio << "x, " << tasks << " pool tasks)\n";
+      return elapsed;
+    });
+    report.metrics().gauge("bench.profiler_off_seconds").set(overhead.off_seconds);
+    report.metrics().gauge("bench.profiler_on_seconds").set(overhead.on_seconds);
+    report.metrics().gauge("bench.profiler_overhead_ratio").set(overhead.ratio);
+    std::cout << "profiler: off " << overhead.off_seconds << " s, on "
+              << overhead.on_seconds << " s (median " << overhead.ratio << "x, "
+              << tasks << " pool tasks)\n";
   }
 
   std::cout << "wrote " << report.write_json() << "\n";

@@ -22,6 +22,86 @@ const char* to_string(ChurnRecovery recovery) noexcept {
   return "unknown";
 }
 
+namespace detail {
+
+void close_invalid(const workload::Scenario& scenario, const sim::Schedule& schedule,
+                   const std::vector<char>& departed, std::vector<char>& invalid,
+                   std::vector<TaskId> worklist) {
+  const auto flag = [&](TaskId t) -> char& {
+    return invalid[static_cast<std::size_t>(t)];
+  };
+  const auto push = [&](TaskId t) {
+    flag(t) = 1;
+    worklist.push_back(t);
+  };
+  while (!worklist.empty()) {
+    const TaskId t = worklist.back();
+    worklist.pop_back();
+    // R1: every mapped descendant goes with it.
+    for (const TaskId child : scenario.dag.children(t)) {
+      if (schedule.is_assigned(child) && flag(child) == 0) push(child);
+    }
+    // R2: a departed parent whose data-carrying output t consumed lost it.
+    for (const TaskId parent : scenario.dag.parents(t)) {
+      if (!schedule.is_assigned(parent) || flag(parent) != 0) continue;
+      const auto& pa = schedule.assignment(parent);
+      if (departed[static_cast<std::size_t>(pa.machine)] == 0) continue;
+      if (scenario.edge_bits(parent, t, pa.version) > 0.0) push(parent);
+    }
+  }
+}
+
+std::vector<char> compute_invalid(const workload::Scenario& scenario,
+                                  const sim::Schedule& schedule,
+                                  const std::vector<char>& departed,
+                                  std::vector<char> invalid) {
+  const auto num_tasks = static_cast<TaskId>(scenario.num_tasks());
+  const auto on_departed = [&](TaskId t) {
+    return schedule.is_assigned(t) &&
+           departed[static_cast<std::size_t>(schedule.assignment(t).machine)] != 0;
+  };
+
+  // Only departed senders' transfers are ever looked up.
+  std::unordered_map<std::uint64_t, Cycles> comm_finish;
+  for (const auto& ev : schedule.comm_events()) {
+    if (!on_departed(ev.from_task)) continue;
+    comm_finish.emplace(sim::edge_key(ev.from_task, ev.to_task), ev.finish);
+  }
+  // R0: a data-carrying output of t no surviving flag can satisfy — the child
+  // is unmapped, or sits on another machine without a transfer that finished
+  // before the departure.
+  const auto output_unsatisfied = [&](TaskId t, const sim::Assignment& a,
+                                      Cycles depart) {
+    for (const TaskId child : scenario.dag.children(t)) {
+      if (scenario.edge_bits(t, child, a.version) <= 0.0) continue;
+      if (!schedule.is_assigned(child)) return true;
+      if (schedule.assignment(child).machine == a.machine) continue;
+      const auto it = comm_finish.find(sim::edge_key(t, child));
+      if (it == comm_finish.end() || it->second > depart) return true;
+    }
+    return false;
+  };
+
+  std::vector<TaskId> worklist;
+  for (TaskId t = 0; t < num_tasks; ++t) {
+    if (invalid[static_cast<std::size_t>(t)] != 0) {
+      worklist.push_back(t);
+      continue;
+    }
+    if (!on_departed(t)) continue;
+    const auto& a = schedule.assignment(t);
+    const Cycles depart = scenario.machine_depart(a.machine);
+    if (a.finish > depart || output_unsatisfied(t, a, depart)) {
+      invalid[static_cast<std::size_t>(t)] = 1;
+      worklist.push_back(t);
+    }
+  }
+  close_invalid(scenario, schedule, departed, invalid, std::move(worklist));
+  return invalid;
+}
+
+}  // namespace detail
+
 namespace {
 
 constexpr Cycles kNoDeparture = workload::Scenario::kNoDeparture;
@@ -30,84 +110,6 @@ constexpr Cycles kNoDeparture = workload::Scenario::kNoDeparture;
 /// between timesteps is actually discovered ("react at the next dT").
 Cycles next_timestep(Cycles time, Cycles dt) {
   return ((time + dt - 1) / dt) * dt;
-}
-
-/// Which assigned subtasks lost their work to the departures seen so far.
-/// Seed: unfinished subtasks on departed machines (the orphans). A COMPLETED
-/// subtask on a departed machine survives only while every data-carrying
-/// output edge is satisfied: consumed on the same machine by a surviving
-/// child, or transmitted cross-machine before the departure to a surviving
-/// child. Invalidation cascades to every mapped descendant (through all
-/// edges), so kept = assigned && !invalid stays ancestor-closed and the
-/// independent validator passes on the rebuilt schedule. The cascade can in
-/// turn unsatisfy another departed machine's outputs, hence the fixpoint.
-std::vector<char> compute_invalid(const workload::Scenario& scenario,
-                                  const sim::Schedule& schedule,
-                                  const std::vector<char>& departed,
-                                  const std::vector<char>& extra_seed) {
-  const auto num_tasks = static_cast<TaskId>(scenario.num_tasks());
-  std::vector<char> invalid = extra_seed;
-  const auto is_departed = [&](MachineId m) {
-    return departed[static_cast<std::size_t>(m)] != 0;
-  };
-  const auto flag = [&](TaskId t) -> char& {
-    return invalid[static_cast<std::size_t>(t)];
-  };
-
-  for (TaskId t = 0; t < num_tasks; ++t) {
-    if (!schedule.is_assigned(t)) continue;
-    const auto& a = schedule.assignment(t);
-    if (is_departed(a.machine) && a.finish > scenario.machine_depart(a.machine)) {
-      flag(t) = 1;
-    }
-  }
-
-  std::unordered_map<std::uint64_t, Cycles> comm_finish;
-  for (const auto& ev : schedule.comm_events()) {
-    comm_finish.emplace(sim::edge_key(ev.from_task, ev.to_task), ev.finish);
-  }
-
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    // Downward closure in topological order: one pass settles a whole chain.
-    for (const TaskId t : scenario.dag.topological_order()) {
-      if (!schedule.is_assigned(t) || flag(t) != 0) continue;
-      for (const TaskId parent : scenario.dag.parents(t)) {
-        if (flag(parent) != 0) {
-          flag(t) = 1;
-          changed = true;
-          break;
-        }
-      }
-    }
-    // Output survival on departed machines.
-    for (TaskId t = 0; t < num_tasks; ++t) {
-      if (!schedule.is_assigned(t) || flag(t) != 0) continue;
-      const auto& a = schedule.assignment(t);
-      if (!is_departed(a.machine)) continue;
-      const Cycles depart = scenario.machine_depart(a.machine);
-      bool lost = false;
-      for (const TaskId child : scenario.dag.children(t)) {
-        if (scenario.edge_bits(t, child, a.version) <= 0.0) continue;
-        if (!schedule.is_assigned(child) || flag(child) != 0) {
-          lost = true;
-          break;
-        }
-        if (schedule.assignment(child).machine == a.machine) continue;
-        const auto it = comm_finish.find(sim::edge_key(t, child));
-        if (it == comm_finish.end() || it->second > depart) {
-          lost = true;
-          break;
-        }
-      }
-      if (lost) {
-        flag(t) = 1;
-        changed = true;
-      }
-    }
-  }
-  return invalid;
 }
 
 /// Replay the surviving mapping onto a fresh schedule (original machines and
@@ -125,7 +127,7 @@ std::vector<char> compute_invalid(const workload::Scenario& scenario,
 /// worst-case hold on the parent's machine) is what makes future child
 /// placements safe, so it cannot be waived. `*unaffordable` reports the
 /// first such task (kInvalidTask when the rebuild is clean); the caller
-/// folds it into the invalidation fixpoint and retries.
+/// grows the invalidation closure from it and retries.
 std::shared_ptr<sim::Schedule> rebuild_schedule(const workload::Scenario& scenario,
                                                 const sim::Schedule& before,
                                                 const std::vector<char>& invalid,
@@ -249,21 +251,22 @@ ChurnRunOutcome run_slrh_with_churn(const workload::Scenario& scenario,
     if (new_departures.empty()) continue;
 
     taps.on_recovery(process, outcome, [&] {
-      // Invalidation fixpoint, including affordability: a rebuild that cannot
+      // Invalidation closure, including affordability: a rebuild that cannot
       // re-take some kept task's worst-case output hold invalidates that task
       // too (its machine can no longer guarantee delivery), which frees energy
-      // and may cascade. Each round invalidates at least one more task, so
-      // this terminates within |T| rounds.
-      std::vector<char> unaffordable_seed(scenario.num_tasks(), 0);
-      std::vector<char> invalid;
+      // and may cascade. The closure is monotone, so growing it from the one
+      // new seed equals closing the enlarged seed set afresh. Each round
+      // invalidates at least one more task, so this ends within |T| rounds.
+      std::vector<char> invalid = detail::compute_invalid(
+          scenario, *schedule, departed, std::vector<char>(scenario.num_tasks(), 0));
       std::shared_ptr<sim::Schedule> rebuilt;
       for (;;) {
-        invalid = compute_invalid(scenario, *schedule, departed, unaffordable_seed);
         TaskId unaffordable = kInvalidTask;
         rebuilt = rebuild_schedule(scenario, *schedule, invalid, departed,
                                    &unaffordable);
         if (unaffordable == kInvalidTask) break;
-        unaffordable_seed[static_cast<std::size_t>(unaffordable)] = 1;
+        invalid[static_cast<std::size_t>(unaffordable)] = 1;
+        detail::close_invalid(scenario, *schedule, departed, invalid, {unaffordable});
       }
 
       // Batch tallies: orphans are the unfinished subtasks on the machines

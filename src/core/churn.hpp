@@ -76,4 +76,32 @@ struct StaticChurnReplay {
 StaticChurnReplay replay_static_under_churn(const workload::Scenario& scenario,
                                             const sim::Schedule& schedule);
 
+namespace detail {
+
+// --- invalidation closure (exposed for the property tests; DESIGN.md §4l) ---
+
+/// Which assigned subtasks lost their work to the departures in `departed`
+/// (indexed by machine): the least set that contains `extra_seed` (one flag
+/// per task) and is closed under
+///   R0  an assigned subtask on a departed machine that finishes after the
+///       departure, or has a data-carrying output edge to an unmapped child
+///       or to a child on another machine whose transfer is missing or
+///       finishes after the departure, is lost;
+///   R1  an assigned child of a lost subtask is lost;
+///   R2  an assigned parent on a departed machine with a data-carrying edge
+///       to a lost subtask is lost (its output has no surviving consumer).
+/// kept = assigned && !invalid is therefore ancestor-closed.
+std::vector<char> compute_invalid(const workload::Scenario& scenario,
+                                  const sim::Schedule& schedule,
+                                  const std::vector<char>& departed,
+                                  std::vector<char> extra_seed);
+
+/// Grow `invalid`, already closed under R1/R2 except for the tasks on
+/// `worklist` (each flagged), to its closure under R1 and R2.
+void close_invalid(const workload::Scenario& scenario, const sim::Schedule& schedule,
+                   const std::vector<char>& departed, std::vector<char>& invalid,
+                   std::vector<TaskId> worklist);
+
+}  // namespace detail
+
 }  // namespace ahg::core

@@ -18,12 +18,17 @@
 //    table replaced — every round walks each frontier task's parents and
 //    re-admits, re-prices and re-scores every (machine, version) from
 //    scratch through the uncached feasibility and scoring functions.
+//  - invalid_fixpoint_oracle: churn invalidation as the whole-DAG fixpoint
+//    the worklist closure replaced — a topological downward pass plus an
+//    output-survival pass over every task, repeated until no flag changes,
+//    over an index of every comm event.
 
 #include <algorithm>
 #include <limits>
 #include <memory>
 #include <set>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "core/feasibility.hpp"
@@ -331,6 +336,84 @@ inline ScanMaxMax scan_maxmax_oracle(const workload::Scenario& scenario,
     std::sort(frontier.begin(), frontier.end());
   }
   return out;
+}
+
+/// Which assigned subtasks lost their work to the departures seen so far.
+/// Seed: unfinished subtasks on departed machines (the orphans). A COMPLETED
+/// subtask on a departed machine survives only while every data-carrying
+/// output edge is satisfied: consumed on the same machine by a surviving
+/// child, or transmitted cross-machine before the departure to a surviving
+/// child. Invalidation cascades to every mapped descendant (through all
+/// edges), so kept = assigned && !invalid stays ancestor-closed and the
+/// independent validator passes on the rebuilt schedule. The cascade can in
+/// turn unsatisfy another departed machine's outputs, hence the fixpoint.
+inline std::vector<char> invalid_fixpoint_oracle(const workload::Scenario& scenario,
+                                                 const sim::Schedule& schedule,
+                                                 const std::vector<char>& departed,
+                                                 const std::vector<char>& extra_seed) {
+  const auto num_tasks = static_cast<TaskId>(scenario.num_tasks());
+  std::vector<char> invalid = extra_seed;
+  const auto is_departed = [&](MachineId m) {
+    return departed[static_cast<std::size_t>(m)] != 0;
+  };
+  const auto flag = [&](TaskId t) -> char& {
+    return invalid[static_cast<std::size_t>(t)];
+  };
+
+  for (TaskId t = 0; t < num_tasks; ++t) {
+    if (!schedule.is_assigned(t)) continue;
+    const auto& a = schedule.assignment(t);
+    if (is_departed(a.machine) && a.finish > scenario.machine_depart(a.machine)) {
+      flag(t) = 1;
+    }
+  }
+
+  std::unordered_map<std::uint64_t, Cycles> comm_finish;
+  for (const auto& ev : schedule.comm_events()) {
+    comm_finish.emplace(sim::edge_key(ev.from_task, ev.to_task), ev.finish);
+  }
+
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    // Downward closure in topological order: one pass settles a whole chain.
+    for (const TaskId t : scenario.dag.topological_order()) {
+      if (!schedule.is_assigned(t) || flag(t) != 0) continue;
+      for (const TaskId parent : scenario.dag.parents(t)) {
+        if (flag(parent) != 0) {
+          flag(t) = 1;
+          changed = true;
+          break;
+        }
+      }
+    }
+    // Output survival on departed machines.
+    for (TaskId t = 0; t < num_tasks; ++t) {
+      if (!schedule.is_assigned(t) || flag(t) != 0) continue;
+      const auto& a = schedule.assignment(t);
+      if (!is_departed(a.machine)) continue;
+      const Cycles depart = scenario.machine_depart(a.machine);
+      bool lost = false;
+      for (const TaskId child : scenario.dag.children(t)) {
+        if (scenario.edge_bits(t, child, a.version) <= 0.0) continue;
+        if (!schedule.is_assigned(child) || flag(child) != 0) {
+          lost = true;
+          break;
+        }
+        if (schedule.assignment(child).machine == a.machine) continue;
+        const auto it = comm_finish.find(sim::edge_key(t, child));
+        if (it == comm_finish.end() || it->second > depart) {
+          lost = true;
+          break;
+        }
+      }
+      if (lost) {
+        flag(t) = 1;
+        changed = true;
+      }
+    }
+  }
+  return invalid;
 }
 
 }  // namespace ahg::test

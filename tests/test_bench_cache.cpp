@@ -1,7 +1,8 @@
 // The bench result cache's contract: a cache hit is indistinguishable from
 // recomputing the cell — per-scenario outcomes restore exactly, the summary
 // accumulators replay bit-identically, and anything suspicious about an
-// entry (corruption, schema drift, identity mismatch) degrades to a miss.
+// entry (corruption, schema drift, identity mismatch, out-of-range counts)
+// degrades to a miss.
 
 #include "bench/bench_cache.hpp"
 
@@ -9,8 +10,12 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
+#include <string>
 
 #include "core/runner.hpp"
+#include "tests/byte_mutation.hpp"
 
 namespace ahg {
 namespace {
@@ -164,6 +169,68 @@ TEST(BenchCache, IdentityMismatchIsAMiss) {
   cache.store(key, fresh);
   EXPECT_FALSE(cache.load(key, sim::GridCase::A, core::HeuristicKind::Slrh1));
   EXPECT_TRUE(cache.load(key, sim::GridCase::A, core::HeuristicKind::MaxMax));
+}
+
+/// One hand-written entry for a Max-Max cell in Case A with the given
+/// scenario member spliced in place of the `"bound":10` field.
+std::string cache_entry(const std::string& replace_bound = "\"bound\":10") {
+  return "{\"cache_schema\":" + std::to_string(kBenchCacheSchema) +
+         R"(,"case":"Case A","heuristic":"Max-Max","scenarios":[{"etc":0,"dag":1,)" +
+         replace_bound +
+         R"(,"found":true,"alpha":0.5,"beta":0.3,"complete":true,"within_tau":true,)"
+         R"("t100":5,"assigned":10,"aet":100,"tec":1.5,"wall_seconds":0.1}]})";
+}
+
+core::CaseHeuristicSummary deserialize(const std::string& text) {
+  return bench::CellCache::deserialize(text, sim::GridCase::A,
+                                       core::HeuristicKind::MaxMax);
+}
+
+TEST(BenchCache, DeserializeRefusesOutOfRangeCounts) {
+  const auto ok = deserialize(cache_entry());
+  ASSERT_EQ(ok.scenarios.size(), 1u);
+  EXPECT_EQ(ok.scenarios[0].dag_index, 1u);
+  EXPECT_EQ(ok.scenarios[0].upper_bound, 10u);
+  EXPECT_EQ(ok.scenarios[0].tune.best.aet, 100);
+  // Each count refuses a negative (which a cast would wrap to ~2^64), a
+  // fraction, a non-number and a value past its range.
+  for (const std::string field : {"etc", "dag", "bound", "t100", "assigned", "aet"}) {
+    for (const std::string bad : {"-1", "2.5", "\"7\"", "1e300"}) {
+      std::string text = cache_entry();
+      const std::string key = "\"" + field + "\":";
+      const auto at = text.find(key) + key.size();
+      text.replace(at, text.find_first_of(",}", at) - at, bad);
+      EXPECT_THROW(deserialize(text), PreconditionError) << field << "=" << bad;
+    }
+  }
+  EXPECT_THROW(deserialize(cache_entry("\"bound\":2147483648")), PreconditionError);
+  EXPECT_THROW(deserialize(R"({"cache_schema":)" + std::to_string(kBenchCacheSchema) +
+                           R"(,"case":"Case A","heuristic":"Max-Max","scenarios":[3]})"),
+               PreconditionError);
+}
+
+TEST(BenchCache, DeserializeSurvivesByteMutations) {
+  // 2000 seeded mutants of a real entry (phases left out so the edits land
+  // on the per-scenario records): each loads with in-range counts or
+  // throws PreconditionError.
+  auto cell = tiny_cell(core::HeuristicKind::MaxMax);
+  cell.phases = {};
+  const auto tally = test::run_byte_mutations(
+      bench::CellCache::serialize(cell), 2000, 0xCAC4Eull, [](std::istream& in) {
+        const std::string text{std::istreambuf_iterator<char>(in), {}};
+        for (const auto& eval : deserialize(text).scenarios) {
+          constexpr auto kMaxCount =
+              static_cast<std::size_t>(std::numeric_limits<TaskId>::max());
+          EXPECT_LE(eval.etc_index, kMaxCount);
+          EXPECT_LE(eval.dag_index, kMaxCount);
+          EXPECT_LE(eval.upper_bound, kMaxCount);
+          EXPECT_LE(eval.tune.best.t100, kMaxCount);
+          EXPECT_LE(eval.tune.best.assigned, kMaxCount);
+          EXPECT_GE(eval.tune.best.aet, 0);
+        }
+      });
+  EXPECT_GT(tally.parsed, 0u);
+  EXPECT_GT(tally.rejected, 0u);
 }
 
 TEST(BenchCache, DisabledCacheNeverTouchesDisk) {

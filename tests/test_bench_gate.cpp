@@ -1,19 +1,21 @@
 // Tests for the bench regression gate (bench/bench_gate.hpp): metric
 // flattening, baseline round-trip, the Upper / Lower / TwoSided verdict rules, the
-// seconds floor, and missing-metric handling — the logic CI's bench-gate job
-// leans on via bench_check.
+// seconds floor, missing-metric handling and hostile baseline files — the
+// logic CI's bench-gate job leans on via bench_check.
 
 #include "bench/bench_gate.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <vector>
 
 #include "support/jsonl.hpp"
 #include "support/metrics.hpp"
+#include "tests/byte_mutation.hpp"
 
 namespace {
 
@@ -286,6 +288,57 @@ TEST(BenchGate, ParseRejectsMalformedBaselines) {
   EXPECT_THROW(bench::parse_baseline(obs::parse_json("[1]")), PreconditionError);
   EXPECT_THROW(bench::parse_baseline(obs::parse_json(R"({"bench":"b"})")),
                PreconditionError);
+}
+
+TEST(BenchGate, ParseRejectsUnknownDirectionsAndBadNumbers) {
+  const auto parse = [](const std::string& metric) {
+    return bench::parse_baseline(
+        obs::parse_json(R"({"bench":"b","metrics":{"counter:x":)" + metric + "}}"));
+  };
+  EXPECT_NO_THROW(parse(R"({"value":3,"tolerance":0,"direction":"two-sided"})"));
+  // A direction the gate does not know used to gate two-sided silently.
+  EXPECT_THROW(parse(R"({"value":3,"tolerance":0,"direction":"upward"})"),
+               PreconditionError);
+  EXPECT_THROW(parse(R"({"value":3,"tolerance":0})"), PreconditionError);
+  EXPECT_THROW(parse(R"({"value":3,"tolerance":0,"direction":1})"), PreconditionError);
+  // Negative or non-finite values and tolerances.
+  EXPECT_THROW(parse(R"({"value":-3,"tolerance":0,"direction":"upper"})"),
+               PreconditionError);
+  EXPECT_THROW(parse(R"({"value":1e999,"tolerance":0,"direction":"upper"})"),
+               PreconditionError);
+  EXPECT_THROW(parse(R"({"value":3,"tolerance":-0.5,"direction":"lower"})"),
+               PreconditionError);
+  EXPECT_THROW(parse(R"({"value":3,"tolerance":1e999,"direction":"lower"})"),
+               PreconditionError);
+  EXPECT_THROW(bench::parse_baseline(obs::parse_json(
+                   R"({"bench":"b","default_tolerance":-1,"metrics":{}})")),
+               PreconditionError);
+}
+
+TEST(BenchGate, ParseSurvivesByteMutations) {
+  // 2000 seeded mutants of a real baseline file: each parses into metrics
+  // the gate can apply, or throws PreconditionError.
+  std::ostringstream os;
+  bench::write_baseline(os, bench::make_baseline("inner_loop", sample_snapshot()));
+  const auto tally = test::run_byte_mutations(os.str(), 2000, 0x6A7Eull,
+                                              [](std::istream& in) {
+    const std::string text{std::istreambuf_iterator<char>(in), {}};
+    const GateBaseline baseline = bench::parse_baseline(obs::parse_json(text));
+    EXPECT_TRUE(std::isfinite(baseline.default_tolerance));
+    EXPECT_GE(baseline.default_tolerance, 0.0);
+    for (const auto& [key, metric] : baseline.metrics) {
+      EXPECT_TRUE(std::isfinite(metric.value)) << key;
+      EXPECT_GE(metric.value, 0.0) << key;
+      EXPECT_TRUE(std::isfinite(metric.tolerance)) << key;
+      EXPECT_GE(metric.tolerance, 0.0) << key;
+      EXPECT_TRUE(metric.direction == GateDirection::Upper ||
+                  metric.direction == GateDirection::Lower ||
+                  metric.direction == GateDirection::TwoSided)
+          << key;
+    }
+  });
+  EXPECT_GT(tally.parsed, 0u);
+  EXPECT_GT(tally.rejected, 0u);
 }
 
 }  // namespace
