@@ -27,10 +27,10 @@ int main(int argc, char** argv) {
     event.machine = 1;  // a fast machine
     event.time = static_cast<Cycles>(static_cast<double>(scenario.tau) * frac);
     const auto frozen =
-        core::run_slrh_with_loss(scenario, weights, event, core::SlrhClockParams{},
+        core::run_slrh_with_loss(scenario, weights, event, core::SlrhVariant::V1, {},
                                  /*adapt=*/false);
     const auto adapted =
-        core::run_slrh_with_loss(scenario, weights, event, core::SlrhClockParams{},
+        core::run_slrh_with_loss(scenario, weights, event, core::SlrhVariant::V1, {},
                                  /*adapt=*/true);
     table.begin_row();
     table.cell(frac, 3);

@@ -1,26 +1,16 @@
 #include "core/adaptive.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <numeric>
 #include <vector>
 
+#include "core/churn.hpp"
 #include "core/placement.hpp"
 #include "core/upper_bound.hpp"
-#include "sim/comm.hpp"
 #include "support/contract.hpp"
 #include "support/stopwatch.hpp"
 
 namespace ahg::core {
-
-namespace {
-
-/// Machine ids shift down past the removed machine.
-MachineId remap_machine(MachineId original, MachineId removed) {
-  AHG_EXPECTS_MSG(original != removed, "remapping the removed machine itself");
-  return original < removed ? original : original - 1;
-}
-
-}  // namespace
 
 Weights adapt_alpha(const Weights& weights, const workload::Scenario& original,
                     const workload::Scenario& degraded) {
@@ -39,8 +29,8 @@ Weights adapt_alpha(const Weights& weights, const workload::Scenario& original,
 
 LossRunOutcome run_slrh_with_loss(const workload::Scenario& scenario,
                                   const Weights& weights,
-                                  const MachineLossEvent& event,
-                                  const SlrhClockParams& clock, bool adapt) {
+                                  const MachineLossEvent& event, SlrhVariant variant,
+                                  const SlrhClock& clock, bool adapt) {
   scenario.validate();
   AHG_EXPECTS_MSG(event.machine >= 0 &&
                       static_cast<std::size_t>(event.machine) < scenario.num_machines(),
@@ -51,22 +41,13 @@ LossRunOutcome run_slrh_with_loss(const workload::Scenario& scenario,
 
   const Stopwatch timer;
 
-  // --- Phase 1: run on the full grid until the loss fires. ------------------
-  SlrhParams params;
-  params.variant = clock.variant;
-  params.weights = weights;
-  params.dt = clock.dt;
-  params.horizon = clock.horizon;
-
-  const auto before_ptr = make_schedule(scenario);
-  sim::Schedule& before = *before_ptr;
-  MappingResult phase1_stats;
-  drive_slrh(scenario, params, before, /*start_clock=*/0,
-             /*end_clock=*/event.time, phase1_stats);
-
-  // --- Loss model: discard the lost machine's tasks + mapped descendants. ---
-  const auto num_tasks = static_cast<TaskId>(scenario.num_tasks());
-  std::vector<bool> discarded(scenario.num_tasks(), false);
+  // --- The degraded scenario: ids above the lost machine shift down. --------
+  std::vector<MachineId> machine_of(scenario.num_machines());
+  std::iota(machine_of.begin(), machine_of.end(), MachineId{0});
+  for (MachineId& m : machine_of) {
+    if (m > event.machine) --m;
+  }
+  machine_of[static_cast<std::size_t>(event.machine)] = kInvalidMachine;
 
   LossRunOutcome outcome{MappingResult{},
                          workload::Scenario{scenario.grid.without_machine(event.machine),
@@ -79,92 +60,50 @@ LossRunOutcome run_slrh_with_loss(const workload::Scenario& scenario,
   for (const auto& outage : scenario.link_outages) {
     if (outage.machine == event.machine) continue;  // its link died with it
     auto copy = outage;
-    copy.machine = remap_machine(outage.machine, event.machine);
+    copy.machine = machine_of[static_cast<std::size_t>(outage.machine)];
     outcome.degraded_scenario.link_outages.push_back(copy);
   }
-  outcome.degraded_scenario.validate();
+  const workload::Scenario& degraded = outcome.degraded_scenario;
+  degraded.validate();
 
-  std::queue<TaskId> spill;
-  for (TaskId t = 0; t < num_tasks; ++t) {
-    if (!before.is_assigned(t)) continue;
-    const auto& a = before.assignment(t);
-    if (a.machine == event.machine) {
-      if (a.finish <= event.time) ++outcome.completed_on_lost_machine;
-      discarded[static_cast<std::size_t>(t)] = true;
-      spill.push(t);
-    }
-  }
-  while (!spill.empty()) {
-    const TaskId t = spill.front();
-    spill.pop();
-    for (const TaskId child : scenario.dag.children(t)) {
-      if (discarded[static_cast<std::size_t>(child)]) continue;
-      if (!before.is_assigned(child)) continue;
-      discarded[static_cast<std::size_t>(child)] = true;
-      spill.push(child);
-    }
-  }
-  for (TaskId t = 0; t < num_tasks; ++t) {
-    if (discarded[static_cast<std::size_t>(t)]) ++outcome.discarded;
-  }
+  // --- Phase 1: run on the full grid until the loss fires. ------------------
+  SlrhParams params;
+  params.variant = variant;
+  params.weights = weights;
+  params.dt = clock.dt;
+  params.horizon = clock.horizon;
 
-  // --- Replay the surviving mapping onto the degraded grid. -----------------
-  auto schedule = make_schedule(outcome.degraded_scenario);
-  auto kept = [&](TaskId t) {
-    return before.is_assigned(t) && !discarded[static_cast<std::size_t>(t)];
-  };
-  // Transfers between kept tasks, replayed first-come (original times).
-  for (const auto& ev : before.comm_events()) {
-    if (!kept(ev.from_task) || !kept(ev.to_task)) continue;
-    schedule->add_comm(ev.from_task, ev.to_task,
-                       remap_machine(ev.from_machine, event.machine),
-                       remap_machine(ev.to_machine, event.machine), ev.start,
-                       ev.finish - ev.start, ev.bits, ev.energy);
+  const auto before = make_schedule(scenario);
+  MappingResult& result = outcome.result;
+  drive_slrh(scenario, params, *before, /*start_clock=*/0, /*end_clock=*/event.time,
+             result);
+
+  // --- Loss model: discard the lost machine's work and replay the rest. -----
+  // Seeding every task on the lost machine leaves R2 nothing to add, so the
+  // closure is the lost work plus its mapped descendants (R1).
+  std::vector<char> invalid(scenario.num_tasks(), 0);
+  std::vector<TaskId> seeds;
+  for (const TaskId t : before->assignment_order()) {
+    const auto& a = before->assignment(t);
+    if (a.machine != event.machine) continue;
+    if (a.finish <= event.time) ++outcome.completed_on_lost_machine;
+    invalid[static_cast<std::size_t>(t)] = 1;
+    seeds.push_back(t);
   }
-  for (const TaskId t : before.assignment_order()) {
-    if (!kept(t)) continue;
-    const auto& a = before.assignment(t);
-    schedule->add_assignment(t, remap_machine(a.machine, event.machine), a.version,
-                             a.start, a.finish - a.start, a.energy);
-  }
-  // Re-take worst-case reservations for kept tasks' edges to unmapped
-  // children (discarded children will be remapped and their inputs re-sent
-  // from the surviving parent's machine).
-  for (TaskId t = 0; t < num_tasks; ++t) {
-    if (!kept(t)) continue;
-    const auto& a = before.assignment(t);
-    const auto machine = remap_machine(a.machine, event.machine);
-    const auto& spec = outcome.degraded_scenario.grid.machine(machine);
-    for (const TaskId child : scenario.dag.children(t)) {
-      if (schedule->is_assigned(child)) continue;
-      const double bits = scenario.edge_bits(t, child, a.version);
-      if (bits <= 0.0) continue;
-      const Cycles wc =
-          sim::worst_case_transfer_cycles(bits, spec, outcome.degraded_scenario.grid);
-      schedule->ledger().reserve(machine, sim::edge_key(t, child),
-                                 sim::transfer_energy(spec, wc));
-    }
-  }
+  std::vector<char> departed(scenario.num_machines(), 0);
+  departed[static_cast<std::size_t>(event.machine)] = 1;
+  detail::close_invalid(scenario, *before, departed, invalid, std::move(seeds));
+  auto schedule =
+      detail::replay_survivors(degraded, *before, invalid, departed, machine_of);
+  outcome.discarded =
+      static_cast<std::size_t>(std::count(invalid.begin(), invalid.end(), 1));
 
   // --- Phase 2: resume on the degraded grid. ---------------------------------
-  if (adapt) {
-    outcome.adapted_weights = adapt_alpha(weights, scenario, outcome.degraded_scenario);
-  }
+  if (adapt) outcome.adapted_weights = adapt_alpha(weights, scenario, degraded);
   params.weights = outcome.adapted_weights;
-  MappingResult& result = outcome.result;
-  result.iterations = phase1_stats.iterations;
-  result.pools_built = phase1_stats.pools_built;
-  drive_slrh(outcome.degraded_scenario, params, *schedule,
-             /*start_clock=*/event.time, outcome.degraded_scenario.tau + 1, result);
-
-  result.wall_seconds = timer.seconds();
-  result.complete = schedule->complete();
-  result.assigned = schedule->num_assigned();
-  result.t100 = schedule->t100();
-  result.aet = schedule->aet();
-  result.tec = schedule->tec();
-  result.within_tau = schedule->aet() <= scenario.tau;
-  result.schedule = std::move(schedule);
+  drive_slrh(degraded, params, *schedule, /*start_clock=*/event.time, degraded.tau + 1,
+             result);
+  finalize_result(result, std::move(schedule), scenario.tau, timer.seconds());
   return outcome;
 }
 

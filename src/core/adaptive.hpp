@@ -10,16 +10,18 @@
 //    (the paper: recovering partial results "may prove too costly");
 //  * every mapped descendant of a discarded subtask is discarded too (its
 //    inputs may no longer be reproducible), keeping the surviving mapping
-//    ancestor-closed;
+//    ancestor-closed — churn's invalidation closure (core/churn.hpp, DESIGN.md
+//    §4l) seeded with every subtask on the lost machine;
 //  * the surviving assignments and transfers are replayed onto a fresh
-//    schedule over the degraded grid, worst-case reservations are re-taken
-//    for edges to now-unmapped children, and the SLRH loop resumes at T;
+//    schedule over the degraded grid and worst-case reservations are re-taken
+//    for edges to now-unmapped children, by the replay churn recovery uses;
+//    a kept subtask whose machine can no longer afford such a hold is
+//    discarded with its mapped descendants. The SLRH loop resumes at T;
 //  * energy already sunk into discarded work is not re-charged to the
 //    survivors (optimistic accounting — the study's focus is mapping
 //    robustness, not waste accounting).
 
-#include <optional>
-
+#include "core/heuristics.hpp"
 #include "core/result.hpp"
 #include "core/slrh.hpp"
 #include "workload/scenario.hpp"
@@ -47,19 +49,13 @@ struct LossRunOutcome {
   Weights adapted_weights;     ///< weights used after the loss
 };
 
-/// Clock parameters for the loss run (dt/horizon/variant of the SLRH loop).
-struct SlrhClockParams {
-  SlrhVariant variant = SlrhVariant::V1;
-  Cycles dt = 10;
-  Cycles horizon = 100;
-};
-
-/// Run SLRH on the full grid until the loss event fires, apply the loss
-/// model above, optionally adapt alpha, and resume on the degraded grid.
+/// Run SLRH (`variant`, on `clock`) on the full grid until the loss event
+/// fires, apply the loss model above, optionally adapt alpha, and resume on
+/// the degraded grid.
 LossRunOutcome run_slrh_with_loss(const workload::Scenario& scenario,
                                   const Weights& weights,
                                   const MachineLossEvent& event,
-                                  const SlrhClockParams& clock = {},
-                                  bool adapt = true);
+                                  SlrhVariant variant = SlrhVariant::V1,
+                                  const SlrhClock& clock = {}, bool adapt = true);
 
 }  // namespace ahg::core

@@ -1,6 +1,7 @@
 #include "core/churn.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -100,6 +101,60 @@ std::vector<char> compute_invalid(const workload::Scenario& scenario,
   return invalid;
 }
 
+std::shared_ptr<sim::Schedule> replay_survivors(const workload::Scenario& target,
+                                                const sim::Schedule& before,
+                                                std::vector<char>& invalid,
+                                                const std::vector<char>& departed,
+                                                const std::vector<MachineId>& machine_of) {
+  constexpr double kLedgerEps = 1e-9;  // sim/energy.cpp's overdraw tolerance
+  const auto num_tasks = static_cast<TaskId>(target.num_tasks());
+  const auto to_target = [&](MachineId m) {
+    return machine_of[static_cast<std::size_t>(m)];
+  };
+  const auto kept = [&](TaskId t) {
+    return before.is_assigned(t) && invalid[static_cast<std::size_t>(t)] == 0;
+  };
+  for (;;) {
+    auto schedule = make_schedule(target);
+    for (const auto& ev : before.comm_events()) {
+      if (!kept(ev.from_task) || !kept(ev.to_task)) continue;
+      schedule->add_comm(ev.from_task, ev.to_task, to_target(ev.from_machine),
+                         to_target(ev.to_machine), ev.start, ev.finish - ev.start,
+                         ev.bits, ev.energy);
+    }
+    for (const TaskId t : before.assignment_order()) {
+      if (!kept(t)) continue;
+      const auto& a = before.assignment(t);
+      schedule->add_assignment(t, to_target(a.machine), a.version, a.start,
+                               a.finish - a.start, a.energy);
+    }
+    TaskId unaffordable = kInvalidTask;
+    for (TaskId t = 0; t < num_tasks && unaffordable == kInvalidTask; ++t) {
+      if (!kept(t)) continue;
+      const auto& a = before.assignment(t);
+      const MachineId machine = to_target(a.machine);
+      for (const TaskId child : target.dag.children(t)) {
+        if (schedule->is_assigned(child)) continue;
+        const double bits = target.edge_bits(t, child, a.version);
+        if (bits <= 0.0) continue;
+        // A kept task on a departed machine cannot reach here: a data edge to
+        // an unmapped child would have invalidated it.
+        const auto& spec = target.grid.machine(machine);
+        const Cycles wc = sim::worst_case_transfer_cycles(bits, spec, target.grid);
+        const double hold = sim::transfer_energy(spec, wc);
+        if (hold > schedule->energy().available(machine) + kLedgerEps) {
+          unaffordable = t;
+          break;
+        }
+        schedule->ledger().reserve(machine, sim::edge_key(t, child), hold);
+      }
+    }
+    if (unaffordable == kInvalidTask) return schedule;
+    invalid[static_cast<std::size_t>(unaffordable)] = 1;
+    close_invalid(target, before, departed, invalid, {unaffordable});
+  }
+}
+
 }  // namespace detail
 
 namespace {
@@ -110,73 +165,6 @@ constexpr Cycles kNoDeparture = workload::Scenario::kNoDeparture;
 /// between timesteps is actually discovered ("react at the next dT").
 Cycles next_timestep(Cycles time, Cycles dt) {
   return ((time + dt - 1) / dt) * dt;
-}
-
-/// Replay the surviving mapping onto a fresh schedule (original machines and
-/// times — no remapping; machine ids are stable under churn), re-take the
-/// worst-case communication reservations kept tasks owe their unmapped
-/// children, then seal every departed machine: compute blocked past any
-/// reachable clock (defense in depth — the sweep already skips absentees)
-/// and the stranded battery forfeited.
-///
-/// Re-taking a reservation can FAIL: when the edge's original hold was
-/// settled cheaply (or released on-machine) the freed headroom may have been
-/// spent since, and the machine can no longer underwrite the worst-case
-/// retransmission of that output. The work is then effectively lost — the
-/// placement invariant (every data edge to an unmapped child is backed by a
-/// worst-case hold on the parent's machine) is what makes future child
-/// placements safe, so it cannot be waived. `*unaffordable` reports the
-/// first such task (kInvalidTask when the rebuild is clean); the caller
-/// grows the invalidation closure from it and retries.
-std::shared_ptr<sim::Schedule> rebuild_schedule(const workload::Scenario& scenario,
-                                                const sim::Schedule& before,
-                                                const std::vector<char>& invalid,
-                                                const std::vector<char>& departed,
-                                                TaskId* unaffordable) {
-  constexpr double kLedgerEps = 1e-9;  // sim/energy.cpp's overdraw tolerance
-  *unaffordable = kInvalidTask;
-  auto schedule = make_schedule(scenario);
-  const auto kept = [&](TaskId t) {
-    return before.is_assigned(t) && invalid[static_cast<std::size_t>(t)] == 0;
-  };
-  for (const auto& ev : before.comm_events()) {
-    if (!kept(ev.from_task) || !kept(ev.to_task)) continue;
-    schedule->add_comm(ev.from_task, ev.to_task, ev.from_machine, ev.to_machine,
-                       ev.start, ev.finish - ev.start, ev.bits, ev.energy);
-  }
-  for (const TaskId t : before.assignment_order()) {
-    if (!kept(t)) continue;
-    const auto& a = before.assignment(t);
-    schedule->add_assignment(t, a.machine, a.version, a.start, a.finish - a.start,
-                             a.energy);
-  }
-  const auto num_tasks = static_cast<TaskId>(scenario.num_tasks());
-  for (TaskId t = 0; t < num_tasks; ++t) {
-    if (!kept(t)) continue;
-    const auto& a = before.assignment(t);
-    for (const TaskId child : scenario.dag.children(t)) {
-      if (schedule->is_assigned(child)) continue;
-      const double bits = scenario.edge_bits(t, child, a.version);
-      if (bits <= 0.0) continue;
-      // A kept task on a departed machine cannot reach here: a data edge to
-      // an unmapped child would have invalidated it.
-      const auto& spec = scenario.grid.machine(a.machine);
-      const Cycles wc = sim::worst_case_transfer_cycles(bits, spec, scenario.grid);
-      const double hold = sim::transfer_energy(spec, wc);
-      if (hold > schedule->energy().available(a.machine) + kLedgerEps) {
-        *unaffordable = t;
-        return schedule;
-      }
-      schedule->ledger().reserve(a.machine, sim::edge_key(t, child), hold);
-    }
-  }
-  const auto num_machines = static_cast<MachineId>(scenario.num_machines());
-  for (MachineId m = 0; m < num_machines; ++m) {
-    if (departed[static_cast<std::size_t>(m)] == 0) continue;
-    schedule->block_compute(m, scenario.machine_depart(m), scenario.tau * 8 + 1);
-    schedule->ledger().forfeit(m);
-  }
-  return schedule;
 }
 
 }  // namespace
@@ -229,6 +217,8 @@ ChurnRunOutcome run_slrh_with_churn(const workload::Scenario& scenario,
   auto schedule = make_schedule(scenario);
   MappingResult& result = outcome.result;
   std::vector<char> departed(scenario.num_machines(), 0);
+  std::vector<MachineId> same_ids(scenario.num_machines());
+  std::iota(same_ids.begin(), same_ids.end(), MachineId{0});
 
   Cycles current = 0;
   std::size_t i = 0;
@@ -251,22 +241,19 @@ ChurnRunOutcome run_slrh_with_churn(const workload::Scenario& scenario,
     if (new_departures.empty()) continue;
 
     taps.on_recovery(process, outcome, [&] {
-      // Invalidation closure, including affordability: a rebuild that cannot
-      // re-take some kept task's worst-case output hold invalidates that task
-      // too (its machine can no longer guarantee delivery), which frees energy
-      // and may cascade. The closure is monotone, so growing it from the one
-      // new seed equals closing the enlarged seed set afresh. Each round
-      // invalidates at least one more task, so this ends within |T| rounds.
+      // Invalidation closure; the replay grows it by every kept task whose
+      // worst-case output hold its machine can no longer afford.
       std::vector<char> invalid = detail::compute_invalid(
           scenario, *schedule, departed, std::vector<char>(scenario.num_tasks(), 0));
-      std::shared_ptr<sim::Schedule> rebuilt;
-      for (;;) {
-        TaskId unaffordable = kInvalidTask;
-        rebuilt = rebuild_schedule(scenario, *schedule, invalid, departed,
-                                   &unaffordable);
-        if (unaffordable == kInvalidTask) break;
-        invalid[static_cast<std::size_t>(unaffordable)] = 1;
-        detail::close_invalid(scenario, *schedule, departed, invalid, {unaffordable});
+      auto rebuilt =
+          detail::replay_survivors(scenario, *schedule, invalid, departed, same_ids);
+      // Seal the departed machines: compute blocked past any reachable clock
+      // (defense in depth — the sweep already skips absentees) and the
+      // stranded battery forfeited.
+      for (MachineId m = 0; m < num_machines; ++m) {
+        if (departed[static_cast<std::size_t>(m)] == 0) continue;
+        rebuilt->block_compute(m, scenario.machine_depart(m), scenario.tau * 8 + 1);
+        rebuilt->ledger().forfeit(m);
       }
 
       // Batch tallies: orphans are the unfinished subtasks on the machines

@@ -28,6 +28,7 @@
 // argument under volatility.
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/result.hpp"
@@ -101,6 +102,33 @@ std::vector<char> compute_invalid(const workload::Scenario& scenario,
 void close_invalid(const workload::Scenario& scenario, const sim::Schedule& schedule,
                    const std::vector<char>& departed, std::vector<char>& invalid,
                    std::vector<TaskId> worklist);
+
+// --- survivor replay (shared with the machine-loss driver, core/adaptive) ---
+
+/// Replay the kept mapping of `before` (assigned and not `invalid`) onto a
+/// fresh schedule over `target`: comm events in record order, then
+/// assignments in assignment order, then — in task order — the worst-case
+/// hold each kept task owes every data edge to a child left unmapped. Times
+/// and energies are copied; machine ids go through `machine_of` (original id
+/// -> id in `target`). `invalid` (one flag per task) must already be closed
+/// under R1 and R2 over `before` for `departed` (original ids); on return it
+/// flags every task the replay dropped.
+///
+/// Re-taking a hold can FAIL: when the edge's original hold was settled
+/// cheaply (or released on-machine) the freed headroom may have been spent
+/// since, and the machine can no longer underwrite the worst-case
+/// retransmission of that output. The placement invariant (every data edge
+/// to an unmapped child is backed by a worst-case hold on the parent's
+/// machine) is what makes future child placements safe, so it cannot be
+/// waived: the task's work is lost instead. The replay flags it in
+/// `invalid`, grows the closure from it (the closure is monotone, so this
+/// equals closing the enlarged seed set afresh) and starts over. Each round
+/// invalidates at least one more task, so this ends within |T| rounds.
+std::shared_ptr<sim::Schedule> replay_survivors(const workload::Scenario& target,
+                                                const sim::Schedule& before,
+                                                std::vector<char>& invalid,
+                                                const std::vector<char>& departed,
+                                                const std::vector<MachineId>& machine_of);
 
 }  // namespace detail
 

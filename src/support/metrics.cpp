@@ -196,14 +196,24 @@ void MetricsSnapshot::write_json(std::ostream& os) const {
   os << json.str();
 }
 
+namespace {
+
+/// A counter, histogram count or bucket: non-negative and, being a JSON
+/// number, exact only up to 2^53. A negative would wrap to ~2^64 if cast.
+std::uint64_t read_count(const JsonValue* value, std::string_view field) {
+  constexpr std::int64_t kMaxCount = std::int64_t{1} << 53;
+  return static_cast<std::uint64_t>(checked_int(value, field, 0, kMaxCount));
+}
+
+}  // namespace
+
 MetricsSnapshot snapshot_from_json(const JsonValue& value) {
   AHG_EXPECTS_MSG(value.is_object(), "metrics snapshot JSON must be an object");
   MetricsSnapshot snap;
   if (const JsonValue* counters = value.find("counters")) {
     AHG_EXPECTS_MSG(counters->is_object(), "\"counters\" must be an object");
     for (const auto& [name, v] : counters->as_object()) {
-      snap.counters.push_back(
-          CounterSnapshot{name, static_cast<std::uint64_t>(v.as_int())});
+      snap.counters.push_back(CounterSnapshot{name, read_count(&v, name)});
     }
   }
   if (const JsonValue* gauges = value.find("gauges")) {
@@ -218,7 +228,7 @@ MetricsSnapshot snapshot_from_json(const JsonValue& value) {
       AHG_EXPECTS_MSG(v.is_object(), "histogram entry must be an object");
       HistogramSnapshot h;
       h.name = name;
-      h.count = static_cast<std::uint64_t>(v.get_int("count"));
+      h.count = read_count(v.find("count"), "count");
       h.sum = v.get_double("sum");
       h.min = v.get_double("min");
       h.max = v.get_double("max");
@@ -229,7 +239,7 @@ MetricsSnapshot snapshot_from_json(const JsonValue& value) {
                       "histogram entry needs bounds + buckets arrays");
       for (const auto& b : bounds->as_array()) h.bounds.push_back(b.as_double());
       for (const auto& b : buckets->as_array()) {
-        h.buckets.push_back(static_cast<std::uint64_t>(b.as_int()));
+        h.buckets.push_back(read_count(&b, "buckets"));
       }
       AHG_EXPECTS_MSG(h.buckets.size() == h.bounds.size() + 1,
                       "histogram buckets must be bounds + overflow");

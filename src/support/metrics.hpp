@@ -152,7 +152,8 @@ struct MetricsSnapshot {
 /// exactly (write_json emits shortest-round-trip std::to_chars), bounds and
 /// buckets are restored verbatim, so the result merges back into live
 /// registries like any fresh snapshot. Throws PreconditionError when the
-/// shape is not a metrics object.
+/// shape is not a metrics object or a counter, histogram count or bucket is
+/// not an integer in [0, 2^53].
 MetricsSnapshot snapshot_from_json(const JsonValue& value);
 
 /// Named-metric registry. counter()/gauge()/histogram() create on first use

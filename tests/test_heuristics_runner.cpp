@@ -34,7 +34,7 @@ TEST(Heuristics, RunHeuristicDispatchesAllKinds) {
   }
 }
 
-TEST(Heuristics, SlrhClockParamsArePassedThrough) {
+TEST(Heuristics, SlrhClockIsPassedThrough) {
   const auto s = test::small_suite_scenario(sim::GridCase::A, 24);
   const Weights w = Weights::make(0.7, 0.2);
   SlrhClock coarse;

@@ -10,11 +10,13 @@
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "support/contract.hpp"
 #include "support/jsonl.hpp"
 #include "support/thread_pool.hpp"
+#include "tests/byte_mutation.hpp"
 
 namespace {
 
@@ -337,6 +339,56 @@ TEST(MetricsSnapshot, SnapshotFromJsonRejectsMalformedHistograms) {
           R"({"histograms":{"h":{"count":1,"sum":1.0,"min":1.0,"max":1.0,)"
           R"("bounds":[1.0],"buckets":[1]}}})")),
       PreconditionError);  // buckets must be bounds+1 long
+}
+
+std::string small_snapshot_json() {
+  MetricsRegistry registry;
+  registry.counter("runs").add(7);
+  registry.gauge("load").set(0.75);
+  auto& hist = registry.histogram("lat", kBounds);
+  hist.observe(0.5);
+  hist.observe(7.0);
+  std::ostringstream os;
+  registry.snapshot().write_json(os);
+  return os.str();
+}
+
+TEST(MetricsSnapshot, SnapshotFromJsonRefusesOutOfRangeCounts) {
+  const auto load = [](const std::string& text) {
+    return obs::snapshot_from_json(obs::parse_json(text));
+  };
+  const std::string ok = small_snapshot_json();
+  EXPECT_EQ(load(ok).counters[0].value, 7u);
+  // The counter, the histogram count and a bucket each refuse a negative
+  // (which a cast would wrap to ~2^64), a fraction, a non-number and a
+  // value past 2^53.
+  for (const std::string key : {"\"runs\":", "\"count\":", "\"buckets\":["}) {
+    for (const std::string bad : {"-1", "2.5", "\"7\"", "1e300"}) {
+      std::string text = ok;
+      const auto at = text.find(key) + key.size();
+      ASSERT_NE(text.find(key), std::string::npos) << key;
+      text.replace(at, text.find_first_of(",}]", at) - at, bad);
+      EXPECT_THROW(load(text), PreconditionError) << key << bad;
+    }
+  }
+}
+
+TEST(MetricsSnapshot, SnapshotFromJsonSurvivesByteMutations) {
+  // 2000 seeded mutants of a real snapshot: each loads with counts in
+  // [0, 2^53] or throws PreconditionError.
+  constexpr std::uint64_t kMaxExact = std::uint64_t{1} << 53;
+  const auto tally = test::run_byte_mutations(
+      small_snapshot_json(), 2000, 0x3E7A1Cull, [&](std::istream& in) {
+        const std::string text{std::istreambuf_iterator<char>(in), {}};
+        const obs::MetricsSnapshot snap = obs::snapshot_from_json(obs::parse_json(text));
+        for (const auto& counter : snap.counters) EXPECT_LE(counter.value, kMaxExact);
+        for (const auto& h : snap.histograms) {
+          EXPECT_LE(h.count, kMaxExact);
+          for (const std::uint64_t b : h.buckets) EXPECT_LE(b, kMaxExact);
+        }
+      });
+  EXPECT_GT(tally.parsed, 0u);
+  EXPECT_GT(tally.rejected, 0u);
 }
 
 }  // namespace
