@@ -488,16 +488,17 @@ void write_inner_loop_report() {
               << batched_seconds << " s (" << speedup << "x)\n";
   }
 
-  // Max-Max record at the perfbench wide-dag shape (2048x16, ~32 levels):
-  // the candidate table's end-to-end run, min-of-N. t100 and the assigned
+  // Max-Max and SLRH-3 records at the perfbench wide-dag shape (2048x16,
+  // ~32 levels, no churn), min-of-N whole runs.
+  const auto wide = bench::make_scale_scenario(2048, 16, 20040426);
+  const core::ScenarioCache wide_cache(wide);
+  // Max-Max: the candidate table's end-to-end run. t100 and the assigned
   // count are two-sided, so a schedule change trips the gate too.
   {
     constexpr int kReps = 5;
-    const auto wide = bench::make_scale_scenario(2048, 16, 20040426);
-    const core::ScenarioCache cache(wide);
     core::MaxMaxParams params;
     params.weights = core::Weights::make(0.6, 0.3);
-    params.cache = &cache;
+    params.cache = &wide_cache;
     double run_seconds = 0.0;
     core::MappingResult result;
     for (int rep = 0; rep < kReps; ++rep) {
@@ -511,6 +512,29 @@ void write_inner_loop_report() {
     report.metrics().counter("bench.maxmax_assigned").add(result.assigned);
     std::cout << "maxmax @2048x16: " << run_seconds << " s (t100 " << result.t100
               << ", assigned " << result.assigned << ")\n";
+  }
+  // SLRH-3: the pool build over the activation index. Pools built and
+  // skipped are exact and two-sided: a pool-build change that moves a
+  // single skip verdict trips the gate.
+  {
+    constexpr int kReps = 5;
+    core::SlrhParams params;
+    params.variant = core::SlrhVariant::V3;
+    params.weights = core::Weights::make(0.6, 0.3);
+    params.cache = &wide_cache;
+    double run_seconds = 0.0;
+    core::MappingResult result;
+    for (int rep = 0; rep < kReps; ++rep) {
+      const Stopwatch timer;
+      result = core::run_slrh(wide, params);
+      const double elapsed = timer.seconds();
+      run_seconds = rep == 0 ? elapsed : std::min(run_seconds, elapsed);
+    }
+    report.metrics().gauge("bench.slrh3_wide_run_seconds").set(run_seconds);
+    report.metrics().counter("bench.slrh3_wide_pools_built").add(result.pools_built);
+    report.metrics().counter("bench.slrh3_wide_pools_reused").add(result.pools_reused);
+    std::cout << "slrh3 @2048x16: " << run_seconds << " s (pools built "
+              << result.pools_built << ", reused " << result.pools_reused << ")\n";
   }
 
   // Churn-recovery record at the perfbench churn-recovery shape (2048x16,

@@ -20,6 +20,7 @@ ReadyFrontier::ReadyFrontier(const workload::Scenario& scenario,
   // never reallocates, and ready() spans stay valid across a whole pool
   // build even as wide DAG levels release thousands of tasks at once.
   ready_.reserve(n);
+  joined_.reserve(n);
 
   const auto num_tasks = static_cast<TaskId>(n);
   for (TaskId t = 0; t < num_tasks; ++t) {
@@ -81,6 +82,7 @@ void ReadyFrontier::on_commit(TaskId task) {
 void ReadyFrontier::insert_ready(TaskId task) {
   ++revision_;
   ready_.insert(std::lower_bound(ready_.begin(), ready_.end(), task), task);
+  joined_.push_back(task);
   // on_commit carries no clock; the last advance_to clock is the tick a
   // commit-unblocked child actually became ready at.
   if (ledger_ != nullptr) ledger_->on_frontier_ready(task, clock_);

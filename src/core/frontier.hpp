@@ -63,6 +63,12 @@ class ReadyFrontier {
   /// ascending task id.
   std::span<const TaskId> ready() const noexcept { return ready_; }
 
+  /// Every task that has joined the ready list, in joining order. A task
+  /// joins at most once (it leaves only by committing, for good), so a
+  /// reader that remembers how much it has read picks up exactly the tasks
+  /// that became ready since (the SLRH activation index does, per machine).
+  std::span<const TaskId> joined() const noexcept { return joined_; }
+
   /// Monotone counter bumped on every commit and on every ready-list
   /// insertion (releases and commit-unblocked children alike). Two equal
   /// revisions bracket a window in which the ready set — the
@@ -90,6 +96,7 @@ class ReadyFrontier {
   std::vector<std::uint8_t> released_;
   std::vector<std::uint8_t> assigned_;
   std::vector<TaskId> ready_;
+  std::vector<TaskId> joined_;  ///< ready-list insertions, in order
   std::size_t assigned_released_ = 0;
   std::uint64_t revision_ = 0;
 };

@@ -1,6 +1,7 @@
 #include "core/scoring.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "core/feasibility.hpp"
 #include "core/scenario_cache.hpp"
@@ -102,7 +103,10 @@ ObjectiveTerms score_candidate_terms_with_finish(
 // --- parent terms -----------------------------------------------------------
 
 GatherRows::GatherRows(std::size_t num_tasks, std::size_t num_machines)
-    : num_machines_(num_machines), row_of_(num_tasks, kNoRow) {}
+    : num_machines_(num_machines),
+      row_of_(num_tasks, kNoRow),
+      committed_(num_tasks, 0),
+      activation_(num_machines) {}
 
 const ParentTerms& GatherRows::terms(const ScenarioCache& cache,
                                      const workload::Scenario& scenario,
@@ -132,6 +136,7 @@ const ParentTerms& GatherRows::terms(const ScenarioCache& cache,
 }
 
 void GatherRows::drop(TaskId task) noexcept {
+  committed_[static_cast<std::size_t>(task)] = 1;
   std::uint32_t& row = row_of_[static_cast<std::size_t>(task)];
   if (row == kNoRow) return;
   const auto first = static_cast<std::ptrdiff_t>(static_cast<std::size_t>(row) *
@@ -142,46 +147,145 @@ void GatherRows::drop(TaskId task) noexcept {
   --in_use_;
 }
 
+namespace {
+
+/// The pool admission: the secondary version's worst-case need fits the
+/// machine's headroom (available + kEnergyFitEps) — version_fits_energy's
+/// verdict, against the hoisted right-hand side.
+bool admitted(const ScenarioCache& cache, TaskId task, MachineId machine,
+              double headroom) {
+  return cache.energy_need(task, machine, VersionKind::Secondary) <= headroom;
+}
+
+}  // namespace
+
+std::span<const TaskId> GatherRows::activate(const ScenarioCache& cache,
+                                             const workload::Scenario& scenario,
+                                             const sim::Schedule& schedule,
+                                             std::span<const TaskId> joined,
+                                             MachineId machine, Cycles clock,
+                                             Cycles horizon, double headroom) {
+  if (horizon_ < 0) horizon_ = horizon;
+  AHG_EXPECTS_MSG(horizon == horizon_, "the activation index is keyed on one horizon");
+  Activation& index = activation_[static_cast<std::size_t>(machine)];
+  AHG_EXPECTS_MSG(clock >= index.clock, "the activation index cannot go back in time");
+  index.clock = clock;
+  const Cycles limit = clock + horizon;
+
+  // Committed tasks leave lazily: the live and side lists shed them here,
+  // pending ones when they come up for promotion (or in dead()).
+  const auto committed = [this](TaskId task) { return dropped(task); };
+  std::erase_if(index.live, committed);
+  std::erase_if(index.beyond, committed);
+
+  // One entry fill, then the task's class for the rest of the window.
+  const auto classify = [&](TaskId task) {
+    const ParentTerms& parents = terms(cache, scenario, schedule, task, machine);
+    if (parents.transfer_max > horizon) {
+      index.beyond.push_back(task);
+    } else if (parents.arrival_base <= limit) {
+      index.live.push_back(task);
+    } else {
+      const Pending entry{parents.arrival_base, task};
+      const auto later = [](const Pending& a, const Pending& b) {
+        return a.arrival_base != b.arrival_base ? a.arrival_base > b.arrival_base
+                                                : a.task > b.task;
+      };
+      index.pending.insert(
+          std::upper_bound(index.pending.begin(), index.pending.end(), entry, later),
+          entry);
+    }
+  };
+  // A task the machine cannot admit gets no entry yet (the full gather
+  // filled one only on admission too); the headroom can grow back, so it
+  // is tested again at every build.
+  std::size_t kept = 0;
+  for (const TaskId task : index.unadmitted) {
+    if (dropped(task)) continue;
+    if (admitted(cache, task, machine, headroom)) {
+      classify(task);
+    } else {
+      index.unadmitted[kept++] = task;
+    }
+  }
+  index.unadmitted.resize(kept);
+  for (; index.joined_read < joined.size(); ++index.joined_read) {
+    const TaskId task = joined[index.joined_read];
+    if (dropped(task)) continue;
+    if (admitted(cache, task, machine, headroom)) {
+      classify(task);
+    } else {
+      index.unadmitted.push_back(task);
+    }
+  }
+
+  // With D <= H the bound is within clock + H exactly when A is.
+  while (!index.pending.empty() && index.pending.back().arrival_base <= limit) {
+    const TaskId task = index.pending.back().task;
+    index.pending.pop_back();
+    if (!dropped(task)) index.live.push_back(task);
+  }
+  return index.live;
+}
+
+Cycles GatherRows::dead_min_arrival(const ScenarioCache& cache, MachineId machine,
+                                    Cycles clock, double headroom) const {
+  const Activation& index = activation_[static_cast<std::size_t>(machine)];
+  Cycles min_arrival = std::numeric_limits<Cycles>::max();
+  // A pending bound is A itself (clock + D <= clock + H < A), and the list
+  // is in A order: the first admitted one holds the minimum.
+  for (auto it = index.pending.rbegin(); it != index.pending.rend(); ++it) {
+    if (!dropped(it->task) && admitted(cache, it->task, machine, headroom)) {
+      min_arrival = it->arrival_base;
+      break;
+    }
+  }
+  for (const TaskId task : index.beyond) {
+    if (!admitted(cache, task, machine, headroom)) continue;
+    min_arrival = std::min(min_arrival, filled_terms(task, machine).arrival_lb(clock));
+  }
+  return min_arrival;
+}
+
+std::span<const TaskId> GatherRows::dead(MachineId machine) {
+  Activation& index = activation_[static_cast<std::size_t>(machine)];
+  std::erase_if(index.pending, [&](const Pending& p) { return dropped(p.task); });
+  dead_.clear();
+  for (const Pending& p : index.pending) dead_.push_back(p.task);
+  dead_.insert(dead_.end(), index.beyond.begin(), index.beyond.end());
+  dead_.insert(dead_.end(), index.unadmitted.begin(), index.unadmitted.end());
+  return dead_;
+}
+
 // --- batched SoA scoring -----------------------------------------------
 
-void CandidateBatch::clear() noexcept {
-  // Columns keep their high-water storage; only the logical count resets.
-  count_ = 0;
-}
-
-void CandidateBatch::reserve(std::size_t n) {
-  task.reserve(n);
-  finish_secondary.reserve(n);
-  finish_primary.reserve(n);
-  tec_delta_secondary.reserve(n);
-  tec_delta_primary.reserve(n);
-  primary_allowed.reserve(n);
-  arrival_lb.reserve(n);
-}
-
-std::size_t build_candidate_batch(const ScenarioCache& cache,
-                                  const workload::Scenario& scenario,
-                                  const sim::Schedule& schedule,
-                                  std::span<const TaskId> ready,
-                                  MachineId machine, Cycles earliest,
-                                  const std::vector<std::uint8_t>* secondary_only,
-                                  GatherRows& rows, CandidateBatch& batch) {
-  batch.machine = machine;
+void CandidateBatch::start(const sim::Schedule& schedule, MachineId machine_id,
+                           Cycles earliest_clock) {
+  machine = machine_id;
+  earliest = earliest_clock;
   // Hoisted per-machine state: pure during a pool build. The admission
   // comparison and the finish base reproduce version_fits_energy and
   // score_candidate exactly (available + eps is the scalar path's right-hand
   // side; max(earliest, ready) is integer — hoisting is exact).
-  batch.headroom = schedule.energy().available(machine) + kEnergyFitEps;
-  batch.start_base = std::max(earliest, schedule.machine_ready(machine));
+  headroom = schedule.energy().available(machine) + kEnergyFitEps;
+  start_base = std::max(earliest, schedule.machine_ready(machine));
+  count_ = 0;  // columns keep their high-water storage
+}
 
-  // Grow the gather columns to the high-water ready-set size and fill
-  // through raw pointers: a push_back per column per slot re-checks capacity
-  // and bumps the end pointer seven times per task, and at ~10ns/task gather
+std::size_t gather_candidates(const ScenarioCache& cache,
+                              const workload::Scenario& scenario,
+                              const sim::Schedule& schedule,
+                              std::span<const TaskId> tasks,
+                              const std::vector<std::uint8_t>* secondary_only,
+                              GatherRows& rows, CandidateBatch& batch) {
+  // Grow the gather columns to the high-water slot count and fill through
+  // raw pointers: a push_back per column per slot re-checks capacity and
+  // bumps the end pointer seven times per task, and at ~10ns/task gather
   // cost that bookkeeping is measurable. Growth is monotone — shrinking to
   // the slot count and regrowing next build would value-initialize (memset)
   // the regrown tail on every pool build, which the SLRH driver pays
   // thousands of times per run.
-  const std::size_t cap = ready.size();
+  const std::size_t cap = batch.count_ + tasks.size();
   if (batch.task.size() < cap) {
     batch.task.resize(cap);
     batch.finish_secondary.resize(cap);
@@ -198,14 +302,15 @@ std::size_t build_candidate_batch(const ScenarioCache& cache,
   double* const col_tp = batch.tec_delta_primary.data();
   std::uint8_t* const col_allowed = batch.primary_allowed.data();
   Cycles* const col_lb = batch.arrival_lb.data();
+  const MachineId machine = batch.machine;
+  const Cycles earliest = batch.earliest;
   const double headroom = batch.headroom;
   const Cycles start_base = batch.start_base;
 
-  std::size_t slot = 0;
+  std::size_t slot = batch.count_;
   std::size_t rejected_energy = 0;
-  for (const TaskId task : ready) {
-    const double need_s = cache.energy_need(task, machine, VersionKind::Secondary);
-    if (!(need_s <= headroom)) {
+  for (const TaskId task : tasks) {
+    if (!admitted(cache, task, machine, headroom)) {
       ++rejected_energy;
       continue;
     }
@@ -235,6 +340,18 @@ std::size_t build_candidate_batch(const ScenarioCache& cache,
   }
   batch.count_ = slot;
   return rejected_energy;
+}
+
+std::size_t build_candidate_batch(const ScenarioCache& cache,
+                                  const workload::Scenario& scenario,
+                                  const sim::Schedule& schedule,
+                                  std::span<const TaskId> ready,
+                                  MachineId machine, Cycles earliest,
+                                  const std::vector<std::uint8_t>* secondary_only,
+                                  GatherRows& rows, CandidateBatch& batch) {
+  batch.start(schedule, machine, earliest);
+  return gather_candidates(cache, scenario, schedule, ready, secondary_only, rows,
+                           batch);
 }
 
 void score_batch(CandidateBatch& batch, const Weights& weights,

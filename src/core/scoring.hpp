@@ -154,6 +154,16 @@ inline ParentTerms walk_parents(const workload::Scenario& scenario,
 /// when a gather first meets it and gives it back when it commits
 /// (drop()); freed rows are reused, so storage is O(peak ready x |M|) plus
 /// one row index per task. Not thread-safe: one table per driver run.
+///
+/// The rows also carry the window's horizon-activation index (DESIGN.md
+/// §4k): per machine, the ready tasks split by when their arrival bound
+/// max(A, clock + D) can fall within clock + H. With D <= H that happens
+/// exactly once clock >= A - H, and then for the rest of the window, so
+/// such a task is either live or pending in A order; with D > H it never
+/// happens, and the task sits in a side list. A task the machine's battery
+/// cannot admit waits, unclassified, until it can. An SLRH pool build gathers
+/// the live tasks only; the dead ones are read for the skip verdict's
+/// minimum and gathered only when an observer reads the whole pool.
 class GatherRows {
  public:
   GatherRows(std::size_t num_tasks, std::size_t num_machines);
@@ -166,33 +176,95 @@ class GatherRows {
                            const sim::Schedule& schedule, TaskId task,
                            MachineId machine);
 
-  /// Release `task`'s row (the task committed). A task without a row is a
-  /// no-op.
+  /// Mark `task` committed and release its row, if it has one; every commit
+  /// must be dropped. The activation index forgets the task lazily: each
+  /// list skips or sheds dropped tasks the next time it is read.
   void drop(TaskId task) noexcept;
 
   /// Rows currently held (ready tasks a gather has met and that have not
   /// committed).
   std::size_t rows_in_use() const noexcept { return in_use_; }
 
+  /// Bring `machine`'s activation index to `clock` and return its live
+  /// tasks (unordered): those whose arrival bound lies within
+  /// clock + horizon. `joined` is the frontier's ReadyFrontier::joined();
+  /// the tasks past the prefix this machine has already read are picked up
+  /// (dropped ones skipped) and classified with one terms() fill each —
+  /// once their secondary need fits `headroom` (the machine's available
+  /// energy + kEnergyFitEps); until then they wait unfilled and are tested
+  /// again at each call. Pending tasks whose A <= clock + horizon are
+  /// promoted; dropped live and side tasks are shed. Per machine the clock
+  /// must not go backwards, and the horizon is fixed for the table's
+  /// lifetime. The span is valid until the next call for this machine.
+  std::span<const TaskId> activate(const ScenarioCache& cache,
+                                   const workload::Scenario& scenario,
+                                   const sim::Schedule& schedule,
+                                   std::span<const TaskId> joined, MachineId machine,
+                                   Cycles clock, Cycles horizon, double headroom);
+
+  /// Smallest arrival_lb(clock) over `machine`'s dead tasks whose secondary
+  /// energy need fits `headroom` (the pool admission), max() when there is
+  /// none: A of the first admitted pending task in A order, folded with
+  /// max(A, clock + D) of each admitted side-list task. Valid right after
+  /// activate() at the same clock.
+  Cycles dead_min_arrival(const ScenarioCache& cache, MachineId machine, Cycles clock,
+                          double headroom) const;
+
+  /// `machine`'s uncommitted dead tasks (pending, then side list) and the
+  /// ones still waiting for admission, for a build that materialises the
+  /// whole pool. Sheds committed pending tasks. The span is valid until the
+  /// next dead() call.
+  std::span<const TaskId> dead(MachineId machine);
+
  private:
   static constexpr std::uint32_t kNoRow = static_cast<std::uint32_t>(-1);
 
+  /// A task that turns live once clock + H reaches its A.
+  struct Pending {
+    Cycles arrival_base;
+    TaskId task;
+  };
+  /// One machine's activation index.
+  struct Activation {
+    std::size_t joined_read = 0;   ///< prefix of joined() already picked up
+    Cycles clock = 0;              ///< last activate() clock
+    std::vector<TaskId> live;      ///< arrival bound within clock + H for good
+    std::vector<Pending> pending;  ///< D <= H, A > clock + H; largest A first
+    std::vector<TaskId> beyond;    ///< D > H: dead for the whole window
+    std::vector<TaskId> unadmitted;  ///< picked up over the headroom, unfilled
+  };
+
+  /// drop() is the index's commit signal.
+  bool dropped(TaskId task) const noexcept {
+    return committed_[static_cast<std::size_t>(task)] != 0;
+  }
+  const ParentTerms& filled_terms(TaskId task, MachineId machine) const noexcept {
+    return entries_[static_cast<std::size_t>(row_of_[static_cast<std::size_t>(task)]) *
+                        num_machines_ +
+                    static_cast<std::size_t>(machine)];
+  }
+
   std::size_t num_machines_;
   std::vector<std::uint32_t> row_of_;  ///< task -> row, kNoRow without one
+  std::vector<std::uint8_t> committed_;  ///< task -> dropped this window
   std::vector<ParentTerms> entries_;   ///< rows x |M|
   std::vector<std::uint8_t> filled_;   ///< rows x |M|
   std::vector<std::uint32_t> free_;    ///< released rows
   std::size_t in_use_ = 0;
+  std::vector<Activation> activation_;  ///< one per machine
+  Cycles horizon_ = -1;                 ///< H, fixed by the first activate()
+  std::vector<TaskId> dead_;            ///< dead() scratch
 };
 
 // --- batched SoA scoring -----------------------------------------------
 //
-// One SLRH pool build evaluates every ready task against a single machine at
-// a single clock. Scoring each candidate through score_candidate would pay
+// One SLRH pool build evaluates its candidates (the live ready tasks, and
+// the dead ones when an observer reads them) against a single machine at a
+// single clock. Scoring each candidate through score_candidate would pay
 // two call chains per candidate — each re-reading machine state, re-walking
 // the parents and re-dividing the objective normalisers. The batched path
 // (the only one SLRH uses) splits the work into a GATHER stage
-// (build_candidate_batch: admission plus a read of each task's GatherRows
+// (gather_candidates: admission plus a read of each task's GatherRows
 // entry, filling contiguous structure-of-arrays columns from the entry, the
 // ScenarioCache tables and the per-machine schedule state) and a SCORE
 // kernel (score_batch:
@@ -210,6 +282,25 @@ class GatherRows {
 // objective_value's exact expression tree, with the two per-batch-constant
 // t100 terms (t100 and t100+1 over |T|) and the sign*gamma product hoisted
 // as whole subtrees (hoisting a subtree reuses its identical double).
+
+/// One entry of the ordered candidate pool U: the subtask with its
+/// objective-maximising version and that version's score, plus the gather's
+/// lower bound on its data arrival (CandidateBatch::arrival_lb), which lets
+/// the map walk reject it as beyond the horizon without planning it.
+struct SlrhPoolCandidate {
+  TaskId task = kInvalidTask;
+  VersionKind version = VersionKind::Primary;
+  double score = 0.0;
+  Cycles arrival_lb = 0;
+};
+
+/// The pool order: score descending, ties by smaller task id. Scores are
+/// distinct per task, so it is a strict total order over a pool.
+inline bool ranks_before(const SlrhPoolCandidate& a,
+                         const SlrhPoolCandidate& b) noexcept {
+  if (a.score != b.score) return a.score > b.score;
+  return a.task < b.task;
+}
 
 /// Structure-of-arrays candidate columns for one (machine, clock) pool
 /// build. Slots hold the ready tasks that passed secondary-version admission
@@ -241,25 +332,41 @@ struct CandidateBatch {
 
   // Per-batch scalars (hoisted per-machine state, recorded for diagnostics).
   MachineId machine = kInvalidMachine;
+  Cycles earliest = 0;        ///< the clock the arrival bounds are taken at
   Cycles start_base = 0;      ///< max(earliest, machine_ready)
   double headroom = 0.0;      ///< available battery + kEnergyFitEps
 
-  std::size_t size() const noexcept { return count_; }
-  void clear() noexcept;
-  void reserve(std::size_t n);
+  /// Storage of the pool an SLRH build makes from this batch (SlrhPool
+  /// views it), reused like the columns.
+  std::vector<SlrhPoolCandidate> slots;
 
-  /// Logical slot count (set by build_candidate_batch); the columns' vector
+  std::size_t size() const noexcept { return count_; }
+  /// Empty the batch and hoist (machine, earliest)'s per-batch state from
+  /// the schedule.
+  void start(const sim::Schedule& schedule, MachineId machine, Cycles earliest);
+
+  /// Logical slot count (set by gather_candidates); the columns' vector
   /// sizes are the high-water capacity, not the slot count.
   std::size_t count_ = 0;
 };
 
-/// Gather stage: fill `batch` with every task in `ready` whose secondary
-/// version fits the machine's available energy (identical admission verdicts
-/// to version_fits_energy). The tec-delta columns and the arrival bound come
-/// from each task's `rows` entry (filled by one parent walk the first time
-/// the pair is gathered; no walk after that). `secondary_only` non-null
-/// masks primary consideration per task (churn degrade policy). Returns the
-/// number of tasks rejected by the admission energy check.
+/// Gather stage: append to `batch` (started for its machine and clock)
+/// every task in `tasks` whose secondary version fits the machine's
+/// available energy (identical admission verdicts to version_fits_energy).
+/// The tec-delta columns and the arrival bound come from each task's `rows`
+/// entry (filled by one parent walk the first time the pair is gathered; no
+/// walk after that). `secondary_only` non-null masks primary consideration
+/// per task (churn degrade policy). Returns the number of tasks rejected by
+/// the admission energy check.
+std::size_t gather_candidates(const ScenarioCache& cache,
+                              const workload::Scenario& scenario,
+                              const sim::Schedule& schedule,
+                              std::span<const TaskId> tasks,
+                              const std::vector<std::uint8_t>* secondary_only,
+                              GatherRows& rows, CandidateBatch& batch);
+
+/// batch.start(schedule, machine, earliest), then gather_candidates over
+/// `ready`.
 std::size_t build_candidate_batch(const ScenarioCache& cache,
                                   const workload::Scenario& scenario,
                                   const sim::Schedule& schedule,

@@ -138,7 +138,9 @@ SlrhPool build_slrh_pool_batched(
     const ReadyFrontier& frontier, const sim::Schedule& schedule,
     const SlrhParams& params, const ObjectiveTotals& totals, MachineId machine,
     Cycles clock, GatherRows& rows, CandidateBatch& batch, SlrhPoolRejects* rejects,
-    obs::Histogram* scoring_histogram) {
+    obs::Histogram* scoring_histogram, bool with_dead) {
+  AHG_EXPECTS_MSG(rejects == nullptr || with_dead,
+                  "the energy tally needs the dead slots gathered");
   if (rejects != nullptr) {
     rejects->unreleased = frontier.num_unreleased();
     rejects->assigned = frontier.num_assigned_released();
@@ -149,27 +151,31 @@ SlrhPool build_slrh_pool_batched(
     // The scoring histogram covers gather + kernel (the admission compare
     // folded into the gather is noise). Telemetry only.
     obs::ProfileScope scoring(scoring_histogram);
-    const std::size_t rejected_energy = build_candidate_batch(
-        cache, scenario, schedule, frontier.ready(), machine, clock,
-        params.secondary_only, rows, batch);
+    batch.start(schedule, machine, clock);
+    const std::span<const TaskId> live =
+        rows.activate(cache, scenario, schedule, frontier.joined(), machine, clock,
+                      params.horizon, batch.headroom);
+    std::size_t rejected_energy = gather_candidates(cache, scenario, schedule, live,
+                                                    params.secondary_only, rows, batch);
+    pool.live = batch.size();
+    pool.dead_min_arrival =
+        rows.dead_min_arrival(cache, machine, clock, batch.headroom);
+    // Dead slots follow the live ones through the same gather and kernel.
+    if (with_dead) {
+      rejected_energy += gather_candidates(cache, scenario, schedule,
+                                           rows.dead(machine),
+                                           params.secondary_only, rows, batch);
+    }
     if (rejects != nullptr) rejects->energy = rejected_energy;
     score_batch(batch, params.weights, totals, schedule.t100(), schedule.tec(),
                 schedule.aet(), params.aet_sign);
-    // Live slots fill the front, dead ones the back.
     const std::size_t n = batch.size();
-    const Cycles limit = clock + params.horizon;
-    pool.slots.resize(n);
-    std::size_t back = n;
+    if (batch.slots.size() < n) batch.slots.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-      const SlrhPoolCandidate cand{batch.task[i], batch.version[i], batch.score[i],
-                                   batch.arrival_lb[i]};
-      if (cand.arrival_lb > limit) {
-        pool.slots[--back] = cand;
-        pool.dead_min_arrival = std::min(pool.dead_min_arrival, cand.arrival_lb);
-      } else {
-        pool.slots[pool.live++] = cand;
-      }
+      batch.slots[i] = {batch.task[i], batch.version[i], batch.score[i],
+                        batch.arrival_lb[i]};
     }
+    pool.slots = std::span<SlrhPoolCandidate>(batch.slots.data(), n);
   }
   std::sort(pool.slots.begin(),
             pool.slots.begin() + static_cast<std::ptrdiff_t>(pool.live), ranks_before);
@@ -198,9 +204,10 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
   frontier.set_ledger(params.ledger);
   BeyondHorizonMemo memo(scenario.num_tasks());
 
-  // Parent terms per ready task (filled once, dropped on commit) and the SoA
-  // scratch for the batched score kernel, reused across every pool build of
-  // the window (allocation-free steady state).
+  // Parent terms per ready task (filled once, dropped on commit) with the
+  // per-machine horizon-activation index, and the SoA scratch for the
+  // batched score kernel and the pool's slots, reused across every pool
+  // build of the window (allocation-free steady state).
   GatherRows rows(scenario.num_tasks(), scenario.num_machines());
   CandidateBatch batch_scratch;
 
@@ -212,13 +219,16 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
 
   // One pool for the serial walk, built inline against the current schedule
   // (every commit moves the global t100/tec/aet terms that feed each score).
+  // The dead slots are gathered only for a reader of the whole pool: an
+  // observer (Taps::reads_pool) or V2's continues_after.
+  const bool with_dead = taps.reads_pool() || params.variant == SlrhVariant::V2;
   const auto make_pool = [&](MachineId machine, Cycles clock) {
     ++result.pools_built;
     return taps.on_pool(machine, clock, [&](SlrhPoolRejects* rejects,
                                             obs::Histogram* scoring) {
       return build_slrh_pool_batched(scenario, cache, frontier, schedule, params,
                                      totals, machine, clock, rows, batch_scratch,
-                                     rejects, scoring);
+                                     rejects, scoring, with_dead);
     });
   };
 

@@ -33,6 +33,7 @@
 
 #include "core/objective.hpp"
 #include "core/result.hpp"
+#include "core/scoring.hpp"
 #include "support/event_log.hpp"
 #include "workload/scenario.hpp"
 
@@ -47,8 +48,6 @@ namespace ahg::core {
 class ScenarioCache;
 class ReadyFrontier;
 class Taps;
-class GatherRows;
-struct CandidateBatch;
 struct PlacementPlan;
 
 enum class SlrhVariant : std::uint8_t { V1 = 1, V2 = 2, V3 = 3 };
@@ -119,46 +118,35 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
 
 // --- pool construction (exposed for micro-benchmarks and invariant tests) --
 
-/// One entry of the ordered candidate pool U: the subtask with its
-/// objective-maximising version and that version's score, plus the gather's
-/// lower bound on its data arrival (CandidateBatch::arrival_lb), which lets
-/// the map walk reject it as beyond the horizon without planning it.
-struct SlrhPoolCandidate {
-  TaskId task = kInvalidTask;
-  VersionKind version = VersionKind::Primary;
-  double score = 0.0;
-  Cycles arrival_lb = 0;
-};
-
-/// The pool order: score descending, ties by smaller task id. Scores are
-/// distinct per task, so it is a strict total order over a pool.
-inline bool ranks_before(const SlrhPoolCandidate& a,
-                         const SlrhPoolCandidate& b) noexcept {
-  if (a.score != b.score) return a.score > b.score;
-  return a.task < b.task;
-}
-
 /// The pool U of one (machine, clock) scope, split by the arrival bound. A
 /// slot with arrival_lb > clock + H is dead: the map walk would reject it
 /// without planning, and its parents stay put for the whole scope, so it
-/// stays dead through every re-walk and rebuild in the scope. The pool keeps
-/// every slot — its size, the ledger's pool sightings and the stall and map
-/// records count them all — but only the live prefix is ranked and walked.
+/// stays dead through every re-walk and rebuild in the scope. Only the live
+/// prefix is ranked and walked. The dead slots are there only when the
+/// build materialised them (an observer reads the whole pool — its size,
+/// the ledger's sightings, the stall and map records — or V2 asks
+/// continues_after); without them `slots` holds the live prefix alone, and
+/// only `dead_min_arrival` and empty() speak for the dead slots.
+///
+/// The slots live in the builder's CandidateBatch: a pool is valid until
+/// the next build with the same batch.
 struct SlrhPool {
-  /// [0, live): live slots in pool order; [live, size()): dead slots, in
-  /// pool order only after rank_dead().
-  std::vector<SlrhPoolCandidate> slots;
+  static constexpr Cycles kNoDead = std::numeric_limits<Cycles>::max();
+
+  /// [0, live): live slots in pool order; [live, size()): the materialised
+  /// dead slots, in pool order only after rank_dead().
+  std::span<SlrhPoolCandidate> slots;
   std::size_t live = 0;
-  /// Smallest arrival_lb over the dead slots (max() when there are none).
-  Cycles dead_min_arrival = std::numeric_limits<Cycles>::max();
+  /// Smallest arrival_lb over the dead slots (kNoDead when there are none),
+  /// materialised or not.
+  Cycles dead_min_arrival = kNoDead;
 
   std::size_t size() const noexcept { return slots.size(); }
-  bool empty() const noexcept { return slots.empty(); }
-  std::span<const SlrhPoolCandidate> dead() const noexcept {
-    return std::span<const SlrhPoolCandidate>(slots).subspan(live);
-  }
+  /// No live slot and no dead one: nothing passed the energy admission.
+  bool empty() const noexcept { return live == 0 && dead_min_arrival == kNoDead; }
+  std::span<const SlrhPoolCandidate> dead() const noexcept { return slots.subspan(live); }
   /// Whether any slot ranks after live slot `k`: a walk over the whole pool
-  /// in order would go on past it.
+  /// in order would go on past it. Needs the dead slots materialised.
   bool continues_after(std::size_t k) const noexcept {
     if (k + 1 < live) return true;
     const std::span<const SlrhPoolCandidate> tail = dead();
@@ -183,29 +171,37 @@ struct SlrhPoolRejects {
   bool any() const noexcept { return unreleased + assigned + parents + energy > 0; }
 };
 
-/// The SLRH pool builder: iterate only the frontier's ready tasks (released,
-/// unassigned, parents assigned — typically << |T|) and run admission,
-/// gathering and scoring through the structure-of-arrays CandidateBatch +
-/// score_batch kernel (core/scoring.hpp) — parent terms from `rows` (one
-/// parent walk per ready (task, machine) pair per drive window), branch-free
-/// scores over contiguous columns — then split the slots into live and dead
-/// (SlrhPool) and rank the live prefix. The frontier must have been
-/// advanced to `clock` and notified of every commit, and `rows` must have
-/// dropped every committed task. `batch` is scratch storage reused across
-/// builds (allocation-free steady state). `rejects` non-null receives the
-/// per-build admission tallies (the machine-independent ones straight from
-/// the frontier's running counters); `scoring_histogram` non-null
-/// accumulates the gather+score share of the build. The slots match a scan
-/// over all |T| subtasks with per-candidate score_candidate calls —
-/// membership, order, version, scores and tallies (asserted against the
-/// test-only scan oracle in tests/oracles.hpp by tests/test_determinism.cpp).
+/// The SLRH pool builder. `rows`' activation index (one per machine, fed
+/// from the frontier's joined() log) names the live ready tasks — those
+/// whose arrival bound lies within clock + H — and only they run the
+/// admission, the gather through the structure-of-arrays CandidateBatch
+/// (parent terms from `rows`, one parent walk per ready (task, machine)
+/// pair per drive window) and the branch-free score_batch kernel
+/// (core/scoring.hpp); the live prefix is then ranked. The dead slots'
+/// minimum comes from the index exactly, and `with_dead` also gathers and
+/// scores the dead tasks into the pool's tail (SlrhPool). The frontier must
+/// have been advanced to `clock` and notified of every commit, and `rows`
+/// must serve this frontier only, with one horizon and per machine a clock
+/// that never goes back. `batch` is scratch storage reused across builds
+/// and holds the pool's slots (allocation-free steady state). `rejects`
+/// non-null (only with `with_dead`: the energy tally counts every ready
+/// task) receives the per-build admission tallies (the machine-independent
+/// ones straight from the frontier's running counters);
+/// `scoring_histogram` non-null accumulates the gather+score share of the
+/// build. With `with_dead`, the slots match a scan over all |T| subtasks
+/// with per-candidate score_candidate calls — membership, order, version,
+/// scores and tallies (asserted against the test-only scan oracle in
+/// tests/oracles.hpp by tests/test_determinism.cpp); either way the pool
+/// matches the full-ready-set gather the index replaced
+/// (test::full_gather_pool_oracle, SlrhActivationIndexProperty in
+/// tests/test_slrh.cpp).
 SlrhPool build_slrh_pool_batched(
     const workload::Scenario& scenario, const ScenarioCache& cache,
     const ReadyFrontier& frontier, const sim::Schedule& schedule,
     const SlrhParams& params, const ObjectiveTotals& totals, MachineId machine,
     Cycles clock, GatherRows& rows, CandidateBatch& batch,
     SlrhPoolRejects* rejects = nullptr,
-    obs::Histogram* scoring_histogram = nullptr);
+    obs::Histogram* scoring_histogram = nullptr, bool with_dead = true);
 
 /// Per-(machine, clock) memo of candidates whose exact placement was proven
 /// beyond the horizon. Within one such scope a commit can only ADD channel

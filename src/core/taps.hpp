@@ -116,6 +116,13 @@ class Taps {
   bool lists_candidates() const noexcept {
     return active_ && (trace_maps_ || trace_stalls_);
   }
+  /// True when a hook reads the whole SLRH pool, dead slots included: a
+  /// listener, the ledger's pool sightings, the recorder's pool size or the
+  /// PoolBuilt record. Otherwise the builder leaves the dead slots out.
+  bool reads_pool() const noexcept {
+    return lists_candidates() || ledger_ != nullptr || recorder_ != nullptr ||
+           trace_pools_;
+  }
   void on_candidate(const SlrhPoolCandidate& candidate, Reject reject) {
     if (lists_candidates()) rejected(candidate, reject);
   }

@@ -12,6 +12,9 @@
 //  - gather_parents_oracle: the SLRH gather's per-build parent walk, which
 //    the per-window GatherRows replaced — both tec-delta chains and the
 //    arrival bound at one clock, re-derived from the parents every call.
+//  - full_gather_pool_oracle: the SLRH pool build over the whole ready set,
+//    which the per-machine horizon-activation index replaced — gather and
+//    score every ready task, then split live from dead by the arrival bound.
 //  - map_first_startable_oracle: the SLRH map walk over the WHOLE pool in
 //    order, dead slots included, each rejected where the walk meets it.
 //  - scan_maxmax_oracle: Max-Max with the per-round rescan the candidate
@@ -32,6 +35,7 @@
 #include <vector>
 
 #include "core/feasibility.hpp"
+#include "core/frontier.hpp"
 #include "core/maxmax.hpp"
 #include "core/placement.hpp"
 #include "core/scoring.hpp"
@@ -152,6 +156,50 @@ inline GatherParents gather_parents_oracle(const core::ScenarioCache& cache,
     out.tec_delta_secondary += transfer;
     out.tec_delta_primary += transfer;
   }
+  return out;
+}
+
+struct FullGatherPool {
+  /// [0, live): live slots in pool order; [live, size): dead slots, unranked.
+  std::vector<core::SlrhPoolCandidate> slots;
+  std::size_t live = 0;
+  Cycles dead_min_arrival = core::SlrhPool::kNoDead;
+  std::size_t rejected_energy = 0;
+
+  bool empty() const noexcept { return slots.empty(); }
+};
+
+/// The pool of (machine, clock) from every ready task: gather and score the
+/// whole ready set against the machine, put the slots whose arrival bound
+/// lies within clock + H first (ranked) and the rest after them, and take
+/// the dead slots' smallest bound. `rows` and `batch` are the oracle's own.
+inline FullGatherPool full_gather_pool_oracle(
+    const workload::Scenario& scenario, const core::ScenarioCache& cache,
+    const core::ReadyFrontier& frontier, const sim::Schedule& schedule,
+    const core::SlrhParams& params, const core::ObjectiveTotals& totals,
+    MachineId machine, Cycles clock, core::GatherRows& rows,
+    core::CandidateBatch& batch) {
+  FullGatherPool out;
+  out.rejected_energy = core::build_candidate_batch(
+      cache, scenario, schedule, frontier.ready(), machine, clock,
+      params.secondary_only, rows, batch);
+  core::score_batch(batch, params.weights, totals, schedule.t100(), schedule.tec(),
+                    schedule.aet(), params.aet_sign);
+  const Cycles limit = clock + params.horizon;
+  std::vector<core::SlrhPoolCandidate> dead;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const core::SlrhPoolCandidate cand{batch.task[i], batch.version[i], batch.score[i],
+                                       batch.arrival_lb[i]};
+    if (cand.arrival_lb > limit) {
+      dead.push_back(cand);
+      out.dead_min_arrival = std::min(out.dead_min_arrival, cand.arrival_lb);
+    } else {
+      out.slots.push_back(cand);
+    }
+  }
+  std::sort(out.slots.begin(), out.slots.end(), core::ranks_before);
+  out.live = out.slots.size();
+  out.slots.insert(out.slots.end(), dead.begin(), dead.end());
   return out;
 }
 

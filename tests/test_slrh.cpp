@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <tuple>
 #include <vector>
 
+#include "core/churn.hpp"
 #include "core/frontier.hpp"
 #include "core/placement.hpp"
 #include "core/scenario_cache.hpp"
@@ -370,6 +372,278 @@ TEST(Slrh, LiveWalkMatchesFullOrderWalk) {
     if (variant == SlrhVariant::V2) {
       EXPECT_GT(tally.dead_exhausted, 0u) << "no dead slot ran out of energy";
     }
+  }
+}
+
+// --- the activation index vs the full-ready-set gather ----------------------
+//
+// build_slrh_pool_batched gathers only the live tasks its per-machine
+// horizon-activation index names (GatherRows::activate), takes the dead
+// slots' minimum from the index, and gathers the dead tasks only when asked
+// to. test::full_gather_pool_oracle is the build it replaced: gather the
+// whole ready set, split by the arrival bound. A test-side window driver —
+// drive_slrh's machine sweep and V1/V2/V3 walks, without skip verdicts —
+// builds every pool twice, without and then with the dead slots, and diffs
+// both against the oracle: the live prefix and its order, the dead set,
+// dead_min_arrival, empty(), the pool size and the energy tally. It runs
+// the paper fixtures (Cases A/B/C and a release-time shape) with a link
+// outage on two machines at full and 5 % battery, and the two windows of a
+// one-departure churn run under Remap and Degrade (a degrade mask is set).
+// Promoting a pending task at A instead of A - H, or taking the dead
+// minimum over energy-rejected tasks too, makes it fail.
+
+struct IndexTally {
+  std::size_t builds = 0;
+  std::size_t promoted = 0;   ///< tasks live after being dead on that machine
+  std::size_t shadowed = 0;   ///< builds where an energy-rejected task's bound
+                              ///< lies below the dead minimum
+  std::size_t dead_only = 0;  ///< builds with no live slot but a dead one
+  std::size_t degraded = 0;   ///< builds under a degrade mask
+};
+
+void expect_same_slot(const SlrhPoolCandidate& a, const SlrhPoolCandidate& b,
+                      std::size_t k) {
+  EXPECT_EQ(a.task, b.task) << "slot " << k;
+  EXPECT_EQ(a.version, b.version) << "slot " << k;
+  EXPECT_EQ(a.score, b.score) << "slot " << k;  // exact
+  EXPECT_EQ(a.arrival_lb, b.arrival_lb) << "slot " << k;
+}
+
+/// Drive [start, end) on `schedule` with every pool checked; `rows` and
+/// `batch` are the window's, so the index sees each build.
+void drive_checked_window(const workload::Scenario& s, const SlrhParams& params,
+                          sim::Schedule& schedule, Cycles start, Cycles end,
+                          IndexTally& tally) {
+  constexpr auto npos = static_cast<std::size_t>(-1);
+  const ScenarioCache cache(s);
+  const ObjectiveTotals totals = objective_totals(s);
+  const auto num_machines = static_cast<MachineId>(s.num_machines());
+  ReadyFrontier frontier(s, schedule);
+  GatherRows rows(s.num_tasks(), s.num_machines());
+  GatherRows oracle_rows(s.num_tasks(), s.num_machines());
+  CandidateBatch batch;
+  CandidateBatch oracle_batch;
+  BeyondHorizonMemo memo(s.num_tasks());
+  Taps taps(s, params);
+  std::vector<std::vector<std::uint8_t>> was_dead(
+      s.num_machines(), std::vector<std::uint8_t>(s.num_tasks(), 0));
+
+  const auto checked_pool = [&](MachineId m, Cycles clock, SlrhPool& out) {
+    ++tally.builds;
+    if (params.secondary_only != nullptr) ++tally.degraded;
+    const test::FullGatherPool oracle = test::full_gather_pool_oracle(
+        s, cache, frontier, schedule, params, totals, m, clock, oracle_rows,
+        oracle_batch);
+    {
+      const SlrhPool lean = build_slrh_pool_batched(s, cache, frontier, schedule, params,
+                                                    totals, m, clock, rows, batch,
+                                                    nullptr, nullptr, false);
+      ASSERT_EQ(lean.live, oracle.live);
+      ASSERT_EQ(lean.size(), lean.live) << "dead slots built unasked";
+      for (std::size_t k = 0; k < lean.live; ++k) {
+        expect_same_slot(lean.slots[k], oracle.slots[k], k);
+      }
+      EXPECT_EQ(lean.dead_min_arrival, oracle.dead_min_arrival);
+      EXPECT_EQ(lean.empty(), oracle.empty());
+    }
+    SlrhPoolRejects rejects;
+    out = build_slrh_pool_batched(s, cache, frontier, schedule, params, totals, m, clock,
+                                  rows, batch, &rejects, nullptr, true);
+    ASSERT_EQ(out.live, oracle.live);
+    ASSERT_EQ(out.size(), oracle.slots.size());
+    for (std::size_t k = 0; k < out.live; ++k) {
+      expect_same_slot(out.slots[k], oracle.slots[k], k);
+    }
+    std::vector<SlrhPoolCandidate> dead(out.dead().begin(), out.dead().end());
+    std::vector<SlrhPoolCandidate> oracle_dead(
+        oracle.slots.begin() + static_cast<std::ptrdiff_t>(oracle.live),
+        oracle.slots.end());
+    const auto by_task = [](const SlrhPoolCandidate& a, const SlrhPoolCandidate& b) {
+      return a.task < b.task;
+    };
+    std::sort(dead.begin(), dead.end(), by_task);
+    std::sort(oracle_dead.begin(), oracle_dead.end(), by_task);
+    for (std::size_t k = 0; k < dead.size(); ++k) {
+      expect_same_slot(dead[k], oracle_dead[k], out.live + k);
+    }
+    EXPECT_EQ(out.dead_min_arrival, oracle.dead_min_arrival);
+    EXPECT_EQ(out.empty(), oracle.empty());
+    EXPECT_EQ(rejects.energy, oracle.rejected_energy);
+
+    // Coverage: promotions, dead-only pools, and an energy-rejected task
+    // whose bound would undercut the dead minimum.
+    std::vector<std::uint8_t>& seen = was_dead[static_cast<std::size_t>(m)];
+    for (std::size_t k = 0; k < oracle.slots.size(); ++k) {
+      std::uint8_t& flag = seen[static_cast<std::size_t>(oracle.slots[k].task)];
+      if (k >= oracle.live) {
+        flag = 1;
+      } else if (flag != 0) {
+        ++tally.promoted;
+        flag = 0;
+      }
+    }
+    if (oracle.live == 0 && !oracle.empty()) ++tally.dead_only;
+    const Cycles limit = clock + params.horizon;
+    for (const TaskId task : frontier.ready()) {
+      if (version_fits_energy(cache, schedule, task, m, VersionKind::Secondary)) continue;
+      const Cycles lb =
+          test::gather_parents_oracle(cache, s, schedule, task, m, clock).arrival_lb;
+      if (lb > limit && lb < oracle.dead_min_arrival) {
+        ++tally.shadowed;
+        break;
+      }
+    }
+  };
+
+  for (Cycles clock = start;
+       !schedule.complete() && clock <= s.tau && clock < end; clock += params.dt) {
+    frontier.advance_to(clock);
+    for (MachineId m = 0; m < num_machines; ++m) {
+      if (schedule.complete()) break;
+      if (!s.machine_available(m, clock) || schedule.machine_ready(m) > clock) continue;
+      SCOPED_TRACE("clock " + std::to_string(clock) + " machine " + std::to_string(m));
+      memo.begin_scope();
+      for (bool rebuild = true; rebuild;) {
+        rebuild = false;
+        SlrhPool pool;
+        checked_pool(m, clock, pool);
+        if (::testing::Test::HasFatalFailure() || pool.empty()) break;
+        for (std::size_t next = 0;;) {
+          PlacementPlan committed;
+          const std::size_t mapped = map_first_startable(
+              s, schedule, params, pool, m, clock, cache, memo, taps, committed, next,
+              nullptr);
+          if (mapped == npos) break;
+          const TaskId task = pool.slots[mapped].task;
+          frontier.on_commit(task);
+          rows.drop(task);
+          oracle_rows.drop(task);
+          if (params.variant == SlrhVariant::V3) {
+            rebuild = true;
+            break;
+          }
+          if (params.variant == SlrhVariant::V1 || !pool.continues_after(mapped)) break;
+          next = mapped + 1;
+        }
+      }
+    }
+  }
+}
+
+class SlrhActivationIndexProperty : public ::testing::TestWithParam<SlrhVariant> {};
+
+TEST_P(SlrhActivationIndexProperty, PoolsMatchFullGather) {
+  const SlrhVariant variant = GetParam();
+  IndexTally tally;
+  for (const double battery_scale : {1.0, 0.05}) {
+    for (auto s : test::paper_shape_fixtures()) {
+      std::vector<sim::MachineSpec> machines = s.grid.machines();
+      for (sim::MachineSpec& spec : machines) spec.battery_capacity *= battery_scale;
+      s.grid = sim::GridConfig(std::move(machines));
+      SCOPED_TRACE("battery x" + std::to_string(battery_scale));
+      SlrhParams params = default_params(variant);
+      params.weights = Weights::make(0.6, 0.3);
+      auto schedule = make_schedule(s);
+      schedule->block_channels(0, s.tau / 20, s.tau / 4);
+      schedule->block_channels(1, 0, s.tau / 6);
+      drive_checked_window(s, params, *schedule, 0, s.tau + 1, tally);
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(tally.builds, 0u);
+  EXPECT_GT(tally.promoted, 0u) << "no pending task was promoted";
+  EXPECT_GT(tally.dead_only, 0u) << "no pool held dead slots only";
+  EXPECT_GT(tally.shadowed, 0u) << "energy admission never shaped the dead minimum";
+}
+
+TEST_P(SlrhActivationIndexProperty, ChurnWindowsMatchFullGather) {
+  const SlrhVariant variant = GetParam();
+  IndexTally tally;
+  for (const ChurnRecovery recovery : {ChurnRecovery::Remap, ChurnRecovery::Degrade}) {
+    SCOPED_TRACE(to_string(recovery));
+    const workload::Scenario s = test::one_departure_scenario();
+    SlrhParams params = default_params(variant);
+    params.weights = Weights::make(0.6, 0.3);
+    // Window 1 runs to the first timestep on or after the departure; the
+    // recovery is run_slrh_with_churn's (closure, replay, seal, mask).
+    const Cycles depart = s.machine_depart(1);
+    const Cycles process = (depart + params.dt - 1) / params.dt * params.dt;
+    auto schedule = make_schedule(s);
+    drive_checked_window(s, params, *schedule, 0, process, tally);
+    if (HasFatalFailure()) return;
+
+    std::vector<char> departed(s.num_machines(), 0);
+    departed[1] = 1;
+    std::vector<char> invalid = detail::compute_invalid(
+        s, *schedule, departed, std::vector<char>(s.num_tasks(), 0));
+    std::vector<MachineId> same_ids(s.num_machines());
+    std::iota(same_ids.begin(), same_ids.end(), MachineId{0});
+    auto rebuilt = detail::replay_survivors(s, *schedule, invalid, departed, same_ids);
+    rebuilt->block_compute(1, depart, s.tau * 8 + 1);
+    rebuilt->ledger().forfeit(1);
+    std::vector<std::uint8_t> mask(s.num_tasks(), 0);
+    std::size_t lost = 0;
+    for (std::size_t t = 0; t < mask.size(); ++t) {
+      if (invalid[t] == 0 || !schedule->is_assigned(static_cast<TaskId>(t))) continue;
+      ++lost;
+      if (recovery == ChurnRecovery::Degrade) mask[t] = 1;
+    }
+    ASSERT_GT(lost, 0u) << "the departure cost no work";
+    if (recovery == ChurnRecovery::Degrade) params.secondary_only = &mask;
+    drive_checked_window(s, params, *rebuilt, process, s.tau + 1, tally);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(tally.builds, 0u);
+  EXPECT_GT(tally.degraded, 0u) << "no build ran under the degrade mask";
+  EXPECT_GT(tally.promoted, 0u) << "no pending task was promoted";
+}
+
+INSTANTIATE_TEST_SUITE_P(Variants, SlrhActivationIndexProperty,
+                         ::testing::Values(SlrhVariant::V1, SlrhVariant::V2,
+                                           SlrhVariant::V3),
+                         [](const auto& p) { return to_string(p.param).substr(5); });
+
+// A cross-machine transfer longer than H: the child's bound
+// max(A, clock + D) stays beyond clock + H at every clock, so the index
+// keeps it in its side list, evaluated at each build. Task 0 (10 s) feeds
+// task 1 through 200 Mbit on 8 Mbit/s links: 25 s, 250 cycles > H = 100.
+// Task 1 is too big for machine 0's battery, so only machine 1 can pool it.
+TEST(SlrhActivationIndex, TransferLongerThanHorizonStaysDeadInSideList) {
+  auto s = test::make_scenario(sim::GridConfig::make(2, 0), 2, {{0, 1, 200e6}},
+                               {{10.0, 1000.0}, {10.0, 10.0}}, 100000);
+  SlrhParams params = default_params(SlrhVariant::V1);
+  const ScenarioCache cache(s);
+  const ObjectiveTotals totals = objective_totals(s);
+  auto schedule = make_schedule(s);
+  commit_placement(s, *schedule,
+                   plan_placement(s, *schedule, 0, 0, VersionKind::Primary, 0));
+  const Cycles finish = schedule->assignment(0).finish;
+  ASSERT_EQ(finish, 100);
+
+  ReadyFrontier frontier(s, *schedule);
+  GatherRows rows(s.num_tasks(), s.num_machines());
+  CandidateBatch batch;
+  const ParentTerms& terms = rows.terms(cache, s, *schedule, 1, 1);
+  ASSERT_GT(terms.transfer_max, params.horizon);
+  const Cycles a = terms.arrival_base;
+  const Cycles d = terms.transfer_max;
+  EXPECT_EQ(a, finish + d);
+
+  // At clock 0 the bound is A; once clock + D passes A it tracks the clock.
+  for (const Cycles clock : {Cycles{0}, Cycles{100}, a - d + 50, Cycles{5000}}) {
+    SCOPED_TRACE("clock " + std::to_string(clock));
+    frontier.advance_to(clock);
+    const SlrhPool lean = build_slrh_pool_batched(s, cache, frontier, *schedule, params,
+                                                  totals, 1, clock, rows, batch,
+                                                  nullptr, nullptr, false);
+    EXPECT_EQ(lean.live, 0u);
+    EXPECT_FALSE(lean.empty()) << "an admitted dead slot keeps the pool non-empty";
+    EXPECT_EQ(lean.dead_min_arrival, std::max(a, clock + d));
+    const SlrhPool full = build_slrh_pool_batched(s, cache, frontier, *schedule, params,
+                                                  totals, 1, clock, rows, batch);
+    ASSERT_EQ(full.size(), 1u);
+    EXPECT_EQ(full.slots[0].task, 1);
+    EXPECT_EQ(full.slots[0].arrival_lb, std::max(a, clock + d));
   }
 }
 
