@@ -493,7 +493,9 @@ void write_inner_loop_report() {
   const auto wide = bench::make_scale_scenario(2048, 16, 20040426);
   const core::ScenarioCache wide_cache(wide);
   // Max-Max: the candidate table's end-to-end run. t100 and the assigned
-  // count are two-sided, so a schedule change trips the gate too.
+  // count are two-sided, so a schedule change trips the gate too; so is the
+  // table's exact work (entries priced, from one more run with a metrics
+  // sink), so re-pricing entries a commit cannot move trips it as well.
   {
     constexpr int kReps = 5;
     core::MaxMaxParams params;
@@ -510,8 +512,17 @@ void write_inner_loop_report() {
     report.metrics().gauge("bench.maxmax_run_seconds").set(run_seconds);
     report.metrics().counter("bench.maxmax_t100").add(result.t100);
     report.metrics().counter("bench.maxmax_assigned").add(result.assigned);
+    obs::MetricsRegistry metrics;
+    obs::ForwardSink sink(&metrics, nullptr);
+    params.sink = &sink;
+    core::run_maxmax(wide, params);
+    const obs::MetricsSnapshot snapshot = metrics.snapshot();
+    const auto* priced = snapshot.find_counter("maxmax.entries_priced");
+    const std::uint64_t entries_priced = priced != nullptr ? priced->value : 0;
+    report.metrics().counter("bench.maxmax_entries_priced").add(entries_priced);
     std::cout << "maxmax @2048x16: " << run_seconds << " s (t100 " << result.t100
-              << ", assigned " << result.assigned << ")\n";
+              << ", assigned " << result.assigned << ", entries priced "
+              << entries_priced << ")\n";
   }
   // SLRH-3: the pool build over the activation index. Pools built and
   // skipped are exact and two-sided: a pool-build change that moves a

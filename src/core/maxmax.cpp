@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -45,8 +46,9 @@ struct Triplet {
 /// The candidate table (DESIGN.md §4j): one row per frontier task, one entry
 /// per (machine, version). An entry's finish estimate depends only on the
 /// task's arrival lower bound (its committed parents: fixed once it joins the
-/// frontier) and its machine's compute timeline, so a commit stales exactly
-/// the committed machine's column. Its tec delta and admission energy need
+/// frontier) and its machine's compute timeline, so a commit can stale only
+/// entries of the committed machine's column, and of those only the ones whose
+/// slot the booking overlaps. Its tec delta and admission energy need
 /// depend only on where the parents landed and on the scenario: fixed for the
 /// row's lifetime. Energy headroom is NOT cached: a commit can raise it on
 /// other machines (add_comm settles a reservation at or below the held
@@ -57,10 +59,11 @@ struct Triplet {
 class CandidateTable {
  public:
   CandidateTable(const workload::Scenario& scenario, const ScenarioCache& cache,
-                 const std::vector<Cycles>& tail)
+                 const std::vector<Cycles>& tail, bool enforce_tau)
       : scenario_(scenario),
         cache_(cache),
         tail_(tail),
+        deadline_(enforce_tau ? scenario.tau : std::numeric_limits<Cycles>::max()),
         num_machines_(scenario.num_machines()),
         row_of_(scenario.num_tasks(), kNoRow),
         headroom_(scenario.num_machines()) {}
@@ -125,11 +128,31 @@ class CandidateTable {
     excluded_.resize(size);
   }
 
-  /// Re-price every row's finish estimates on `machine`, whose compute
-  /// timeline just gained a booking.
-  void refresh(const sim::Schedule& schedule, MachineId machine) {
-    for (std::size_t row = 0; row < tasks_.size(); ++row) price(schedule, row, machine);
+  /// Re-price the finish estimates on `machine` that its new booking
+  /// [start, end) stales. A booking only removes free time, so an entry whose
+  /// slot [finish - exec, finish) misses it keeps its earliest fit. An entry
+  /// whose slot it overlaps has no free start left in [old fit, end), so its
+  /// fit from arrival_lb is the fit from `end`. A zero-length slot fits
+  /// anywhere and never goes stale.
+  void refresh(const sim::Schedule& schedule, MachineId machine, Cycles start,
+               Cycles end) {
+    const sim::Timeline& timeline = schedule.compute_timeline(machine);
+    for (std::size_t row = 0; row < tasks_.size(); ++row) {
+      for (const VersionKind version : {VersionKind::Primary, VersionKind::Secondary}) {
+        const std::size_t e = entry(row, machine, version);
+        if (need_[e] == kBarred) continue;
+        const Cycles exec = cache_.exec_cycles(tasks_[row], machine, version);
+        Cycles& finish = finish_[e];
+        if (exec == 0 || finish <= start || finish - exec >= end) continue;
+        finish = timeline.earliest_fit(end, exec) + exec;
+        bar_late(row, e);
+        ++entries_priced_;
+      }
+    }
   }
+
+  /// Entries priced so far: every entry a row adds plus every re-price.
+  std::uint64_t entries_priced() const noexcept { return entries_priced_; }
 
   /// The best admissible entry under Triplet::better_than, or an invalid
   /// triplet when none is left. The schedule's totals and every machine's
@@ -137,7 +160,9 @@ class CandidateTable {
   /// objective_value's expression tree on the state score_candidate_with_finish
   /// would build for it; the per-call constant subtrees (alpha times either
   /// t100 term, sign times gamma) are hoisted whole, as in score_batch, so
-  /// every score is the same double.
+  /// every score is the same double. So is the AET term of every entry that
+  /// finishes by the schedule's AET: max(aet, finish) is aet there, and the
+  /// hoisted term is the same expression on the same value.
   Triplet select(const sim::Schedule& schedule, const MaxMaxParams& params,
                  const ObjectiveTotals& totals) {
     const std::size_t t100 = schedule.t100();
@@ -157,10 +182,10 @@ class CandidateTable {
     const double tau = static_cast<double>(totals.tau);
     const double sign_gamma =
         static_cast<double>(static_cast<int>(params.aet_sign)) * params.weights.gamma;
+    const double aet_term = sign_gamma * (static_cast<double>(aet) / tau);
     Triplet best;
     for (std::size_t row = 0; row < tasks_.size(); ++row) {
       const TaskId task = tasks_[row];
-      const Cycles tail = tail_[static_cast<std::size_t>(task)];
       for (MachineId machine = 0; machine < static_cast<MachineId>(num_machines_);
            ++machine) {
         const double headroom = headroom_[static_cast<std::size_t>(machine)];
@@ -169,11 +194,14 @@ class CandidateTable {
           const std::size_t e = entry(row, machine, version);
           if (excluded_[e] != 0 || !(need_[e] <= headroom)) continue;
           const Cycles finish_est = finish_[e];
-          if (params.enforce_tau && finish_est + tail > scenario_.tau) continue;
           const double score =
               (version == VersionKind::Primary ? alpha_t100_p : alpha_t100_s) -
               beta * ((tec + tec_delta_[e]) / tse) +
-              sign_gamma * (static_cast<double>(std::max(aet, finish_est)) / tau);
+              (finish_est <= aet
+                   ? aet_term
+                   : sign_gamma * (static_cast<double>(finish_est) / tau));
+          // A lower score never wins: skip the tie-break.
+          if (score < best.score && best.valid()) continue;
           const Triplet triplet{task, machine, version, score, finish_est};
           if (triplet.better_than(best)) best = triplet;
         }
@@ -197,6 +225,7 @@ class CandidateTable {
 
  private:
   static constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
+  static constexpr double kBarred = std::numeric_limits<double>::infinity();
 
   std::size_t entry(std::size_t row, MachineId machine, VersionKind version) const {
     return (row * num_machines_ + static_cast<std::size_t>(machine)) * 2 +
@@ -212,14 +241,25 @@ class CandidateTable {
     const sim::Timeline& timeline = schedule.compute_timeline(machine);
     for (const VersionKind version : {VersionKind::Primary, VersionKind::Secondary}) {
       const Cycles exec = cache_.exec_cycles(task, machine, version);
-      finish_[entry(row, machine, version)] =
-          timeline.earliest_fit(arrival_lb_[row], exec) + exec;
+      const std::size_t e = entry(row, machine, version);
+      finish_[e] = timeline.earliest_fit(arrival_lb_[row], exec) + exec;
+      bar_late(row, e);
+    }
+    entries_priced_ += 2;
+  }
+
+  /// An entry past the deadline test stays past it: its finish only grows
+  /// and its tail is fixed. Bar it from admission for good.
+  void bar_late(std::size_t row, std::size_t e) {
+    if (finish_[e] + tail_[static_cast<std::size_t>(tasks_[row])] > deadline_) {
+      need_[e] = kBarred;
     }
   }
 
   const workload::Scenario& scenario_;
   const ScenarioCache& cache_;
   const std::vector<Cycles>& tail_;
+  Cycles deadline_;
   std::size_t num_machines_;
   std::vector<std::size_t> row_of_;  ///< task -> row, kNoRow off the frontier
   std::vector<double> headroom_;     ///< per machine, re-read every select
@@ -228,11 +268,12 @@ class CandidateTable {
   std::vector<TaskId> tasks_;
   std::vector<Cycles> arrival_lb_;  ///< max(release, parents' finish)
   // Entries, |M| x 2 per row (machine-major, primary first).
-  std::vector<Cycles> finish_;         ///< stale when its machine commits
+  std::vector<Cycles> finish_;         ///< stale when a booking overlaps its slot
   std::vector<double> tec_delta_;      ///< exec + incoming-transfer energy
-  std::vector<double> need_;           ///< admission energy need
+  std::vector<double> need_;           ///< admission energy need; kBarred: late
   std::vector<std::uint8_t> excluded_;  ///< exact plan overshot tau this round
   std::vector<std::size_t> excluded_entries_;
+  std::uint64_t entries_priced_ = 0;
 };
 
 }  // namespace
@@ -292,11 +333,12 @@ MappingResult run_maxmax(const workload::Scenario& scenario, const MaxMaxParams&
   }
 
   // The table catches up at the start of each selection (so its upkeep is
-  // timed as selection): re-price the last commit's machine, then add the
-  // tasks that joined the frontier.
-  CandidateTable table(scenario, cache, tail);
+  // timed as selection): re-price what the last commit's booking overlaps,
+  // then add the tasks that joined the frontier.
+  CandidateTable table(scenario, cache, tail, params.enforce_tau);
   std::vector<TaskId> joined = frontier;
   MachineId committed = kInvalidMachine;
+  sim::Interval booked;  // the last commit's compute interval on `committed`
 
   while (!schedule->complete()) {
     ++result.iterations;
@@ -306,7 +348,9 @@ MappingResult run_maxmax(const workload::Scenario& scenario, const MaxMaxParams&
     Triplet best;
     PlacementPlan best_plan;
     taps.on_pool(frontier, round, [&] {
-      if (committed != kInvalidMachine) table.refresh(*schedule, committed);
+      if (committed != kInvalidMachine) {
+        table.refresh(*schedule, committed, booked.start, booked.end);
+      }
       for (const TaskId task : joined) table.add(*schedule, task);
       joined.clear();
       for (;;) {
@@ -338,6 +382,7 @@ MappingResult run_maxmax(const workload::Scenario& scenario, const MaxMaxParams&
     table.clear_exclusions();
     table.remove(best.task);
     committed = best.machine;
+    booked = {best_plan.start, best_plan.finish()};
 
     // Update the frontier; children it gains are appended from first_ready.
     frontier.erase(std::find(frontier.begin(), frontier.end(), best.task));
@@ -353,7 +398,7 @@ MappingResult run_maxmax(const workload::Scenario& scenario, const MaxMaxParams&
   }
 
   finalize_result(result, std::move(schedule), scenario.tau, timer.seconds());
-  taps.on_run_end(result);
+  taps.on_run_end(result, table.entries_priced());
   return result;
 }
 

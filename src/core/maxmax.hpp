@@ -19,9 +19,11 @@
 // A round does not rescan the frontier. A candidate table (DESIGN.md §4j)
 // holds each frontier task's finish estimate, tec delta and admission energy
 // need per (machine, version), filled once when the task joins the frontier;
-// a commit re-prices only the committed machine's finish estimates. Energy
-// admission is re-read every round. The schedules are the rescan's, bit for
-// bit (scan_maxmax_oracle in tests/oracles.hpp; test_maxmax.cpp).
+// a commit re-prices only the committed machine's finish estimates whose slot
+// its booking overlaps, and an entry that fails the deadline test is barred
+// for good. Energy admission is re-read every round. The schedules are the
+// rescan's, bit for bit (scan_maxmax_oracle in tests/oracles.hpp;
+// test_maxmax.cpp).
 
 #include "core/objective.hpp"
 #include "core/result.hpp"

@@ -173,7 +173,7 @@ std::span<const TaskId> GatherRows::activate(const ScenarioCache& cache,
   const Cycles limit = clock + horizon;
 
   // Committed tasks leave lazily: the live and side lists shed them here,
-  // pending ones when they come up for promotion (or in dead()).
+  // pending ones when they reach the back of the list (or in dead()).
   const auto committed = [this](TaskId task) { return dropped(task); };
   std::erase_if(index.live, committed);
   std::erase_if(index.beyond, committed);
@@ -219,11 +219,17 @@ std::span<const TaskId> GatherRows::activate(const ScenarioCache& cache,
     }
   }
 
-  // With D <= H the bound is within clock + H exactly when A is.
-  while (!index.pending.empty() && index.pending.back().arrival_base <= limit) {
-    const TaskId task = index.pending.back().task;
+  // With D <= H the bound is within clock + H exactly when A is. Dropped
+  // tasks at the back go too, so dead_min_arrival does not rescan them.
+  while (!index.pending.empty()) {
+    const Pending& next = index.pending.back();
+    if (dropped(next.task)) {
+      index.pending.pop_back();
+      continue;
+    }
+    if (next.arrival_base > limit) break;
+    index.live.push_back(next.task);
     index.pending.pop_back();
-    if (!dropped(task)) index.live.push_back(task);
   }
   return index.live;
 }

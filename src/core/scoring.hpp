@@ -193,7 +193,8 @@ class GatherRows {
   /// once their secondary need fits `headroom` (the machine's available
   /// energy + kEnergyFitEps); until then they wait unfilled and are tested
   /// again at each call. Pending tasks whose A <= clock + horizon are
-  /// promoted; dropped live and side tasks are shed. Per machine the clock
+  /// promoted; dropped live and side tasks, and dropped pending tasks up to
+  /// the first one still dead, are shed. Per machine the clock
   /// must not go backwards, and the horizon is fixed for the table's
   /// lifetime. The span is valid until the next call for this machine.
   std::span<const TaskId> activate(const ScenarioCache& cache,

@@ -53,6 +53,7 @@ Taps::Taps(const workload::Scenario& scenario, Driver driver, std::string heuris
     pool_build_ = obs::phase_histogram(metrics, "maxmax.select_seconds");
     pools_ = &metrics->counter("maxmax.rounds");
     maps_ = &metrics->counter("maxmax.map_decisions");
+    entries_priced_ = &metrics->counter("maxmax.entries_priced");
     return;
   }
   pool_build_ = obs::phase_histogram(metrics, "slrh.pool_build_seconds");

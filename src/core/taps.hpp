@@ -56,6 +56,12 @@ class Taps {
   }
   void on_run_begin(ChurnRecovery recovery) { if (active_) run_begin({}, &recovery); }
   void on_run_end(const MappingResult& result) { if (active_) run_end(&result, nullptr); }
+  /// Max-Max also reports its candidate table's work: entries priced.
+  void on_run_end(const MappingResult& result, std::uint64_t entries_priced) {
+    if (!active_) return;
+    if (entries_priced_ != nullptr) entries_priced_->add(entries_priced);
+    run_end(&result, nullptr);
+  }
   void on_run_end(const ChurnRunOutcome& outcome) {
     if (active_) run_end(nullptr, &outcome);
   }
@@ -287,6 +293,7 @@ class Taps {
   obs::Counter* timesteps_ = nullptr;
   obs::Counter* reuse_hits_ = nullptr;
   obs::Counter* reuse_misses_ = nullptr;
+  obs::Counter* entries_priced_ = nullptr;  ///< Max-Max only
 
   // Per-tick accumulators (recorder only; FlightRecorder::Options explains
   // the strides). step_t0_ is set by the tick's first timed pool build, so an

@@ -263,19 +263,19 @@ const std::map<std::string, std::uint64_t> kGoldenObservations = {
     {"SLRH-1/A48", 0x32913ac86f98a1d9ull},
     {"SLRH-2/A48", 0x84b438354b94c345ull},
     {"SLRH-3/A48", 0x85716395d493bc82ull},
-    {"Max-Max/A48", 0xaed6f2b7f966781aull},
+    {"Max-Max/A48", 0x8e780228465a5265ull},
     {"SLRH-1/B48", 0xba03140e2fdd47e3ull},
     {"SLRH-2/B48", 0x147dd3c07198321bull},
     {"SLRH-3/B48", 0xf2ea9f3f32468d03ull},
-    {"Max-Max/B48", 0xc1455914875c3422ull},
+    {"Max-Max/B48", 0x03306d0c88768b19ull},
     {"SLRH-1/C48", 0x746a08004c4a78d8ull},
     {"SLRH-2/C48", 0x59bb48bd77b6e40dull},
     {"SLRH-3/C48", 0xe4caf079adb88162ull},
-    {"Max-Max/C48", 0xbcd57ed7ab310927ull},
+    {"Max-Max/C48", 0xfddfb6c17ec99960ull},
     {"SLRH-1/A64-released", 0x316cf41dfa2ccf78ull},
     {"SLRH-2/A64-released", 0xf6c2e37731c73156ull},
     {"SLRH-3/A64-released", 0x6e4623b1e9fa0dbeull},
-    {"Max-Max/A64-released", 0xfa7ccf33a078f0dbull},
+    {"Max-Max/A64-released", 0x21fbb28753abc103ull},
     {"SLRH-1/churn-remap", 0x7ae7cfdd0d9f2905ull},
     {"SLRH-1/churn-degrade", 0x25e5612a84a58ba8ull},
     {"SLRH-3/churn-remap", 0xdf91596c6fa881c9ull},

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/scenario_cache.hpp"
 #include "core/validate.hpp"
+#include "support/event_log.hpp"
+#include "support/metrics.hpp"
+#include "workload/dynamics.hpp"
 #include "tests/oracles.hpp"
 #include "tests/scenario_fixtures.hpp"
 
@@ -143,55 +148,109 @@ TEST(MaxMax, DegradedCasesStillValid) {
   }
 }
 
+/// Commits that start before their machine's latest finish at commit time:
+/// Max-Max backfilled an interior hole.
+std::size_t count_backfills(const workload::Scenario& scenario,
+                            const sim::Schedule& schedule) {
+  std::vector<Cycles> latest(scenario.num_machines(), 0);
+  std::size_t backfills = 0;
+  for (const TaskId task : schedule.assignment_order()) {
+    const auto& a = schedule.assignment(task);
+    Cycles& machine_latest = latest[static_cast<std::size_t>(a.machine)];
+    if (a.start < machine_latest) ++backfills;
+    machine_latest = std::max(machine_latest, a.finish);
+  }
+  return backfills;
+}
+
 // The candidate table against the full per-round rescan: identical
 // placements in identical order and identical round counts, over the paper's
 // grid cases, with and without channel outages (transfers wait on blocked
 // channels, which the cheap estimate ignores), with and without the deadline
 // test, under both AET signs, and with every cache arrangement (run-local,
 // shared eager, shared lazy). The exclusion path must run in at least one
-// case.
+// case. A dynamic-arrival shape makes Max-Max book late-released tasks
+// first and backfill the holes they leave, so a commit's booking lands
+// inside other entries' slots (re-priced from its end) as well as clear of
+// them (kept): under both signs it must backfill and re-price.
 TEST(MaxMaxIncrementalProperty, MatchesRescanOracle) {
-  std::size_t exclusions = 0;
+  struct Shape {
+    std::string name;
+    workload::Scenario scenario;
+    bool backfills;  ///< must backfill and re-price under both signs
+  };
+  std::vector<Shape> shapes;
   for (const auto grid_case : {sim::GridCase::A, sim::GridCase::B, sim::GridCase::C}) {
     for (const int outages : {0, 2}) {
       auto s = test::small_suite_scenario(grid_case, 256);
       if (outages > 0) {
         s.link_outages = {{0, s.tau / 20, s.tau / 4}, {1, 0, s.tau / 6}};
       }
-      const ScenarioCache shared(s);
-      for (const bool enforce_tau : {true, false}) {
-        for (const AetSign sign : {AetSign::Reward, AetSign::Penalize}) {
-          MaxMaxParams params;
-          params.weights = Weights::make(0.6, 0.3);
-          params.enforce_tau = enforce_tau;
-          params.aet_sign = sign;
-          const auto oracle = test::scan_maxmax_oracle(s, params);
-          exclusions += oracle.exclusions;
-          const auto& want = *oracle.schedule;
-          for (const int cache_mode : {0, 1, 2}) {
-            SCOPED_TRACE(to_string(grid_case) + " outages " +
-                         std::to_string(outages) + " tau " +
-                         std::to_string(enforce_tau) + " sign " +
-                         std::to_string(static_cast<int>(sign)) + " cache " +
-                         std::to_string(cache_mode));
-            std::optional<ScenarioCache> lazy;
-            if (cache_mode == 1) params.cache = &shared;
-            if (cache_mode == 2) params.cache = &lazy.emplace(s, CacheBuild::Lazy);
-            const auto result = run_maxmax(s, params);
-            params.cache = nullptr;
-            EXPECT_EQ(result.iterations, oracle.iterations);
-            const auto& got = *result.schedule;
-            ASSERT_EQ(got.assignment_order().size(), want.assignment_order().size());
-            for (std::size_t i = 0; i < want.assignment_order().size(); ++i) {
-              const TaskId task = want.assignment_order()[i];
-              ASSERT_EQ(got.assignment_order()[i], task) << "commit " << i;
-              const auto& a = got.assignment(task);
-              const auto& b = want.assignment(task);
-              EXPECT_EQ(a.machine, b.machine) << "task " << task;
-              EXPECT_EQ(a.version, b.version) << "task " << task;
-              EXPECT_EQ(a.start, b.start) << "task " << task;
-              EXPECT_EQ(a.finish, b.finish) << "task " << task;
+      shapes.push_back({to_string(grid_case) + " outages " + std::to_string(outages),
+                        std::move(s), false});
+    }
+  }
+  {
+    auto s = test::small_suite_scenario(sim::GridCase::A, 256);
+    s.releases = workload::generate_release_times(workload::ReleaseParams{0.5}, s.dag,
+                                                  s.tau, 7);
+    shapes.push_back({"A released", std::move(s), true});
+  }
+  std::size_t exclusions = 0;
+  for (const Shape& shape : shapes) {
+    const workload::Scenario& s = shape.scenario;
+    const ScenarioCache shared(s);
+    for (const bool enforce_tau : {true, false}) {
+      for (const AetSign sign : {AetSign::Reward, AetSign::Penalize}) {
+        MaxMaxParams params;
+        params.weights = Weights::make(0.6, 0.3);
+        params.enforce_tau = enforce_tau;
+        params.aet_sign = sign;
+        const auto oracle = test::scan_maxmax_oracle(s, params);
+        exclusions += oracle.exclusions;
+        const auto& want = *oracle.schedule;
+        for (const int cache_mode : {0, 1, 2}) {
+          SCOPED_TRACE(shape.name + " tau " + std::to_string(enforce_tau) +
+                       " sign " + std::to_string(static_cast<int>(sign)) +
+                       " cache " + std::to_string(cache_mode));
+          std::optional<ScenarioCache> lazy;
+          if (cache_mode == 1) params.cache = &shared;
+          if (cache_mode == 2) params.cache = &lazy.emplace(s, CacheBuild::Lazy);
+          obs::MetricsRegistry metrics;
+          obs::ForwardSink sink(&metrics, nullptr);
+          params.sink = &sink;
+          const auto result = run_maxmax(s, params);
+          params.cache = nullptr;
+          params.sink = nullptr;
+          EXPECT_EQ(result.iterations, oracle.iterations);
+          const auto& got = *result.schedule;
+          ASSERT_EQ(got.assignment_order().size(), want.assignment_order().size());
+          for (std::size_t i = 0; i < want.assignment_order().size(); ++i) {
+            const TaskId task = want.assignment_order()[i];
+            ASSERT_EQ(got.assignment_order()[i], task) << "commit " << i;
+            const auto& a = got.assignment(task);
+            const auto& b = want.assignment(task);
+            EXPECT_EQ(a.machine, b.machine) << "task " << task;
+            EXPECT_EQ(a.version, b.version) << "task " << task;
+            EXPECT_EQ(a.start, b.start) << "task " << task;
+            EXPECT_EQ(a.finish, b.finish) << "task " << task;
+          }
+          if (shape.backfills) {
+            EXPECT_GT(count_backfills(s, got), 0u);
+            // Every task whose parents all mapped joined the frontier and
+            // had its row priced once; anything beyond that is a re-price of
+            // an overlapped entry.
+            std::size_t joined = 0;
+            for (TaskId t = 0; t < static_cast<TaskId>(s.num_tasks()); ++t) {
+              const auto parents = s.dag.parents(t);
+              joined += std::all_of(parents.begin(), parents.end(), [&](TaskId p) {
+                return got.is_assigned(p);
+              });
             }
+            const obs::MetricsSnapshot snapshot = metrics.snapshot();
+            const auto* priced = snapshot.find_counter("maxmax.entries_priced");
+            ASSERT_NE(priced, nullptr);
+            EXPECT_GT(priced->value, 2 * s.num_machines() * joined);
           }
         }
       }

@@ -345,6 +345,62 @@ TEST_P(TimelineChurnProperty, PairFitMatchesBruteForcePairScan) {
   }
 }
 
+// The Max-Max candidate table's re-price rule (DESIGN.md §4j): after
+// insert(s, d), a query whose old fit slot [fit, fit + dur) misses [s, s + d)
+// keeps its fit, and any other query fits exactly where a query from s + d
+// does. A zero-length slot misses every insert. Checked for every query
+// against the timeline before and after each insert, under churn.
+TEST_P(TimelineChurnProperty, InsertMovesOnlyTheFitsItOverlaps) {
+  Rng rng(GetParam() ^ 0x0f17u);
+  Timeline tl;
+  std::vector<Interval> live;
+  const Cycles span = 3000;
+  struct Query {
+    Cycles not_before;
+    Cycles dur;
+    Cycles fit;
+  };
+  std::vector<Query> queries(32);
+  std::size_t kept = 0;
+  std::size_t moved = 0;
+  for (int step = 0; step < 800; ++step) {
+    if (!live.empty() && rng.uniform_int(0, 9) < 3) {
+      const auto pick = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<Cycles>(live.size()) - 1));
+      tl.erase(live[pick].start, live[pick].duration());
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+      continue;
+    }
+    const Cycles s = rng.uniform_int(0, span);
+    const Cycles d = rng.uniform_int(1, 12);
+    if (!tl.is_free(s, d)) continue;
+    for (Query& q : queries) {
+      q.not_before = rng.uniform_int(0, span + 100);
+      q.dur = rng.uniform_int(0, 7) == 0 ? 0 : rng.uniform_int(1, 30);
+      q.fit = tl.earliest_fit(q.not_before, q.dur);
+    }
+    tl.insert(s, d);
+    live.push_back({s, s + d});
+    for (const Query& q : queries) {
+      const Cycles fit = tl.earliest_fit(q.not_before, q.dur);
+      const bool overlaps = q.dur > 0 && q.fit < s + d && s < q.fit + q.dur;
+      if (overlaps) {
+        ++moved;
+        ASSERT_EQ(fit, tl.earliest_fit(s + d, q.dur))
+            << "step " << step << " insert [" << s << ", " << s + d << ") query ("
+            << q.not_before << ", " << q.dur << ") old fit " << q.fit;
+      } else {
+        ++kept;
+        ASSERT_EQ(fit, q.fit) << "step " << step << " insert [" << s << ", " << s + d
+                              << ") query (" << q.not_before << ", " << q.dur << ")";
+      }
+    }
+  }
+  // Both branches of the rule ran.
+  EXPECT_GT(kept, 0u);
+  EXPECT_GT(moved, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, TimelineChurnProperty,
                          ::testing::Values(1u, 7u, 42u, 99u, 12345u));
 
