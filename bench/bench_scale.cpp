@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <iostream>
-#include <optional>
 #include <string>
 
 #include "bench/bench_common.hpp"
@@ -125,14 +124,17 @@ int main(int argc, char** argv) {
   const auto scenario = report.timed_section("scenario_build", [&] {
     return bench::make_scale_scenario(shape.num_tasks, shape.num_machines, 20040426);
   });
-  // ScenarioCache pins atomics for the lazy-build path, so it is neither
-  // movable nor copyable: construct it in place inside the timed section.
   session.set_phase("cache_build");
-  std::optional<core::ScenarioCache> cache;
-  report.timed_section("cache_build", [&] { cache.emplace(scenario); });
+  const auto cache = report.timed_section(
+      "cache_build", [&] { return core::ScenarioCache(scenario); });
   report.metrics()
       .gauge("bench.cache_columns_built")
-      .set(static_cast<double>(cache->columns_built()));
+      .set(static_cast<double>(cache.columns_built()));
+  // Exact for a shape (24 B per pair plus per-task and per-machine terms),
+  // so the gate catches any table the cache grows back.
+  report.metrics()
+      .gauge("memory.scenario_cache_bytes")
+      .set(static_cast<double>(cache.memory_bound_bytes()));
 
   // Phase sink: routes the driver's slrh.*_seconds histograms (pool build,
   // scoring, placement) and the pool_reuse counters into the dump, so
@@ -143,7 +145,7 @@ int main(int argc, char** argv) {
     core::SlrhParams params;
     params.variant = variant;
     params.weights = core::Weights::make(0.6, 0.3);
-    params.cache = &*cache;
+    params.cache = &cache;
     params.sink = &phase_sink;
     params.heartbeat = session.heartbeat();
     const std::string name = core::to_string(variant);

@@ -140,10 +140,12 @@ class CandidateTable {
     for (std::size_t row = 0; row < tasks_.size(); ++row) {
       for (const VersionKind version : {VersionKind::Primary, VersionKind::Secondary}) {
         const std::size_t e = entry(row, machine, version);
-        if (need_[e] == kBarred) continue;
-        const Cycles exec = cache_.exec_cycles(tasks_[row], machine, version);
         Cycles& finish = finish_[e];
-        if (exec == 0 || finish <= start || finish - exec >= end) continue;
+        if (need_[e] == kBarred || finish <= start) continue;
+        // Derived from the ETC on every read: only for entries that can
+        // overlap the booking.
+        const Cycles exec = cache_.exec_cycles(tasks_[row], machine, version);
+        if (exec == 0 || finish - exec >= end) continue;
         finish = timeline.earliest_fit(end, exec) + exec;
         bar_late(row, e);
         ++entries_priced_;

@@ -3,122 +3,85 @@
 #include <algorithm>
 #include <limits>
 
-#include "core/feasibility.hpp"
+#include "sim/comm.hpp"
 #include "support/checked.hpp"
 #include "support/runtime_profiler.hpp"
 #include "support/thread_pool.hpp"
 
 namespace ahg::core {
 
-ScenarioCache::ScenarioCache(const workload::Scenario& scenario, CacheBuild mode)
-    : num_tasks_(scenario.num_tasks()), num_machines_(scenario.num_machines()) {
+ScenarioCache::ScenarioCache(const workload::Scenario& scenario)
+    : num_tasks_(scenario.num_tasks()),
+      num_machines_(scenario.num_machines()),
+      versions_(scenario.versions) {
   const std::size_t cells =
-      checked_mul(num_tasks_, num_machines_, 2, "ScenarioCache tables");
-  exec_cycles_.resize(cells);
-  exec_energy_.resize(cells);
-  energy_need_.resize(cells);
-  min_exec_cycles_.assign(checked_mul(num_tasks_, 2, "min_exec_cycles table"),
-                          std::numeric_limits<Cycles>::max());
-  primary_compute_energy_.resize(
-      checked_mul(num_tasks_, num_machines_, "primary_compute_energy table"));
-
-  const auto num_machines = static_cast<MachineId>(num_machines_);
-
-  if (mode == CacheBuild::Lazy) {
-    scenario_ = &scenario;
-    column_once_ = std::make_unique<std::once_flag[]>(num_machines_);
-    column_ready_ = std::make_unique<std::atomic<bool>[]>(num_machines_);
-    for (std::size_t m = 0; m < num_machines_; ++m) {
-      column_ready_[m].store(false, std::memory_order_relaxed);
-    }
-  } else if (mode == CacheBuild::Parallel) {
-    // Entries are independent per (task, machine, version) and a machine's
-    // column is one contiguous range, so columns fan out with no ordering
-    // concerns — bit-identical tables to the serial build. The region marker
-    // labels the fan-out in a worker trace when a profiler is attached.
-    obs::RuntimeRegion region(global_pool().profiler(), "cache_build");
-    global_pool().parallel_for(0, num_machines_, [&](std::size_t machine) {
-      fill_column(scenario, static_cast<MachineId>(machine));
-    });
-    columns_built_.store(num_machines_, std::memory_order_relaxed);
-  } else {
-    // Serial diff baseline: machine-outer to match the machine-major table
-    // layout (sequential writes).
-    for (MachineId machine = 0; machine < num_machines; ++machine) {
-      fill_column(scenario, machine);
-    }
-    columns_built_.store(num_machines_, std::memory_order_relaxed);
+      checked_mul(num_tasks_, num_machines_, "ScenarioCache ETC table");
+  etc_seconds_.resize(cells);
+  energy_need_.resize(checked_mul(cells, 2, "ScenarioCache energy_need table"));
+  min_exec_cycles_.resize(checked_mul(num_tasks_, 2, "min_exec_cycles table"));
+  compute_power_.reserve(num_machines_);
+  for (const auto& spec : scenario.grid.machines()) {
+    compute_power_.push_back(spec.compute_power);
   }
 
-  // The global per-task tables stay eager in every mode: they cost ETC
-  // lookups only (no per-entry child walk), and Max-Max / the upper bound
-  // read them for every task regardless of which machines get probed. The
-  // minimum accumulates over machines in ascending order in every mode —
-  // and min over integers is order-independent anyway — so the values are
-  // bit-identical across modes.
-  const bool parallel = mode == CacheBuild::Parallel;
-  const auto per_task_tables = [&](std::size_t t) {
+  // The machine-independent half of worst_case_outgoing_energy: the hold
+  // cycles of each data-carrying child edge, per (task, version) in child
+  // order. Every sender is in the grid, so each hold runs at the grid's
+  // minimum bandwidth whichever machine sends.
+  std::vector<std::size_t> hold_begin(checked_mul(num_tasks_, 2, "hold index") + 1);
+  std::vector<Cycles> holds;
+  for (std::size_t t = 0; t < num_tasks_; ++t) {
     const auto task = static_cast<TaskId>(t);
-    for (MachineId machine = 0; machine < num_machines; ++machine) {
-      for (const VersionKind version :
-           {VersionKind::Primary, VersionKind::Secondary}) {
-        const std::size_t m = static_cast<std::size_t>(task) * 2 +
-                              (version == VersionKind::Primary ? 0 : 1);
-        // The exact expression (and operation order) of the uncached path so
-        // lookups are bit-identical to recomputation.
-        min_exec_cycles_[m] = std::min(
-            min_exec_cycles_[m], scenario.exec_cycles(task, machine, version));
+    for (const VersionKind version : {VersionKind::Primary, VersionKind::Secondary}) {
+      hold_begin[t * 2 + version_slot(version)] = holds.size();
+      for (const TaskId child : scenario.dag.children(task)) {
+        const double bits = scenario.edge_bits(task, child, version);
+        if (bits <= 0.0) continue;
+        holds.push_back(sim::worst_case_transfer_cycles(bits, scenario.grid));
       }
-      // This table keeps the task-major layout its consumer (the upper
-      // bound's per-task greedy sweep over machines) reads sequentially.
-      primary_compute_energy_[static_cast<std::size_t>(task) * num_machines_ +
-                              static_cast<std::size_t>(machine)] =
-          scenario.grid.machine(machine).compute_power *
-          scenario.etc.seconds(task, machine);
-    }
-  };
-  if (parallel) {
-    obs::RuntimeRegion region(global_pool().profiler(), "cache_build");
-    global_pool().parallel_for(0, num_tasks_, per_task_tables);
-  } else {
-    for (std::size_t t = 0; t < num_tasks_; ++t) per_task_tables(t);
-  }
-}
-
-void ScenarioCache::fill_column(const workload::Scenario& scenario,
-                                MachineId machine) const {
-  const auto num_tasks = static_cast<TaskId>(num_tasks_);
-  for (TaskId task = 0; task < num_tasks; ++task) {
-    for (const VersionKind version :
-         {VersionKind::Primary, VersionKind::Secondary}) {
-      const std::size_t i = index(task, machine, version);
-      // Each entry uses the exact expression (and operation order) of the
-      // uncached path so lookups are bit-identical to recomputation.
-      exec_cycles_[i] = scenario.exec_cycles(task, machine, version);
-      exec_energy_[i] = core::exec_energy(scenario, task, machine, version);
-      energy_need_[i] =
-          exec_energy_[i] +
-          worst_case_outgoing_energy(scenario, task, machine, version);
     }
   }
-}
+  hold_begin.back() = holds.size();
 
-void ScenarioCache::build_column(MachineId machine) const {
-  std::call_once(column_once_[static_cast<std::size_t>(machine)], [&] {
-    // Lazy first-touch fills happen on whatever thread probes the column —
-    // often inside an already-marked fan-out region (matrix_cells), whose
-    // label then covers the fill. Only an unmarked touch (a serial driver's
-    // first probe) opens its own region so the trace still attributes it.
-    obs::RuntimeProfiler* prof = global_pool().profiler();
-    std::uint32_t token = 0;
-    if (prof != nullptr && prof->current_region() == 0) {
-      token = prof->region_begin("cache_lazy_column");
+  // Machine columns are disjoint contiguous ranges, so they fan out with no
+  // ordering concerns. Each entry sums the machine's transfer energy over
+  // the holds from 0.0 in child order and adds the execution energy: the
+  // operation order of exec_energy + worst_case_outgoing_energy, hence the
+  // same doubles. The region marker labels the fan-out in a worker trace
+  // when a profiler is attached.
+  obs::RuntimeRegion region(global_pool().profiler(), "cache_build");
+  global_pool().parallel_for(0, num_machines_, [&](std::size_t m) {
+    const auto machine = static_cast<MachineId>(m);
+    const sim::MachineSpec& spec = scenario.grid.machine(machine);
+    for (std::size_t t = 0; t < num_tasks_; ++t) {
+      const auto task = static_cast<TaskId>(t);
+      etc_seconds_[cell(task, machine)] = scenario.etc.seconds(task, machine);
+      for (const VersionKind version : {VersionKind::Primary, VersionKind::Secondary}) {
+        const std::size_t h = t * 2 + version_slot(version);
+        double comm = 0.0;
+        for (std::size_t i = hold_begin[h]; i < hold_begin[h + 1]; ++i) {
+          comm += sim::transfer_energy(spec, holds[i]);
+        }
+        energy_need_[cell(task, machine) * 2 + version_slot(version)] =
+            exec_energy(task, machine, version) + comm;
+      }
     }
-    fill_column(*scenario_, machine);
-    columns_built_.fetch_add(1, std::memory_order_relaxed);
-    column_ready_[static_cast<std::size_t>(machine)].store(
-        true, std::memory_order_release);
-    if (token != 0) prof->region_end(token);
+  });
+
+  // exec_cycles is non-decreasing in the ETC seconds (a product with a
+  // positive factor, then a ceil), so the minimum over machines is the
+  // cycles of the task's smallest ETC entry — one conversion per version.
+  global_pool().parallel_for(0, num_tasks_, [&](std::size_t t) {
+    const auto task = static_cast<TaskId>(t);
+    double min_seconds = std::numeric_limits<double>::infinity();
+    for (std::size_t m = 0; m < num_machines_; ++m) {
+      min_seconds = std::min(min_seconds,
+                             scenario.etc.seconds(task, static_cast<MachineId>(m)));
+    }
+    for (const VersionKind version : {VersionKind::Primary, VersionKind::Secondary}) {
+      min_exec_cycles_[t * 2 + version_slot(version)] =
+          versions_.exec_cycles(min_seconds, version);
+    }
   });
 }
 

@@ -1,5 +1,7 @@
 #include "sim/grid.hpp"
 
+#include <algorithm>
+
 #include "support/contract.hpp"
 
 namespace ahg::sim {
@@ -15,6 +17,10 @@ std::string to_string(GridCase grid_case) {
 
 GridConfig::GridConfig(std::vector<MachineSpec> machines) : machines_(std::move(machines)) {
   AHG_EXPECTS_MSG(!machines_.empty(), "grid needs at least one machine");
+  min_bandwidth_bps_ = machines_.front().bandwidth_bps;
+  for (const auto& m : machines_) {
+    min_bandwidth_bps_ = std::min(min_bandwidth_bps_, m.bandwidth_bps);
+  }
 }
 
 GridConfig GridConfig::make(std::size_t num_fast, std::size_t num_slow) {

@@ -20,7 +20,8 @@ std::string to_string(GridCase grid_case);
 
 /// The set of machines participating in the grid, ordered by machine id.
 /// By convention (matching the paper's upper-bound reference-machine choice)
-/// machine 0 is always a fast machine.
+/// machine 0 is always a fast machine. Immutable after construction, so the
+/// grid-wide minimum bandwidth is computed once there.
 class GridConfig {
  public:
   explicit GridConfig(std::vector<MachineSpec> machines);
@@ -35,6 +36,10 @@ class GridConfig {
   const std::vector<MachineSpec>& machines() const noexcept { return machines_; }
 
   std::size_t count(MachineClass cls) const noexcept;
+
+  /// min_j BW(j): the lowest link bandwidth in the grid, the rate the
+  /// paper's worst-case transfer rule assumes (§IV).
+  double min_bandwidth_bps() const noexcept { return min_bandwidth_bps_; }
 
   /// Total system energy: TSE = sum_j B(j)   (paper §IV).
   double total_system_energy() const noexcept;
@@ -51,6 +56,7 @@ class GridConfig {
 
  private:
   std::vector<MachineSpec> machines_;
+  double min_bandwidth_bps_ = 0.0;
 };
 
 }  // namespace ahg::sim

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <vector>
+
 #include "sim/grid.hpp"
 #include "sim/machine.hpp"
 #include "support/contract.hpp"
@@ -106,6 +110,51 @@ TEST(GridConfig, MachineIdBoundsChecked) {
   const GridConfig a = GridConfig::make_case(GridCase::A);
   EXPECT_THROW(a.machine(4), PreconditionError);
   EXPECT_THROW(a.machine(-1), PreconditionError);
+}
+
+// The explicit scan GridConfig::min_bandwidth_bps() stands for.
+double scanned_min_bandwidth(const GridConfig& grid) {
+  double min_bw = std::numeric_limits<double>::infinity();
+  for (const auto& m : grid.machines()) min_bw = std::min(min_bw, m.bandwidth_bps);
+  return min_bw;
+}
+
+TEST(GridConfig, MinBandwidthMatchesScan) {
+  std::vector<GridConfig> grids;
+  for (const GridCase c : {GridCase::A, GridCase::B, GridCase::C}) {
+    grids.push_back(GridConfig::make_case(c));
+  }
+  for (const auto& [fast, slow] : std::vector<std::pair<std::size_t, std::size_t>>{
+           {1, 0}, {0, 1}, {7, 0}, {0, 4}, {3, 5}, {64, 448}}) {
+    grids.push_back(GridConfig::make(fast, slow));
+  }
+  // Bandwidths out of id order, the slowest one in the middle.
+  std::vector<MachineSpec> mixed;
+  for (const double bw : {6e6, 2.5e6, 9e6, 3e6}) {
+    MachineSpec spec = fast_machine_spec();
+    spec.bandwidth_bps = bw;
+    mixed.push_back(spec);
+  }
+  grids.emplace_back(mixed);
+  const std::size_t base = grids.size();
+  for (std::size_t i = 0; i < base; ++i) {
+    const GridConfig grid = grids[i];
+    grids.push_back(grid.with_battery_scale(0.25));
+    if (grid.num_machines() < 2) continue;
+    for (MachineId id = 0; id < static_cast<MachineId>(grid.num_machines()); ++id) {
+      grids.push_back(grid.without_machine(id));
+    }
+  }
+  for (const GridConfig& grid : grids) {
+    EXPECT_EQ(grid.min_bandwidth_bps(), scanned_min_bandwidth(grid))
+        << grid.num_machines() << " machines";
+  }
+  // Dropping the slowest machine raises the minimum; dropping another keeps it.
+  const GridConfig grid(mixed);
+  EXPECT_EQ(grid.min_bandwidth_bps(), 2.5e6);
+  EXPECT_EQ(grid.without_machine(1).min_bandwidth_bps(), 3e6);
+  EXPECT_EQ(grid.without_machine(2).min_bandwidth_bps(), 2.5e6);
+  EXPECT_EQ(GridConfig::make(2, 0).without_machine(0).min_bandwidth_bps(), 8e6);
 }
 
 TEST(GridCase, ToString) {

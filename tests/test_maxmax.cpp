@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -167,8 +166,8 @@ std::size_t count_backfills(const workload::Scenario& scenario,
 // placements in identical order and identical round counts, over the paper's
 // grid cases, with and without channel outages (transfers wait on blocked
 // channels, which the cheap estimate ignores), with and without the deadline
-// test, under both AET signs, and with every cache arrangement (run-local,
-// shared eager, shared lazy). The exclusion path must run in at least one
+// test, under both AET signs, and with a run-local and a shared cache. The
+// exclusion path must run in at least one
 // case. A dynamic-arrival shape makes Max-Max book late-released tasks
 // first and backfill the holes they leave, so a commit's booking lands
 // inside other entries' slots (re-priced from its end) as well as clear of
@@ -209,13 +208,11 @@ TEST(MaxMaxIncrementalProperty, MatchesRescanOracle) {
         const auto oracle = test::scan_maxmax_oracle(s, params);
         exclusions += oracle.exclusions;
         const auto& want = *oracle.schedule;
-        for (const int cache_mode : {0, 1, 2}) {
+        for (const bool shared_cache : {false, true}) {
           SCOPED_TRACE(shape.name + " tau " + std::to_string(enforce_tau) +
                        " sign " + std::to_string(static_cast<int>(sign)) +
-                       " cache " + std::to_string(cache_mode));
-          std::optional<ScenarioCache> lazy;
-          if (cache_mode == 1) params.cache = &shared;
-          if (cache_mode == 2) params.cache = &lazy.emplace(s, CacheBuild::Lazy);
+                       " shared cache " + std::to_string(shared_cache));
+          if (shared_cache) params.cache = &shared;
           obs::MetricsRegistry metrics;
           obs::ForwardSink sink(&metrics, nullptr);
           params.sink = &sink;

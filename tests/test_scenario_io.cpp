@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "support/contract.hpp"
 #include "tests/byte_mutation.hpp"
@@ -44,6 +46,30 @@ TEST(ScenarioIo, RoundTripsExactly) {
       EXPECT_TRUE(loaded.dag.has_edge(t, c));
       EXPECT_DOUBLE_EQ(loaded.data.bits(t, c), original.data.bits(t, c));
     }
+  }
+}
+
+// The loaded grid re-derives its minimum bandwidth from the machine lines.
+TEST(ScenarioIo, RoundTripKeepsGridMinimumBandwidth) {
+  std::vector<sim::MachineSpec> machines;
+  for (const double bw : {6e6, 2.5e6, 9e6}) {
+    sim::MachineSpec spec = sim::slow_machine_spec();
+    spec.bandwidth_bps = bw;
+    machines.push_back(spec);
+  }
+  const std::vector<std::vector<double>> etc(4, std::vector<double>(3, 10.0));
+  for (Scenario original :
+       {sample(), test::small_suite_scenario(sim::GridCase::C, 24),
+        test::make_scenario(sim::GridConfig(machines), 4, {{0, 1, 1e6}}, etc, 1000)}) {
+    std::stringstream buffer;
+    write_scenario(buffer, original);
+    const Scenario loaded = read_scenario(buffer);
+    double scanned = loaded.grid.machine(0).bandwidth_bps;
+    for (const auto& m : loaded.grid.machines()) {
+      scanned = std::min(scanned, m.bandwidth_bps);
+    }
+    EXPECT_EQ(loaded.grid.min_bandwidth_bps(), scanned);
+    EXPECT_EQ(loaded.grid.min_bandwidth_bps(), original.grid.min_bandwidth_bps());
   }
 }
 
