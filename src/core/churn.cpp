@@ -140,7 +140,7 @@ std::shared_ptr<sim::Schedule> replay_survivors(const workload::Scenario& target
         // A kept task on a departed machine cannot reach here: a data edge to
         // an unmapped child would have invalidated it.
         const auto& spec = target.grid.machine(machine);
-        const Cycles wc = sim::worst_case_transfer_cycles(bits, spec, target.grid);
+        const Cycles wc = sim::worst_case_transfer_cycles(bits, target.grid);
         const double hold = sim::transfer_energy(spec, wc);
         if (hold > schedule->energy().available(machine) + kLedgerEps) {
           unaffordable = t;

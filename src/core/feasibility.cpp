@@ -12,7 +12,7 @@ double worst_case_outgoing_energy(const workload::Scenario& scenario, TaskId tas
   for (const TaskId child : scenario.dag.children(task)) {
     const double bits = scenario.edge_bits(task, child, version);
     if (bits <= 0.0) continue;
-    const Cycles wc = sim::worst_case_transfer_cycles(bits, spec, scenario.grid);
+    const Cycles wc = sim::worst_case_transfer_cycles(bits, scenario.grid);
     total += sim::transfer_energy(spec, wc);
   }
   return total;

@@ -120,7 +120,7 @@ void commit_placement(const workload::Scenario& scenario, sim::Schedule& schedul
   for (const TaskId child : scenario.dag.children(plan.task)) {
     const double bits = scenario.edge_bits(plan.task, child, plan.version);
     if (bits <= 0.0) continue;
-    const Cycles wc = sim::worst_case_transfer_cycles(bits, spec, scenario.grid);
+    const Cycles wc = sim::worst_case_transfer_cycles(bits, scenario.grid);
     schedule.ledger().reserve(plan.machine, sim::edge_key(plan.task, child),
                               sim::transfer_energy(spec, wc));
   }

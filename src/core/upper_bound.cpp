@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "core/scenario_cache.hpp"
 #include "support/contract.hpp"
 
 namespace ahg::core {
@@ -22,7 +21,7 @@ std::vector<double> min_ratios(const workload::EtcMatrix& etc) {
 }
 
 UpperBoundResult compute_upper_bound(const workload::Scenario& scenario,
-                                     const ScenarioCache* cache) {
+                                     const ScenarioCache* /*cache*/) {
   UpperBoundResult result;
   result.min_ratio = min_ratios(scenario.etc);
   result.tse = scenario.grid.total_system_energy();
@@ -50,10 +49,7 @@ UpperBoundResult compute_upper_bound(const workload::Scenario& scenario,
     for (std::size_t j = 0; j < scenario.num_machines(); ++j) {
       const auto machine = static_cast<MachineId>(j);
       const double secs = scenario.etc.seconds(task, machine);
-      const double energy =
-          cache != nullptr
-              ? cache->primary_compute_energy(task, machine)
-              : scenario.grid.machine(machine).compute_power * secs;
+      const double energy = scenario.grid.machine(machine).compute_power * secs;
       if (energy < pick.energy) {
         pick.energy = energy;
         pick.equiv_seconds = secs / result.min_ratio[j];

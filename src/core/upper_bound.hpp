@@ -38,10 +38,9 @@ std::vector<double> min_ratios(const workload::EtcMatrix& etc);
 
 /// Compute the upper bound for a scenario (grid + ETC + tau; the DAG plays
 /// no role in the bound — precedence is deliberately ignored so the result
-/// remains an upper bound). `cache` (not owned, may be null) supplies the
-/// precomputed primary compute energies; the table holds the exact
-/// power-times-seconds products the uncached path derives, so the bound is
-/// identical either way.
+/// remains an upper bound). `cache` is accepted and ignored: the bound's
+/// primary compute energy is one multiply of the ETC seconds it reads anyway,
+/// so there is nothing to look up.
 UpperBoundResult compute_upper_bound(const workload::Scenario& scenario,
                                      const ScenarioCache* cache = nullptr);
 
