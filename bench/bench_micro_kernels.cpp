@@ -7,8 +7,10 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cctype>
 #include <iostream>
 #include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -735,6 +737,29 @@ void write_inner_loop_report() {
   std::cout << "wrote " << report.write_json() << "\n";
 }
 
+/// True when argv asks Google Benchmark only to list the benchmarks
+/// (`--benchmark_list_tests`, or `=` a truthy value; the last one wins, as
+/// in the library's own parse). Such a run prints the names and nothing else.
+bool lists_benchmarks_only(int argc, char** argv) {
+  constexpr std::string_view flag = "--benchmark_list_tests";
+  bool list = false;
+  for (int i = 1; i < argc; ++i) {
+    std::string_view arg = argv[i];
+    if (!arg.starts_with(flag)) continue;
+    arg.remove_prefix(flag.size());
+    if (arg.empty()) {
+      list = true;
+    } else if (arg.front() == '=') {
+      std::string value(arg.substr(1));
+      std::transform(value.begin(), value.end(), value.begin(),
+                     [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
+      list = !(value == "0" || value == "f" || value == "n" || value == "false" ||
+               value == "no" || value == "off");
+    }
+  }
+  return list;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -757,12 +782,14 @@ int main(int argc, char** argv) {
           ahg::bench::handle_bench_flags(argc, argv, /*lenient=*/true)) {
     return *exit_code;
   }
+  const bool list_only = lists_benchmarks_only(argc, argv);
   if (!quick) {
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
   }
+  if (list_only) return 0;  // names only: no gated runs, no BENCH_inner_loop.json
   write_inner_loop_report();
   return 0;
 }

@@ -16,10 +16,9 @@ ReadyFrontier::ReadyFrontier(const workload::Scenario& scenario,
   released_.assign(n, 0);
   assigned_.assign(n, 0);
   release_order_.resize(n);
-  // Worst-case capacity up front (4 bytes/task): the sorted-insert hot path
-  // never reallocates, and ready() spans stay valid across a whole pool
-  // build even as wide DAG levels release thousands of tasks at once.
-  ready_.reserve(n);
+  // Worst-case capacity up front (4 bytes/task): a join never reallocates,
+  // so joined() spans stay valid across a whole pool build even as wide DAG
+  // levels release thousands of tasks at once.
   joined_.reserve(n);
 
   const auto num_tasks = static_cast<TaskId>(n);
@@ -51,7 +50,7 @@ void ReadyFrontier::advance_to(Cycles clock) {
     if (assigned_[static_cast<std::size_t>(t)] != 0) {
       ++assigned_released_;
     } else if (unassigned_parents_[static_cast<std::size_t>(t)] == 0) {
-      insert_ready(t);
+      join(t);
     }
     ++cursor_;
   }
@@ -64,24 +63,23 @@ void ReadyFrontier::on_commit(TaskId task) {
   AHG_EXPECTS_MSG(assigned_[i] == 0, "task committed twice");
   assigned_[i] = 1;
   if (released_[i] != 0) {
+    // Released and unassigned (checked above): ready iff no parent is left.
+    AHG_EXPECTS_MSG(unassigned_parents_[i] == 0, "committed task was not ready");
     ++assigned_released_;
-    const auto it = std::lower_bound(ready_.begin(), ready_.end(), task);
-    AHG_EXPECTS_MSG(it != ready_.end() && *it == task,
-                    "committed task was not on the ready list");
-    ready_.erase(it);
+    --num_ready_;
   }
   for (const TaskId child : scenario_->dag.children(task)) {
     const auto c = static_cast<std::size_t>(child);
     AHG_EXPECTS_MSG(unassigned_parents_[c] > 0, "parent count underflow");
     if (--unassigned_parents_[c] == 0 && released_[c] != 0 && assigned_[c] == 0) {
-      insert_ready(child);
+      join(child);
     }
   }
 }
 
-void ReadyFrontier::insert_ready(TaskId task) {
+void ReadyFrontier::join(TaskId task) {
   ++revision_;
-  ready_.insert(std::lower_bound(ready_.begin(), ready_.end(), task), task);
+  ++num_ready_;
   joined_.push_back(task);
   // on_commit carries no clock; the last advance_to clock is the tick a
   // commit-unblocked child actually became ready at.

@@ -6,16 +6,19 @@
 // a release time or a placement commits. Instead of re-probing all |T|
 // subtasks per (machine, timestep), a ReadyFrontier maintains that set
 // incrementally: a release-time-sorted cursor advanced with the clock, a
-// per-task unassigned-parent count decremented on commit, and a ready list
-// kept sorted by task id (the scan order of the original full pass, so pools
-// built from it are bit-identical to scan-built pools).
+// per-task unassigned-parent count decremented on commit, and the log of
+// tasks in the order they joined the ready set. The set itself is not kept:
+// the SLRH activation index reads the joined() log, and everything else
+// needs only its size.
 //
 // The frontier also keeps the admission tallies the decision trace reports
 // (unreleased / already-assigned / parents-unassigned) as running counters,
 // so the telemetry path needs no per-task probes either.
 //
 // Invariants (asserted by tests/test_frontier.cpp against brute force):
-//   ready() == { t : release(t) <= clock, !assigned(t), parents assigned }
+//   joined() minus assigned tasks
+//       == { t : release(t) <= clock, !assigned(t), parents assigned }
+//   num_ready() == the size of that set
 //   num_unreleased() == |{ t : release(t) > clock }|
 //   num_assigned_released() == |{ t : release(t) <= clock, assigned(t) }|
 //   num_parents_blocked() == |{ t : release(t) <= clock, !assigned(t),
@@ -45,7 +48,7 @@ class ReadyFrontier {
   /// Optional task-major lifecycle ledger (not owned, may be null — the
   /// default changes nothing). With a ledger attached, advance_to records a
   /// released transition per newly released task (stamped with its RELEASE
-  /// time) and every ready-list insertion records a frontier-ready
+  /// time) and every ready-set join records a frontier-ready
   /// transition at the frontier's current clock.
   void set_ledger(obs::TaskLedger* ledger) noexcept { ledger_ = ledger; }
 
@@ -53,27 +56,27 @@ class ReadyFrontier {
   /// moves backwards, so calls with a smaller clock are no-ops.
   void advance_to(Cycles clock);
 
-  /// Record a committed placement: the task leaves the ready list and each
+  /// Record a committed placement: the task leaves the ready set and each
   /// child's unassigned-parent count drops (children whose count reaches
-  /// zero join the ready list if already released). Must be called for every
+  /// zero join the ready set if already released). Must be called for every
   /// commit the driver makes, immediately after it.
   void on_commit(TaskId task);
 
-  /// Released, unassigned tasks whose parents are all assigned, sorted by
-  /// ascending task id.
-  std::span<const TaskId> ready() const noexcept { return ready_; }
+  /// Released, unassigned tasks whose parents are all assigned.
+  std::size_t num_ready() const noexcept { return num_ready_; }
 
-  /// Every task that has joined the ready list, in joining order. A task
+  /// Every task that has joined the ready set, in joining order. A task
   /// joins at most once (it leaves only by committing, for good), so a
   /// reader that remembers how much it has read picks up exactly the tasks
   /// that became ready since (the SLRH activation index does, per machine).
   std::span<const TaskId> joined() const noexcept { return joined_; }
 
-  /// Monotone counter bumped on every commit and on every ready-list
-  /// insertion (releases and commit-unblocked children alike). Two equal
-  /// revisions bracket a window in which the ready set — the
-  /// machine-independent half of pool admission — did not change; the sweep
-  /// accelerator (core/sweep.hpp) tags its cached verdicts with it.
+  /// Monotone counter bumped on every commit and on every ready-set join
+  /// (releases and commit-unblocked children alike). Two equal revisions
+  /// bracket a window in which the ready set — the machine-independent half
+  /// of pool admission — did not change and no placement was committed, so
+  /// no energy ledger moved either; the sweep accelerator (core/sweep.hpp)
+  /// keys its cached verdicts on it alone.
   std::uint64_t revision() const noexcept { return revision_; }
 
   std::size_t num_unreleased() const noexcept {
@@ -81,11 +84,11 @@ class ReadyFrontier {
   }
   std::size_t num_assigned_released() const noexcept { return assigned_released_; }
   std::size_t num_parents_blocked() const noexcept {
-    return cursor_ - assigned_released_ - ready_.size();
+    return cursor_ - assigned_released_ - num_ready_;
   }
 
  private:
-  void insert_ready(TaskId task);
+  void join(TaskId task);
 
   const workload::Scenario* scenario_;
   obs::TaskLedger* ledger_ = nullptr;
@@ -95,8 +98,8 @@ class ReadyFrontier {
   std::vector<std::uint32_t> unassigned_parents_;
   std::vector<std::uint8_t> released_;
   std::vector<std::uint8_t> assigned_;
-  std::vector<TaskId> ready_;
-  std::vector<TaskId> joined_;  ///< ready-list insertions, in order
+  std::vector<TaskId> joined_;  ///< ready-set joins, in order
+  std::size_t num_ready_ = 0;
   std::size_t assigned_released_ = 0;
   std::uint64_t revision_ = 0;
 };

@@ -36,8 +36,7 @@ std::size_t map_first_startable(const workload::Scenario& scenario,
                                 const SlrhPool& pool, MachineId machine,
                                 Cycles clock, const ScenarioCache& cache,
                                 BeyondHorizonMemo& memo, Taps& taps,
-                                PlacementPlan& committed, std::size_t skip_before,
-                                Cycles* min_beyond) {
+                                std::size_t skip_before, Cycles* min_beyond) {
   // Re-check energy: earlier commits in this timestep (variants 2/3) may
   // have consumed what the pool admission saw. The walk plans the pooled
   // version, else secondary when only that still fits; nullopt: neither.
@@ -119,7 +118,6 @@ std::size_t map_first_startable(const workload::Scenario& scenario,
     if (data_ready <= clock + params.horizon) {
       taps.on_commit(schedule, plan, {clock, pool.size(), cand.score},
                      [&] { commit_placement(scenario, schedule, plan); });
-      committed = plan;
       return k;
     }
     memo.insert(cand.task);
@@ -212,16 +210,18 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
   CandidateBatch batch_scratch;
 
   // Cross-tick skip verdicts (core/sweep.hpp), keyed on the frontier
-  // revision and per-machine energy epochs; a fresh context per drive window
-  // means churn segment boundaries invalidate everything cached.
+  // revision; a fresh context per drive window means churn segment
+  // boundaries invalidate everything cached.
   const bool reuse_on = params.pool_reuse;
   SweepContext sweep(scenario.num_machines());
 
   // One pool for the serial walk, built inline against the current schedule
   // (every commit moves the global t100/tec/aet terms that feed each score).
-  // The dead slots are gathered only for a reader of the whole pool: an
-  // observer (Taps::reads_pool) or V2's continues_after.
-  const bool with_dead = taps.reads_pool() || params.variant == SlrhVariant::V2;
+  // The dead slots are gathered only for an observer that reads the whole
+  // pool (Taps::reads_pool). Without them V2's continues_after asks only
+  // whether a live slot follows: a further walk visits live slots alone, so
+  // a dead slot after the commit could not change the scope.
+  const bool with_dead = taps.reads_pool();
   const auto make_pool = [&](MachineId machine, Cycles clock) {
     ++result.pools_built;
     return taps.on_pool(machine, clock, [&](SlrhPoolRejects* rejects,
@@ -234,21 +234,18 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
 
   // One map attempt over pool[skip_before..] (never empty: V1/V3 skip an
   // empty pool, V2 stops at its end). Every commit is mirrored into the
-  // frontier and the sweep epochs immediately; a walk that commits nothing
-  // is a stall.
+  // frontier immediately, which moves the revision the skip verdicts are
+  // keyed on; a walk that commits nothing is a stall.
   const auto try_map = [&](const SlrhPool& pool,
                            MachineId machine, Cycles clock,
                            std::size_t skip_before, Cycles* min_beyond) {
-    PlacementPlan committed;
     const std::size_t mapped = taps.on_walk([&] {
       return map_first_startable(scenario, schedule, params, pool, machine, clock,
-                                 cache, memo, taps, committed, skip_before,
-                                 min_beyond);
+                                 cache, memo, taps, skip_before, min_beyond);
     });
     if (mapped != npos) {
       frontier.on_commit(pool.slots[mapped].task);
       rows.drop(pool.slots[mapped].task);
-      sweep.note_commit(committed);
     } else {
       taps.on_stall(clock, machine, pool.size());
     }
@@ -282,25 +279,15 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
       memo.begin_scope();
 
       // Scope bookkeeping for the cross-tick verdict: the smallest
-      // beyond-horizon arrival proven by any walk, whether the scope
-      // committed, and the epochs the LAST pool was built at (a recordable
-      // verdict requires that pool to be current — see sweep.hpp).
+      // beyond-horizon arrival proven by any walk, and whether the scope
+      // committed.
       Cycles scope_min_arrival = SweepContext::kNoArrival;
       Cycles* min_beyond = reuse_on ? &scope_min_arrival : nullptr;
       bool scope_committed = false;
-      std::uint64_t pool_revision = 0;
-      std::uint64_t pool_energy_epoch = 0;
-      const auto snapshot_pool_epochs = [&] {
-        if (reuse_on) {
-          pool_revision = frontier.revision();
-          pool_energy_epoch = sweep.energy_epoch(machine);
-        }
-      };
 
       switch (params.variant) {
         case SlrhVariant::V1: {
           const auto pool = make_pool(machine, clock);
-          snapshot_pool_epochs();
           if (pool.empty()) break;
           scope_committed = try_map(pool, machine, clock, 0, min_beyond) != npos;
           break;
@@ -309,7 +296,6 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
           // One pool per (machine, timestep); keep assigning pairs from it in
           // score order until exhausted or nothing starts within the horizon.
           const auto pool = make_pool(machine, clock);
-          snapshot_pool_epochs();
           if (pool.empty()) break;
           for (std::size_t next = 0;;) {
             const std::size_t mapped = try_map(pool, machine, clock, next, min_beyond);
@@ -325,7 +311,6 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
           // the subtask just mapped become admissible immediately.
           for (;;) {
             const auto pool = make_pool(machine, clock);
-            snapshot_pool_epochs();
             if (pool.empty()) break;
             const std::size_t mapped = try_map(pool, machine, clock, 0, min_beyond);
             if (mapped == npos) break;
@@ -336,13 +321,11 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
       }
 
       // Record the cross-tick verdict only for a scope that ended without a
-      // commit AND whose last pool is current (no mid-scope commit after it
-      // — else commit-enabled children could be missing from it). Variant 2
-      // scopes that mapped anything fail the epoch compare by construction.
-      if (reuse_on && !scope_committed &&
-          pool_revision == frontier.revision() &&
-          pool_energy_epoch == sweep.energy_epoch(machine)) {
-        sweep.record_verdict(machine, scope_min_arrival, pool_revision);
+      // commit: it built exactly one pool, at the current revision, and
+      // nothing moved after it. After a commit, commit-enabled children
+      // could be missing from the last pool walked.
+      if (reuse_on && !scope_committed) {
+        sweep.record_verdict(machine, scope_min_arrival, frontier.revision());
       }
     }
     taps.on_tick(schedule, frontier, clock);

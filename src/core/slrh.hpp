@@ -48,7 +48,6 @@ namespace ahg::core {
 class ScenarioCache;
 class ReadyFrontier;
 class Taps;
-struct PlacementPlan;
 
 enum class SlrhVariant : std::uint8_t { V1 = 1, V2 = 2, V3 = 3 };
 
@@ -76,9 +75,9 @@ struct SlrhParams {
   /// Cross-tick pool reuse (core/sweep.hpp): when a (machine, timestep)
   /// scope ends without a commit, remember the smallest proven lower bound
   /// on a beyond-horizon arrival (exact when the candidate was planned),
-  /// tagged with the frontier revision and the machine's energy epoch;
-  /// while both epochs stand, a later tick whose clock + H stays below that
-  /// bound skips the machine's pool build outright — the serial sweep would
+  /// tagged with the frontier revision; while no commit or ready-set join
+  /// has moved it, a later tick whose clock + H stays below that bound
+  /// skips the machine's pool build outright — the serial sweep would
   /// provably commit nothing there. Schedules are
   /// bit-identical either way (asserted by tests/test_determinism.cpp); only
   /// pool-build counts and their telemetry differ (MappingResult::
@@ -124,9 +123,9 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
 /// stays dead through every re-walk and rebuild in the scope. Only the live
 /// prefix is ranked and walked. The dead slots are there only when the
 /// build materialised them (an observer reads the whole pool — its size,
-/// the ledger's sightings, the stall and map records — or V2 asks
-/// continues_after); without them `slots` holds the live prefix alone, and
-/// only `dead_min_arrival` and empty() speak for the dead slots.
+/// the ledger's sightings, the stall and map records); without them `slots`
+/// holds the live prefix alone, and only `dead_min_arrival` and empty()
+/// speak for the dead slots.
 ///
 /// The slots live in the builder's CandidateBatch: a pool is valid until
 /// the next build with the same batch.
@@ -146,7 +145,8 @@ struct SlrhPool {
   bool empty() const noexcept { return live == 0 && dead_min_arrival == kNoDead; }
   std::span<const SlrhPoolCandidate> dead() const noexcept { return slots.subspan(live); }
   /// Whether any slot ranks after live slot `k`: a walk over the whole pool
-  /// in order would go on past it. Needs the dead slots materialised.
+  /// in order would go on past it. Without the dead slots materialised it
+  /// answers for the live slots alone, which is all a further walk visits.
   bool continues_after(std::size_t k) const noexcept {
     if (k + 1 < live) return true;
     const std::span<const SlrhPoolCandidate> tail = dead();
@@ -236,11 +236,11 @@ class BeyondHorizonMemo {
 /// falls within the horizon. Returns its index into pool.slots, or npos.
 /// Admission energies come from the precomputed tables; `memo` skips
 /// re-planning candidates already proven beyond-horizon in this
-/// (machine, clock) scope. `committed` receives a copy of the committed
-/// plan (the sweep epochs read it). `taps` observes every passed-over
-/// candidate, plan and the commit; when it lists rejections, the dead slots
-/// (ranked by rank_dead) are reported in walk order among the live ones,
-/// with the reason the full walk would have given them.
+/// (machine, clock) scope. The committed plan is the schedule's assignment
+/// of the returned slot's task. `taps` observes every passed-over candidate,
+/// plan and the commit; when it lists rejections, the dead slots (ranked by
+/// rank_dead) are reported in walk order among the live ones, with the
+/// reason the full walk would have given them.
 /// `min_beyond` non-null accumulates (running min) the smallest proven lower
 /// bound on the arrival of every candidate this walk found beyond the
 /// horizon — exact for a planned candidate, the gather's arrival_lb for a
@@ -257,7 +257,6 @@ std::size_t map_first_startable(const workload::Scenario& scenario,
                                 const SlrhPool& pool, MachineId machine,
                                 Cycles clock, const ScenarioCache& cache,
                                 BeyondHorizonMemo& memo, Taps& taps,
-                                PlacementPlan& committed, std::size_t skip_before,
-                                Cycles* min_beyond);
+                                std::size_t skip_before, Cycles* min_beyond);
 
 }  // namespace ahg::core

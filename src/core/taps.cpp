@@ -254,7 +254,7 @@ void Taps::record_frame(const sim::Schedule& schedule, Cycles clock, double now,
 void Taps::tick(const sim::Schedule& schedule, const ReadyFrontier& frontier,
                 Cycles clock, bool frame) {
   if (frame) {
-    record_frame(schedule, clock, recorder_->now_seconds(), frontier.ready().size(),
+    record_frame(schedule, clock, recorder_->now_seconds(), frontier.num_ready(),
                  frontier.num_unreleased());
     idle_ticks_unsampled_ = 0;
   }

@@ -12,6 +12,8 @@
 //  - gather_parents_oracle: the SLRH gather's per-build parent walk, which
 //    the per-window GatherRows replaced — both tec-delta chains and the
 //    arrival bound at one clock, re-derived from the parents every call.
+//  - ready_tasks: the frontier's ready set in task-id order, read off its
+//    joined() log (the frontier keeps only the count).
 //  - full_gather_pool_oracle: the SLRH pool build over the whole ready set,
 //    which the per-machine horizon-activation index replaced — gather and
 //    score every ready task, then split live from dead by the arrival bound.
@@ -159,6 +161,19 @@ inline GatherParents gather_parents_oracle(const core::ScenarioCache& cache,
   return out;
 }
 
+/// The frontier's ready set in ascending task id — the scan order of a full
+/// pass over all subtasks: every task that joined it, less the ones assigned
+/// since (a task leaves the ready set only by committing).
+inline std::vector<TaskId> ready_tasks(const core::ReadyFrontier& frontier,
+                                       const sim::Schedule& schedule) {
+  std::vector<TaskId> ready;
+  for (const TaskId task : frontier.joined()) {
+    if (!schedule.is_assigned(task)) ready.push_back(task);
+  }
+  std::sort(ready.begin(), ready.end());
+  return ready;
+}
+
 struct FullGatherPool {
   /// [0, live): live slots in pool order; [live, size): dead slots, unranked.
   std::vector<core::SlrhPoolCandidate> slots;
@@ -181,7 +196,7 @@ inline FullGatherPool full_gather_pool_oracle(
     core::CandidateBatch& batch) {
   FullGatherPool out;
   out.rejected_energy = core::build_candidate_batch(
-      cache, scenario, schedule, frontier.ready(), machine, clock,
+      cache, scenario, schedule, ready_tasks(frontier, schedule), machine, clock,
       params.secondary_only, rows, batch);
   core::score_batch(batch, params.weights, totals, schedule.t100(), schedule.tec(),
                     schedule.aet(), params.aet_sign);
@@ -213,15 +228,15 @@ struct WalkRejection {
 /// (primary falls back to secondary), then one `memo` (indexed by task,
 /// cleared per scope) already proved beyond the horizon, then one whose
 /// arrival bound lies beyond clock + H; plan the rest and commit the first
-/// whose data is ready within the horizon. Returns the committed index or
-/// npos; `min_beyond` takes the running minimum of every beyond-horizon
-/// arrival (planned or bounded), `rejected` lists the passed-over slots.
+/// whose data is ready within the horizon. Returns the committed index (the
+/// plan is the schedule's assignment of its task) or npos; `min_beyond`
+/// takes the running minimum of every beyond-horizon arrival (planned or
+/// bounded), `rejected` lists the passed-over slots.
 inline std::size_t map_first_startable_oracle(
     const workload::Scenario& scenario, sim::Schedule& schedule,
     const core::SlrhParams& params, const std::vector<core::SlrhPoolCandidate>& pool,
     MachineId machine, Cycles clock, const core::ScenarioCache& cache,
-    std::vector<std::uint8_t>& memo, core::PlacementPlan& committed,
-    std::size_t skip_before, Cycles& min_beyond,
+    std::vector<std::uint8_t>& memo, std::size_t skip_before, Cycles& min_beyond,
     std::vector<WalkRejection>& rejected) {
   const auto fits = [&](TaskId task, VersionKind version) {
     return core::version_fits_energy(cache, schedule, task, machine, version);
@@ -254,7 +269,6 @@ inline std::size_t map_first_startable_oracle(
         core::plan_placement(scenario, schedule, cand.task, machine, version, clock);
     if (std::max(clock, plan.arrival) <= clock + params.horizon) {
       core::commit_placement(scenario, schedule, plan);
-      committed = plan;
       return k;
     }
     memo[static_cast<std::size_t>(cand.task)] = 1;

@@ -283,15 +283,13 @@ void expect_live_walk_matches_full_walk(const workload::Scenario& s,
 
         for (std::size_t live_next = 0, full_next = 0;;) {
           ++tally.walks;
-          PlacementPlan live_plan;
-          PlacementPlan full_plan;
           std::vector<test::WalkRejection> full_rejected;
           const std::size_t a =
               map_first_startable(s, live_side, params, pool, m, stop, cache, memo,
-                                  taps, live_plan, live_next, &live_min);
+                                  taps, live_next, &live_min);
           const std::size_t b = test::map_first_startable_oracle(
-              s, full_side, params, full, m, stop, cache, full_memo, full_plan,
-              full_next, full_min, full_rejected);
+              s, full_side, params, full, m, stop, cache, full_memo, full_next,
+              full_min, full_rejected);
           ASSERT_EQ(a == npos, b == npos);
           if (a == npos) taps.on_stall(stop, m, pool.size());
 
@@ -329,6 +327,8 @@ void expect_live_walk_matches_full_walk(const workload::Scenario& s,
             break;
           }
           EXPECT_EQ(pool.slots[a].task, full[b].task);
+          const sim::Assignment& live_plan = live_side.assignment(pool.slots[a].task);
+          const sim::Assignment& full_plan = full_side.assignment(full[b].task);
           EXPECT_EQ(live_plan.version, full_plan.version);
           EXPECT_EQ(live_plan.start, full_plan.start);
           frontier.on_commit(pool.slots[a].task);
@@ -484,7 +484,7 @@ void drive_checked_window(const workload::Scenario& s, const SlrhParams& params,
     }
     if (oracle.live == 0 && !oracle.empty()) ++tally.dead_only;
     const Cycles limit = clock + params.horizon;
-    for (const TaskId task : frontier.ready()) {
+    for (const TaskId task : test::ready_tasks(frontier, schedule)) {
       if (version_fits_energy(cache, schedule, task, m, VersionKind::Secondary)) continue;
       const Cycles lb =
           test::gather_parents_oracle(cache, s, schedule, task, m, clock).arrival_lb;
@@ -509,10 +509,8 @@ void drive_checked_window(const workload::Scenario& s, const SlrhParams& params,
         checked_pool(m, clock, pool);
         if (::testing::Test::HasFatalFailure() || pool.empty()) break;
         for (std::size_t next = 0;;) {
-          PlacementPlan committed;
           const std::size_t mapped = map_first_startable(
-              s, schedule, params, pool, m, clock, cache, memo, taps, committed, next,
-              nullptr);
+              s, schedule, params, pool, m, clock, cache, memo, taps, next, nullptr);
           if (mapped == npos) break;
           const TaskId task = pool.slots[mapped].task;
           frontier.on_commit(task);

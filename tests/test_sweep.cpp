@@ -1,14 +1,16 @@
-// SweepContext unit contract (epoch bookkeeping, verdict lifecycle) plus the
-// randomized property test for the cross-tick skip verdicts: over random
-// scenarios, seeds and churn, pool_reuse on and off must produce
-// bit-identical schedules, and the epoch scheme must retire verdicts exactly
-// when a commit could have changed a machine's pool.
+// SweepContext unit contract (verdict lifecycle, retirement by a frontier
+// revision bump) plus the randomized property test for the cross-tick skip
+// verdicts: over random scenarios, seeds and churn, pool_reuse on and off
+// must produce bit-identical schedules, so the revision must retire verdicts
+// whenever a commit or join could have changed a machine's pool.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "core/churn.hpp"
+#include "core/frontier.hpp"
+#include "core/placement.hpp"
 #include "core/sweep.hpp"
 #include "support/rng.hpp"
 #include "tests/scenario_fixtures.hpp"
@@ -16,40 +18,6 @@
 
 namespace ahg {
 namespace {
-
-core::PlacementPlan plan_on(MachineId machine,
-                            std::vector<MachineId> senders = {}) {
-  core::PlacementPlan plan;
-  plan.task = 0;
-  plan.machine = machine;
-  for (const MachineId sender : senders) {
-    core::CommPlan comm;
-    comm.parent = 1;
-    comm.from_machine = sender;
-    plan.comms.push_back(comm);
-  }
-  return plan;
-}
-
-TEST(Sweep, NoteCommitBumpsTouchedEnergyEpochs) {
-  core::SweepContext sweep(4);
-  for (MachineId m = 0; m < 4; ++m) EXPECT_EQ(sweep.energy_epoch(m), 0u);
-
-  // Local commit on machine 2: only machine 2's ledger is touched.
-  sweep.note_commit(plan_on(2));
-  EXPECT_EQ(sweep.energy_epoch(2), 1u);
-  EXPECT_EQ(sweep.energy_epoch(0), 0u);
-  EXPECT_EQ(sweep.energy_epoch(1), 0u);
-  EXPECT_EQ(sweep.energy_epoch(3), 0u);
-
-  // Commit on 0 with transfers from 1 and 3: executing machine plus every
-  // sender is bumped; machine 2 is untouched.
-  sweep.note_commit(plan_on(0, {1, 3}));
-  EXPECT_EQ(sweep.energy_epoch(0), 1u);
-  EXPECT_EQ(sweep.energy_epoch(1), 1u);
-  EXPECT_EQ(sweep.energy_epoch(3), 1u);
-  EXPECT_EQ(sweep.energy_epoch(2), 1u);
-}
 
 TEST(Sweep, VerdictSkipsOnlyWhileEpochsStandAndHorizonShort) {
   core::SweepContext sweep(2);
@@ -61,7 +29,7 @@ TEST(Sweep, VerdictSkipsOnlyWhileEpochsStandAndHorizonShort) {
   // Scope proved nothing arrives before cycle 500.
   sweep.record_verdict(0, 500, /*frontier_revision=*/7);
 
-  // Same epochs, clock + horizon below the proven arrival: skip.
+  // Same revision, clock + horizon below the proven arrival: skip.
   EXPECT_TRUE(sweep.can_skip(0, 0, horizon, 7));
   EXPECT_TRUE(sweep.can_skip(0, 399, horizon, 7));
   // clock + horizon reaches the arrival: the pool could now map it.
@@ -73,21 +41,32 @@ TEST(Sweep, VerdictSkipsOnlyWhileEpochsStandAndHorizonShort) {
 }
 
 TEST(Sweep, CommitOnMachineRetiresItsVerdict) {
-  core::SweepContext sweep(3);
-  sweep.record_verdict(0, core::SweepContext::kNoArrival, 3);
-  sweep.record_verdict(1, core::SweepContext::kNoArrival, 3);
-  EXPECT_TRUE(sweep.can_skip(0, 0, 100, 3));
-  EXPECT_TRUE(sweep.can_skip(1, 0, 100, 3));
+  const auto scenario = test::two_fast_independent(4);
+  auto schedule = core::make_schedule(scenario);
+  core::ReadyFrontier frontier(scenario, *schedule);
+  frontier.advance_to(0);
 
-  // A commit executing on machine 0 with a transfer sent from machine 1
-  // touches both energy ledgers: both verdicts retire, machine 2 would not.
-  sweep.note_commit(plan_on(0, {1}));
-  EXPECT_FALSE(sweep.can_skip(0, 0, 100, 3));
-  EXPECT_FALSE(sweep.can_skip(1, 0, 100, 3));
+  core::SweepContext sweep(scenario.num_machines());
+  const std::uint64_t revision = frontier.revision();
+  sweep.record_verdict(0, core::SweepContext::kNoArrival, revision);
+  sweep.record_verdict(1, core::SweepContext::kNoArrival, revision);
+  EXPECT_TRUE(sweep.can_skip(0, 0, 100, frontier.revision()));
+  EXPECT_TRUE(sweep.can_skip(1, 0, 100, frontier.revision()));
 
-  // Re-recording at the new epochs makes the verdict live again.
-  sweep.record_verdict(0, core::SweepContext::kNoArrival, 3);
-  EXPECT_TRUE(sweep.can_skip(0, 0, 100, 3));
+  // A commit executing on machine 0, mirrored into the frontier as the
+  // driver does, moves the revision: every verdict retires, machine 1's too,
+  // though the commit left its battery alone.
+  const auto plan =
+      core::plan_placement(scenario, *schedule, 0, 0, VersionKind::Secondary, 0);
+  core::commit_placement(scenario, *schedule, plan);
+  frontier.on_commit(0);
+  EXPECT_GT(frontier.revision(), revision);
+  EXPECT_FALSE(sweep.can_skip(0, 0, 100, frontier.revision()));
+  EXPECT_FALSE(sweep.can_skip(1, 0, 100, frontier.revision()));
+
+  // Re-recording at the new revision makes the verdict live again.
+  sweep.record_verdict(0, core::SweepContext::kNoArrival, frontier.revision());
+  EXPECT_TRUE(sweep.can_skip(0, 0, 100, frontier.revision()));
 }
 
 TEST(Sweep, EmptyPoolVerdictSkipsAtEveryClock) {
@@ -98,13 +77,16 @@ TEST(Sweep, EmptyPoolVerdictSkipsAtEveryClock) {
 }
 
 // ---------------------------------------------------------------------------
-// Randomized epoch-invalidation property: across random small scenarios
+// Randomized invalidation property: across random small scenarios
 // (varying seed, size, grid case, release spread, with and without a mid-run
 // departure), the pool_reuse sweep must produce the same schedule as the
 // rebuild-everything sweep — bit-identical assignments, counts and energy —
-// and the reuse ledger must balance (built + reused == serial builds). This is the test that catches a missing epoch bump: an energy or
-// frontier change the scheme failed to count makes a verdict survive a
-// commit that changed the pool, and the skipped scope diverges.
+// and the reuse ledger must balance (built + reused == serial builds). A
+// commit or join the frontier failed to count would let a verdict survive a
+// change to the pool and the skipped scope diverge. These small scenarios
+// do not reach every such scope: a frontier without the commit bump passes
+// here, and ReadyFrontier.RevisionMovesOnEveryCommitAndJoin and
+// Determinism.SlrhPoolReuseMatchesRebuild are the tests that catch it.
 
 void expect_identical(const core::MappingResult& serial,
                       const core::MappingResult& fast,
