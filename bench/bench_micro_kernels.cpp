@@ -177,15 +177,15 @@ void BM_EnergyNeed_Cached(benchmark::State& state) {
 }
 BENCHMARK(BM_EnergyNeed_Cached);
 
-// --- pool scoring: per-candidate scalar chain vs SoA batch kernel ---------
+// --- pool scoring: per-candidate scalar chain vs the fused gather ---------
 //
-// The kernel-only comparison behind the batched tentpole: score every ready
-// task against one machine, excluding the pool sort (identical on both
-// sides) so the ratio is gather+score work alone. Independent tasks make the
-// whole task set ready at clock 0 — the |T|=100k regime's pool shape. The
-// scalar side is the per-candidate admission check + two score_candidate
-// chains per task; the batched side is build_candidate_batch + score_batch
-// over the same ready span.
+// Score every ready task against one machine, excluding the pool sort
+// (identical on both sides) so the ratio is gather+score work alone.
+// Independent tasks make the whole task set ready at clock 0 — the
+// |T|=100k regime's pool shape. The scalar side is the per-candidate
+// admission check + two score_candidate chains per task; the batched side
+// is the pool build's CandidateBatch::start + gather_candidates over the
+// same ready span.
 
 workload::Scenario all_ready_scenario(std::size_t num_tasks) {
   auto grid = sim::GridConfig::make(4, 4);
@@ -243,12 +243,10 @@ double batched_score_kernel(const workload::Scenario& scenario,
                             const core::ObjectiveTotals& totals,
                             std::span<const TaskId> ready,
                             core::GatherRows& rows, core::CandidateBatch& batch) {
-  core::build_candidate_batch(cache, scenario, schedule, ready, /*machine=*/0,
-                              /*earliest=*/0, nullptr, rows, batch);
-  core::score_batch(batch, weights, totals, schedule.t100(), schedule.tec(),
-                    schedule.aet());
+  batch.start(schedule, /*machine=*/0, /*earliest=*/0, weights, totals);
+  core::gather_candidates(cache, scenario, schedule, ready, nullptr, rows, batch);
   double acc = 0.0;
-  for (std::size_t i = 0; i < batch.size(); ++i) acc += batch.score[i];
+  for (std::size_t i = 0; i < batch.size(); ++i) acc += batch.slots[i].score;
   return acc;
 }
 
@@ -441,12 +439,12 @@ void write_inner_loop_report() {
     std::cout << name << ": " << fast.wall_seconds << " s\n";
   }
 
-  // Score-kernel record (ISSUE: >= 3x on the pool-build/score kernel at
-  // |T|=1024): the scalar per-candidate chain vs the SoA gather+score
-  // kernel over an all-ready pool, sort excluded from both sides (it is
-  // identical work and would dilute the kernel ratio). Min-of-N absorbs
-  // scheduler noise; the speedup gauge is the before/after artifact the
-  // gate tracks (its committed tolerance is wide — machine-dependent).
+  // Score-kernel record at |T|=1024: the scalar per-candidate chain vs the
+  // pool build's fused gather over an all-ready pool, sort excluded from
+  // both sides (it is identical work and would dilute the kernel ratio).
+  // Min-of-N absorbs scheduler noise; the speedup gauge is the
+  // before/after artifact the gate tracks (its committed tolerance is wide
+  // — machine-dependent).
   {
     constexpr int kReps = 15;
     const auto pool_scenario = all_ready_scenario(1024);

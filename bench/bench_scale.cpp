@@ -1,6 +1,6 @@
 // Large-scale end-to-end tier: one SLRH mapping run far above the paper's
-// |T| = 1024 — the ad-hoc-grid regime the batched SoA scoring kernel and the
-// timeline hole index exist for. Default scale maps |T| = 65 536 subtasks
+// |T| = 1024 — the ad-hoc-grid regime the pool build's gather rows and
+// activation index and the timeline hole index exist for. Default scale maps |T| = 65 536 subtasks
 // onto |M| = 512 machines (128 subtasks per machine, half the paper's
 // per-machine pressure, with tau and batteries scaled to match); smoke scale
 // is the CI-sized run of the same shape. Dumps BENCH_scale.json /

@@ -161,10 +161,11 @@ class CandidateTable {
   /// energy headroom are read once per call. Each entry is scored with
   /// objective_value's expression tree on the state score_candidate_with_finish
   /// would build for it; the per-call constant subtrees (alpha times either
-  /// t100 term, sign times gamma) are hoisted whole, as in score_batch, so
-  /// every score is the same double. So is the AET term of every entry that
-  /// finishes by the schedule's AET: max(aet, finish) is aet there, and the
-  /// hoisted term is the same expression on the same value.
+  /// t100 term, sign times gamma) are hoisted whole, as in the SLRH pool
+  /// build's CandidateBatch::start, so every score is the same double. So is
+  /// the AET term of every entry that finishes by the schedule's AET:
+  /// max(aet, finish) is aet there, and the hoisted term is the same
+  /// expression on the same value.
   Triplet select(const sim::Schedule& schedule, const MaxMaxParams& params,
                  const ObjectiveTotals& totals) {
     const std::size_t t100 = schedule.t100();

@@ -263,10 +263,14 @@ std::span<const TaskId> GatherRows::dead(MachineId machine) {
   return dead_;
 }
 
-// --- batched SoA scoring -----------------------------------------------
+// --- fused gather-and-score ---------------------------------------------
 
 void CandidateBatch::start(const sim::Schedule& schedule, MachineId machine_id,
-                           Cycles earliest_clock) {
+                           Cycles earliest_clock, const Weights& weights,
+                           const ObjectiveTotals& totals, AetSign aet_sign) {
+  AHG_EXPECTS_MSG(totals.num_tasks > 0, "objective needs |T| > 0");
+  AHG_EXPECTS_MSG(totals.tse > 0.0, "objective needs TSE > 0");
+  AHG_EXPECTS_MSG(totals.tau > 0, "objective needs tau > 0");
   machine = machine_id;
   earliest = earliest_clock;
   // Hoisted per-machine state: pure during a pool build. The admission
@@ -275,7 +279,23 @@ void CandidateBatch::start(const sim::Schedule& schedule, MachineId machine_id,
   // side; max(earliest, ready) is integer — hoisting is exact).
   headroom = schedule.energy().available(machine) + kEnergyFitEps;
   start_base = std::max(earliest, schedule.machine_ready(machine));
-  count_ = 0;  // columns keep their high-water storage
+  aet_base = schedule.aet();
+  tec_base = schedule.tec();
+  // Per-build constant subtrees of objective_value's expression: a build has
+  // exactly two possible t100 terms (secondary leaves t100, primary adds
+  // one) and one sign*gamma product. Each is computed by the scalar path's
+  // exact operations, so reusing the resulting doubles keeps every slot
+  // score bit-identical to objective_value.
+  const double num_tasks = static_cast<double>(totals.num_tasks);
+  alpha_t100_secondary =
+      weights.alpha * (static_cast<double>(schedule.t100()) / num_tasks);
+  alpha_t100_primary =
+      weights.alpha * (static_cast<double>(schedule.t100() + 1) / num_tasks);
+  sign_gamma = static_cast<double>(static_cast<int>(aet_sign)) * weights.gamma;
+  beta = weights.beta;
+  tse = totals.tse;
+  tau = static_cast<double>(totals.tau);
+  count_ = 0;  // slots keep their high-water storage
 }
 
 std::size_t gather_candidates(const ScenarioCache& cache,
@@ -284,34 +304,22 @@ std::size_t gather_candidates(const ScenarioCache& cache,
                               std::span<const TaskId> tasks,
                               const std::vector<std::uint8_t>* secondary_only,
                               GatherRows& rows, CandidateBatch& batch) {
-  // Grow the gather columns to the high-water slot count and fill through
-  // raw pointers: a push_back per column per slot re-checks capacity and
-  // bumps the end pointer seven times per task, and at ~10ns/task gather
-  // cost that bookkeeping is measurable. Growth is monotone — shrinking to
-  // the slot count and regrowing next build would value-initialize (memset)
-  // the regrown tail on every pool build, which the SLRH driver pays
-  // thousands of times per run.
+  // Grow the slots to the high-water count and fill by index: shrinking to
+  // the slot count and regrowing next build would value-initialize the
+  // regrown tail on every pool build, which the SLRH driver pays thousands
+  // of times per run.
   const std::size_t cap = batch.count_ + tasks.size();
-  if (batch.task.size() < cap) {
-    batch.task.resize(cap);
-    batch.finish_secondary.resize(cap);
-    batch.finish_primary.resize(cap);
-    batch.tec_delta_secondary.resize(cap);
-    batch.tec_delta_primary.resize(cap);
-    batch.primary_allowed.resize(cap);
-    batch.arrival_lb.resize(cap);
-  }
-  TaskId* const col_task = batch.task.data();
-  double* const col_fs = batch.finish_secondary.data();
-  double* const col_fp = batch.finish_primary.data();
-  double* const col_ts = batch.tec_delta_secondary.data();
-  double* const col_tp = batch.tec_delta_primary.data();
-  std::uint8_t* const col_allowed = batch.primary_allowed.data();
-  Cycles* const col_lb = batch.arrival_lb.data();
+  if (batch.slots.size() < cap) batch.slots.resize(cap);
   const MachineId machine = batch.machine;
-  const Cycles earliest = batch.earliest;
   const double headroom = batch.headroom;
-  const Cycles start_base = batch.start_base;
+  // objective_value's expression with the hoisted subtrees; aet is the
+  // integer max(AET, finish), converted exactly as the scalar path does.
+  const auto score = [&batch](double alpha_t100, double tec_delta, Cycles finish) {
+    const double tec = batch.tec_base + tec_delta;
+    const double aet = static_cast<double>(std::max(batch.aet_base, finish));
+    return alpha_t100 - batch.beta * (tec / batch.tse) +
+           batch.sign_gamma * (aet / batch.tau);
+  };
 
   std::size_t slot = batch.count_;
   std::size_t rejected_energy = 0;
@@ -320,107 +328,33 @@ std::size_t gather_candidates(const ScenarioCache& cache,
       ++rejected_energy;
       continue;
     }
-    const double need_p = cache.energy_need(task, machine, VersionKind::Primary);
-    const bool degraded =
-        secondary_only != nullptr &&
-        (*secondary_only)[static_cast<std::size_t>(task)] != 0;
-
     // Both tec-delta chains and the arrival bound come from the task's row:
     // its parents are committed, so the entry filled by the first gather of
     // this (task, machine) pair holds for every later build in the window.
     const ParentTerms& parents = rows.terms(cache, scenario, schedule, task, machine);
-
-    col_task[slot] = task;
-    // Exact integer finish estimates, converted once (values < 2^53, so the
-    // conversion is lossless — see the CandidateBatch doc comment).
-    col_fs[slot] = static_cast<double>(
-        start_base + cache.exec_cycles(task, machine, VersionKind::Secondary));
-    col_fp[slot] = static_cast<double>(
-        start_base + cache.exec_cycles(task, machine, VersionKind::Primary));
-    col_ts[slot] = parents.tec_delta_secondary;
-    col_tp[slot] = parents.tec_delta_primary;
-    col_allowed[slot] =
-        !degraded && need_p <= headroom ? std::uint8_t{1} : std::uint8_t{0};
-    col_lb[slot] = parents.arrival_lb(earliest);
-    ++slot;
+    SlrhPoolCandidate& out = batch.slots[slot++];
+    out.task = task;
+    out.version = VersionKind::Secondary;
+    out.score = score(batch.alpha_t100_secondary, parents.tec_delta_secondary,
+                      batch.start_base +
+                          cache.exec_cycles(task, machine, VersionKind::Secondary));
+    out.arrival_lb = parents.arrival_lb(batch.earliest);
+    // Primary is considered iff the degrade mask allows it and its need
+    // fits too, and chosen iff it scores at least the secondary's.
+    const bool degraded = secondary_only != nullptr &&
+                          (*secondary_only)[static_cast<std::size_t>(task)] != 0;
+    if (!degraded && cache.energy_need(task, machine, VersionKind::Primary) <= headroom) {
+      const double primary = score(
+          batch.alpha_t100_primary, parents.tec_delta_primary,
+          batch.start_base + cache.exec_cycles(task, machine, VersionKind::Primary));
+      if (primary >= out.score) {
+        out.version = VersionKind::Primary;
+        out.score = primary;
+      }
+    }
   }
   batch.count_ = slot;
   return rejected_energy;
-}
-
-std::size_t build_candidate_batch(const ScenarioCache& cache,
-                                  const workload::Scenario& scenario,
-                                  const sim::Schedule& schedule,
-                                  std::span<const TaskId> ready,
-                                  MachineId machine, Cycles earliest,
-                                  const std::vector<std::uint8_t>* secondary_only,
-                                  GatherRows& rows, CandidateBatch& batch) {
-  batch.start(schedule, machine, earliest);
-  return gather_candidates(cache, scenario, schedule, ready, secondary_only, rows,
-                           batch);
-}
-
-void score_batch(CandidateBatch& batch, const Weights& weights,
-                 const ObjectiveTotals& totals, std::size_t t100_base,
-                 double tec_base, Cycles aet_base, AetSign aet_sign) {
-  AHG_EXPECTS_MSG(totals.num_tasks > 0, "objective needs |T| > 0");
-  AHG_EXPECTS_MSG(totals.tse > 0.0, "objective needs TSE > 0");
-  AHG_EXPECTS_MSG(totals.tau > 0, "objective needs tau > 0");
-  const std::size_t n = batch.size();
-  if (batch.score_secondary.size() < n) {
-    batch.score_secondary.resize(n);
-    batch.score_primary.resize(n);
-    batch.version.resize(n);
-    batch.score.resize(n);
-  }
-
-  // Per-batch constant subtrees of objective_value's expression, hoisted:
-  // a batch has exactly two possible t100 terms (secondary leaves t100,
-  // primary adds one) and one sign*gamma product. Each is computed by the
-  // scalar path's exact operations, so reusing the resulting doubles keeps
-  // every per-slot score bit-identical to objective_value.
-  const double num_tasks = static_cast<double>(totals.num_tasks);
-  const double tau = static_cast<double>(totals.tau);
-  const double alpha_t100_s =
-      weights.alpha * (static_cast<double>(t100_base) / num_tasks);
-  const double alpha_t100_p =
-      weights.alpha * (static_cast<double>(t100_base + 1) / num_tasks);
-  const double sign_gamma =
-      static_cast<double>(static_cast<int>(aet_sign)) * weights.gamma;
-
-  // Two passes so the arithmetic loop is a pure double pipeline the
-  // compiler can keep in SIMD lanes (the divisions dominate the kernel, and
-  // packed division is IEEE correctly-rounded — identical bits to the
-  // scalar path). std::max over the exactly-converted finish estimates
-  // reproduces the integer max's value bit for bit (conversion is exact and
-  // monotone). The select pass carries no divisions and costs little.
-  const double aet_floor = static_cast<double>(aet_base);
-  const double beta = weights.beta;
-  const double tse = totals.tse;
-  const double* const tds = batch.tec_delta_secondary.data();
-  const double* const tdp = batch.tec_delta_primary.data();
-  const double* const fs = batch.finish_secondary.data();
-  const double* const fp = batch.finish_primary.data();
-  double* const out_s = batch.score_secondary.data();
-  double* const out_p = batch.score_primary.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    const double tec_s = tec_base + tds[i];
-    const double tec_p = tec_base + tdp[i];
-    const double aet_s = std::max(aet_floor, fs[i]);
-    const double aet_p = std::max(aet_floor, fp[i]);
-    out_s[i] = alpha_t100_s - beta * (tec_s / tse) + sign_gamma * (aet_s / tau);
-    out_p[i] = alpha_t100_p - beta * (tec_p / tse) + sign_gamma * (aet_p / tau);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    // Admission classification by select: primary iff allowed (degrade mask
-    // + primary admission energy, gathered) and it beats secondary. The
-    // primary score is computed unconditionally but only SELECTED when the
-    // scalar path would have computed it — same choice, same bits.
-    const bool pick_primary =
-        batch.primary_allowed[i] != 0 && out_p[i] >= out_s[i];
-    batch.version[i] = pick_primary ? VersionKind::Primary : VersionKind::Secondary;
-    batch.score[i] = pick_primary ? out_p[i] : out_s[i];
-  }
 }
 
 }  // namespace ahg::core

@@ -257,37 +257,34 @@ class GatherRows {
   std::vector<TaskId> dead_;            ///< dead() scratch
 };
 
-// --- batched SoA scoring -----------------------------------------------
+// --- fused gather-and-score ---------------------------------------------
 //
 // One SLRH pool build evaluates its candidates (the live ready tasks, and
 // the dead ones when an observer reads them) against a single machine at a
 // single clock. Scoring each candidate through score_candidate would pay
 // two call chains per candidate — each re-reading machine state, re-walking
-// the parents and re-dividing the objective normalisers. The batched path
-// (the only one SLRH uses) splits the work into a GATHER stage
-// (gather_candidates: admission plus a read of each task's GatherRows
-// entry, filling contiguous structure-of-arrays columns from the entry, the
-// ScenarioCache tables and the per-machine schedule state) and a SCORE
-// kernel (score_batch:
-// branch-free arithmetic over the columns, admission classification by
-// conditional select).
+// the parents and re-dividing the objective normalisers. The pool build
+// instead hoists the per-build state once (CandidateBatch::start) and, per
+// admitted task, reads the task's GatherRows entry, scores both versions,
+// picks one and writes the finished pool slot (gather_candidates).
 //
 // Bit-identity contract (enforced by the property tests in
 // tests/test_scoring.cpp and the pool-level scan oracle in
-// tests/test_determinism.cpp): every double in the batch is produced by the
-// SAME expression in the SAME operation order as score_candidate — the
-// tec-delta accumulation per version starts from the version's exec energy
-// and adds the identical per-parent transfer energies in parent order; the
-// finish estimate is max(earliest, machine_ready) + duration with the max
-// hoisted (integers — exact); the objective is evaluated with
-// objective_value's exact expression tree, with the two per-batch-constant
-// t100 terms (t100 and t100+1 over |T|) and the sign*gamma product hoisted
-// as whole subtrees (hoisting a subtree reuses its identical double).
+// tests/test_determinism.cpp): every score is produced by the SAME
+// expression in the SAME operation order as score_candidate — the tec-delta
+// accumulation per version starts from the version's exec energy and adds
+// the identical per-parent transfer energies in parent order; the finish
+// estimate is max(earliest, machine_ready) + duration with the max hoisted
+// (integers — exact); the objective is evaluated with objective_value's
+// exact expression tree, with the two per-build-constant t100 terms (t100
+// and t100+1 over |T|) and the sign*gamma product hoisted as whole subtrees
+// (hoisting a subtree reuses its identical double).
 
 /// One entry of the ordered candidate pool U: the subtask with its
 /// objective-maximising version and that version's score, plus the gather's
-/// lower bound on its data arrival (CandidateBatch::arrival_lb), which lets
-/// the map walk reject it as beyond the horizon without planning it.
+/// lower bound on its data arrival (ParentTerms::arrival_lb at the build's
+/// clock), which lets the map walk reject it as beyond the horizon without
+/// planning it.
 struct SlrhPoolCandidate {
   TaskId task = kInvalidTask;
   VersionKind version = VersionKind::Primary;
@@ -303,87 +300,57 @@ inline bool ranks_before(const SlrhPoolCandidate& a,
   return a.task < b.task;
 }
 
-/// Structure-of-arrays candidate columns for one (machine, clock) pool
-/// build. Slots hold the ready tasks that passed secondary-version admission
-/// (the pool membership rule); per-version columns are indexed by slot.
-/// Reused across builds: columns grow to the high-water ready-set size and
-/// never shrink, so steady-state filling is allocation- AND memset-free (a
-/// shrink-regrow cycle would value-initialize the regrown tail on every
-/// build). Only slots [0, size()) are meaningful; entries beyond are stale.
+/// Scratch for one (machine, clock) pool build: the pool's slots plus the
+/// per-build state start() hoists. Reused across builds: `slots` grows to
+/// the high-water pool size and never shrinks, so steady-state filling is
+/// allocation- AND memset-free (a shrink-regrow cycle would value-initialize
+/// the regrown tail on every build). Only slots [0, size()) are meaningful;
+/// entries beyond are stale.
 struct CandidateBatch {
-  std::vector<TaskId> task;
+  /// Storage of the pool an SLRH build makes (SlrhPool views it).
+  std::vector<SlrhPoolCandidate> slots;
 
-  // Gather outputs (pure reads from ScenarioCache / schedule state). Finish
-  // estimates are stored as doubles: the int64 cycle value is far below
-  // 2^53, so the conversion is exact, and max over exactly-converted values
-  // equals the converted integer max bit for bit — which lets the score
-  // kernel stay in pure double arithmetic (and the compiler keep it in
-  // divpd/maxpd lanes) without breaking the bit-identity contract.
-  std::vector<double> finish_secondary, finish_primary;    ///< finish estimates
-  std::vector<double> tec_delta_secondary, tec_delta_primary;  ///< exec + incoming-transfer energy
-  std::vector<std::uint8_t> primary_allowed;  ///< degrade mask + primary admission
-  /// Lower bound on plan_placement's arrival at not_before = earliest
-  /// (ParentTerms::arrival_lb).
-  std::vector<Cycles> arrival_lb;
-
-  // Score-kernel outputs.
-  std::vector<double> score_secondary, score_primary;
-  std::vector<VersionKind> version;  ///< objective-maximising version
-  std::vector<double> score;         ///< its score
-
-  // Per-batch scalars (hoisted per-machine state, recorded for diagnostics).
+  // Per-build state, hoisted by start() from the schedule and the objective.
   MachineId machine = kInvalidMachine;
   Cycles earliest = 0;        ///< the clock the arrival bounds are taken at
   Cycles start_base = 0;      ///< max(earliest, machine_ready)
   double headroom = 0.0;      ///< available battery + kEnergyFitEps
-
-  /// Storage of the pool an SLRH build makes from this batch (SlrhPool
-  /// views it), reused like the columns.
-  std::vector<SlrhPoolCandidate> slots;
+  Cycles aet_base = 0;        ///< the schedule's AET
+  double tec_base = 0.0;      ///< the schedule's TEC
+  double alpha_t100_secondary = 0.0;  ///< alpha * (t100 / |T|)
+  double alpha_t100_primary = 0.0;    ///< alpha * ((t100 + 1) / |T|)
+  double sign_gamma = 0.0;            ///< sign * gamma
+  double beta = 0.0;
+  double tse = 0.0;
+  double tau = 0.0;
 
   std::size_t size() const noexcept { return count_; }
-  /// Empty the batch and hoist (machine, earliest)'s per-batch state from
-  /// the schedule.
-  void start(const sim::Schedule& schedule, MachineId machine, Cycles earliest);
+  /// Empty the batch and hoist (machine, earliest)'s per-build state from
+  /// the schedule and the objective's constant subtrees.
+  void start(const sim::Schedule& schedule, MachineId machine, Cycles earliest,
+             const Weights& weights, const ObjectiveTotals& totals,
+             AetSign aet_sign = AetSign::Reward);
 
-  /// Logical slot count (set by gather_candidates); the columns' vector
-  /// sizes are the high-water capacity, not the slot count.
+  /// Logical slot count (set by gather_candidates); slots.size() is the
+  /// high-water capacity, not the slot count.
   std::size_t count_ = 0;
 };
 
-/// Gather stage: append to `batch` (started for its machine and clock)
-/// every task in `tasks` whose secondary version fits the machine's
-/// available energy (identical admission verdicts to version_fits_energy).
-/// The tec-delta columns and the arrival bound come from each task's `rows`
-/// entry (filled by one parent walk the first time the pair is gathered; no
-/// walk after that). `secondary_only` non-null masks primary consideration
-/// per task (churn degrade policy). Returns the number of tasks rejected by
-/// the admission energy check.
+/// Append to `batch` (started for its machine, clock and objective) one
+/// scored slot per task in `tasks` whose secondary version fits the
+/// machine's available energy (identical admission verdicts to
+/// version_fits_energy). The tec deltas and the arrival bound come from each
+/// task's `rows` entry (filled by one parent walk the first time the pair is
+/// gathered; no walk after that). The slot's version is primary iff primary
+/// is allowed — `secondary_only` null or clear for the task (churn degrade
+/// policy) and primary admitted — and scores at least the secondary's; its
+/// score is bit-identical to score_candidate's. Returns the number of tasks
+/// rejected by the admission energy check.
 std::size_t gather_candidates(const ScenarioCache& cache,
                               const workload::Scenario& scenario,
                               const sim::Schedule& schedule,
                               std::span<const TaskId> tasks,
                               const std::vector<std::uint8_t>* secondary_only,
                               GatherRows& rows, CandidateBatch& batch);
-
-/// batch.start(schedule, machine, earliest), then gather_candidates over
-/// `ready`.
-std::size_t build_candidate_batch(const ScenarioCache& cache,
-                                  const workload::Scenario& scenario,
-                                  const sim::Schedule& schedule,
-                                  std::span<const TaskId> ready,
-                                  MachineId machine, Cycles earliest,
-                                  const std::vector<std::uint8_t>* secondary_only,
-                                  GatherRows& rows, CandidateBatch& batch);
-
-/// Score kernel: compute both versions' scores and the admission
-/// classification (primary iff allowed and >= secondary) for every slot,
-/// branch-free over the columns. Scores are bit-identical to
-/// score_candidate; the classification matches the scalar pool build's
-/// version choice exactly.
-void score_batch(CandidateBatch& batch, const Weights& weights,
-                 const ObjectiveTotals& totals, std::size_t t100_base,
-                 double tec_base, Cycles aet_base,
-                 AetSign aet_sign = AetSign::Reward);
 
 }  // namespace ahg::core

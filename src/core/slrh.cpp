@@ -146,10 +146,10 @@ SlrhPool build_slrh_pool_batched(
   }
   SlrhPool pool;
   {
-    // The scoring histogram covers gather + kernel (the admission compare
-    // folded into the gather is noise). Telemetry only.
+    // The scoring histogram covers the fused gather (the admission compare
+    // folded into it is noise). Telemetry only.
     obs::ProfileScope scoring(scoring_histogram);
-    batch.start(schedule, machine, clock);
+    batch.start(schedule, machine, clock, params.weights, totals, params.aet_sign);
     const std::span<const TaskId> live =
         rows.activate(cache, scenario, schedule, frontier.joined(), machine, clock,
                       params.horizon, batch.headroom);
@@ -158,22 +158,14 @@ SlrhPool build_slrh_pool_batched(
     pool.live = batch.size();
     pool.dead_min_arrival =
         rows.dead_min_arrival(cache, machine, clock, batch.headroom);
-    // Dead slots follow the live ones through the same gather and kernel.
+    // Dead slots follow the live ones through the same gather.
     if (with_dead) {
       rejected_energy += gather_candidates(cache, scenario, schedule,
                                            rows.dead(machine),
                                            params.secondary_only, rows, batch);
     }
     if (rejects != nullptr) rejects->energy = rejected_energy;
-    score_batch(batch, params.weights, totals, schedule.t100(), schedule.tec(),
-                schedule.aet(), params.aet_sign);
-    const std::size_t n = batch.size();
-    if (batch.slots.size() < n) batch.slots.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      batch.slots[i] = {batch.task[i], batch.version[i], batch.score[i],
-                        batch.arrival_lb[i]};
-    }
-    pool.slots = std::span<SlrhPoolCandidate>(batch.slots.data(), n);
+    pool.slots = std::span<SlrhPoolCandidate>(batch.slots.data(), batch.size());
   }
   std::sort(pool.slots.begin(),
             pool.slots.begin() + static_cast<std::ptrdiff_t>(pool.live), ranks_before);
@@ -203,9 +195,9 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
   BeyondHorizonMemo memo(scenario.num_tasks());
 
   // Parent terms per ready task (filled once, dropped on commit) with the
-  // per-machine horizon-activation index, and the SoA scratch for the
-  // batched score kernel and the pool's slots, reused across every pool
-  // build of the window (allocation-free steady state).
+  // per-machine horizon-activation index, and the pool builds' scratch (the
+  // pool's slots), reused across every pool build of the window
+  // (allocation-free steady state).
   GatherRows rows(scenario.num_tasks(), scenario.num_machines());
   CandidateBatch batch_scratch;
 

@@ -174,24 +174,23 @@ struct SlrhPoolRejects {
 /// The SLRH pool builder. `rows`' activation index (one per machine, fed
 /// from the frontier's joined() log) names the live ready tasks — those
 /// whose arrival bound lies within clock + H — and only they run the
-/// admission, the gather through the structure-of-arrays CandidateBatch
-/// (parent terms from `rows`, one parent walk per ready (task, machine)
-/// pair per drive window) and the branch-free score_batch kernel
-/// (core/scoring.hpp); the live prefix is then ranked. The dead slots'
-/// minimum comes from the index exactly, and `with_dead` also gathers and
-/// scores the dead tasks into the pool's tail (SlrhPool). The frontier must
-/// have been advanced to `clock` and notified of every commit, and `rows`
-/// must serve this frontier only, with one horizon and per machine a clock
-/// that never goes back. `batch` is scratch storage reused across builds
-/// and holds the pool's slots (allocation-free steady state). `rejects`
-/// non-null (only with `with_dead`: the energy tally counts every ready
-/// task) receives the per-build admission tallies (the machine-independent
-/// ones straight from the frontier's running counters);
-/// `scoring_histogram` non-null accumulates the gather+score share of the
-/// build. With `with_dead`, the slots match a scan over all |T| subtasks
-/// with per-candidate score_candidate calls — membership, order, version,
-/// scores and tallies (asserted against the test-only scan oracle in
-/// tests/oracles.hpp by tests/test_determinism.cpp); either way the pool
+/// admission and the fused gather-and-score into `batch`'s slots (parent
+/// terms from `rows`, one parent walk per ready (task, machine) pair per
+/// drive window; gather_candidates in core/scoring.hpp); the live prefix is
+/// then ranked. The dead slots' minimum comes from the index exactly, and
+/// `with_dead` also gathers and scores the dead tasks into the pool's tail
+/// (SlrhPool). The frontier must have been advanced to `clock` and notified
+/// of every commit, and `rows` must serve this frontier only, with one
+/// horizon and per machine a clock that never goes back. `batch` is scratch
+/// storage reused across builds and holds the pool's slots (allocation-free
+/// steady state). `rejects` non-null (only with `with_dead`: the energy
+/// tally counts every ready task) receives the per-build admission tallies
+/// (the machine-independent ones straight from the frontier's running
+/// counters); `scoring_histogram` non-null accumulates the gather+score
+/// share of the build. With `with_dead`, the slots match a scan over all |T|
+/// subtasks with per-candidate score_candidate calls — membership, order,
+/// version, scores and tallies (asserted against the test-only scan oracle
+/// in tests/oracles.hpp by tests/test_determinism.cpp); either way the pool
 /// matches the full-ready-set gather the index replaced
 /// (test::full_gather_pool_oracle, SlrhActivationIndexProperty in
 /// tests/test_slrh.cpp).

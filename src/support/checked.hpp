@@ -1,9 +1,8 @@
 #pragma once
 // Overflow-checked size arithmetic for table sizing.
 //
-// The |T|x|M|x2 tables (ScenarioCache, CandidateBatch columns, ledger
-// capacities) size themselves with products that exceed 2^31 elements well
-// before the 1M-task tier — narrow `int`/`uint32` arithmetic would wrap
+// The |T|x|M|x2 tables (ScenarioCache, ledger capacities) size themselves
+// with products that exceed 2^31 elements well before the 1M-task tier — narrow `int`/`uint32` arithmetic would wrap
 // silently into an undersized (or wildly oversized) allocation and corrupt
 // every subsequent indexed access. All sizing products route through
 // checked_mul: the math stays in std::size_t end to end, and a product that

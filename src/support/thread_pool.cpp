@@ -92,10 +92,6 @@ std::size_t ThreadPool::self_index() const noexcept {
   return tls_identity.pool == this ? tls_identity.index : npos;
 }
 
-std::size_t ThreadPool::approx_queued() const {
-  return pending_.load(std::memory_order_relaxed);
-}
-
 void ThreadPool::push_task(Task task) {
   AHG_EXPECTS_MSG(!stopping_.load(std::memory_order_acquire),
                   "submit on a stopped ThreadPool");

@@ -62,11 +62,6 @@ class ThreadPool {
   /// route spawned tasks onto the worker's own deque).
   bool on_worker_thread() const noexcept;
 
-  /// Tasks currently queued (all deques + external queue). Approximate —
-  /// other threads keep mutating the queues — but good enough for the
-  /// utilization gauge.
-  std::size_t approx_queued() const;
-
   /// Attach a wall-clock runtime profiler (not owned; nullptr detaches —
   /// the default). Null costs one relaxed load and branch per pop/park and
   /// changes no schedule (the usual observability contract, asserted by

@@ -195,16 +195,14 @@ inline FullGatherPool full_gather_pool_oracle(
     MachineId machine, Cycles clock, core::GatherRows& rows,
     core::CandidateBatch& batch) {
   FullGatherPool out;
-  out.rejected_energy = core::build_candidate_batch(
-      cache, scenario, schedule, ready_tasks(frontier, schedule), machine, clock,
-      params.secondary_only, rows, batch);
-  core::score_batch(batch, params.weights, totals, schedule.t100(), schedule.tec(),
-                    schedule.aet(), params.aet_sign);
+  batch.start(schedule, machine, clock, params.weights, totals, params.aet_sign);
+  out.rejected_energy =
+      core::gather_candidates(cache, scenario, schedule, ready_tasks(frontier, schedule),
+                              params.secondary_only, rows, batch);
   const Cycles limit = clock + params.horizon;
   std::vector<core::SlrhPoolCandidate> dead;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const core::SlrhPoolCandidate cand{batch.task[i], batch.version[i], batch.score[i],
-                                       batch.arrival_lb[i]};
+    const core::SlrhPoolCandidate& cand = batch.slots[i];
     if (cand.arrival_lb > limit) {
       dead.push_back(cand);
       out.dead_min_arrival = std::min(out.dead_min_arrival, cand.arrival_lb);

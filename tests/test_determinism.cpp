@@ -627,11 +627,12 @@ TEST(Determinism, TunerWithSharedCacheMatchesRunLocalCache) {
 // carries real placements, partly drained batteries and booked
 // communication channels. At the next tick's clock every machine present is
 // asked for its pool both ways: build_slrh_pool_batched (frontier + tables
-// + gather rows + SoA kernel) and test::scan_pool_oracle (scan all |T|,
-// on-demand derivations, per-candidate score_candidate). Membership, order,
-// version, exact score and the rejection tallies must all agree: the live
-// prefix and the ranked dead tail, merged in pool order, are the oracle's
-// pool, and the split follows each slot's arrival bound.
+// + gather rows + fused gather-and-score) and test::scan_pool_oracle (scan
+// all |T|, on-demand derivations, per-candidate score_candidate).
+// Membership, order, version, exact score and the rejection tallies must
+// all agree: the live prefix and the ranked dead tail, merged in pool
+// order, are the oracle's pool, and the split follows each slot's arrival
+// bound.
 
 /// Adds the number of pooled candidates compared to `candidates`.
 void expect_pools_match_scan_oracle(const workload::Scenario& scenario,

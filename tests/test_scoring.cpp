@@ -103,15 +103,14 @@ TEST(Scoring, EarliestLowerBoundsFinishEstimate) {
   EXPECT_GT(at_thousand, at_zero);  // later clock -> later estimated finish
 }
 
-// --- batched kernel vs scalar path: bit-identity property sweep ---------
+// --- fused gather vs scalar path: bit-identity property sweep ----------
 //
 // For randomized suite scenarios (several grid cases, seeds, and sizes) with
-// a partially committed schedule: build_candidate_batch + score_batch must
-// reproduce the scalar pool build EXACTLY — same admission verdicts (batch
-// membership == version_fits_energy), bit-identical scores for every
-// admitted (task, machine, version) triple, and the identical
-// primary/secondary classification — under both AET signs and with a
-// degrade mask (secondary_only) active. The same sweep proves the gather's
+// a partially committed schedule: CandidateBatch::start + gather_candidates
+// must reproduce the scalar pool build EXACTLY — same admission verdicts
+// (slot membership == version_fits_energy), the identical primary/secondary
+// choice and a score bit-identical to score_candidate's for that version —
+// under both AET signs and with a degrade mask (secondary_only) active. The same sweep proves the gather's
 // arrival lower bound sound: never above plan_placement's arrival, exact
 // without cross-machine data, and strictly below it somewhere once channel
 // outages and earlier transfers contend.
@@ -187,11 +186,9 @@ TEST_P(BatchedScoringProperty, MatchesScalarScoringBitForBit) {
                        std::to_string(earliest) + " sign " +
                        std::to_string(static_cast<int>(sign)) +
                        (mask != nullptr ? " masked" : ""));
-          const std::size_t rejected = build_candidate_batch(
-              cache, s, schedule, std::span<const TaskId>(ready), m, earliest,
-              mask, rows, batch);
-          score_batch(batch, w, totals, schedule.t100(), schedule.tec(),
-                      schedule.aet(), sign);
+          batch.start(schedule, m, earliest, w, totals, sign);
+          const std::size_t rejected = gather_candidates(
+              cache, s, schedule, std::span<const TaskId>(ready), mask, rows, batch);
 
           // Admission: batch membership must equal the scalar verdict, and
           // every rejection must be counted.
@@ -205,33 +202,28 @@ TEST_P(BatchedScoringProperty, MatchesScalarScoringBitForBit) {
               continue;
             }
             ASSERT_LT(slot, batch.size());
-            ASSERT_EQ(batch.task[slot], task);
+            const SlrhPoolCandidate& cand = batch.slots[slot];
+            ASSERT_EQ(cand.task, task);
 
             const double secondary =
                 score_candidate(cache, s, schedule, w, totals, task, m,
                                 VersionKind::Secondary, earliest, sign);
-            EXPECT_EQ(batch.score_secondary[slot], secondary);  // exact
-
             const bool degraded =
                 mask != nullptr && (*mask)[static_cast<std::size_t>(task)] != 0;
             VersionKind expect_version = VersionKind::Secondary;
             double expect_score = secondary;
             if (!degraded && version_fits_energy(cache, schedule, task, m,
                                                  VersionKind::Primary)) {
-              EXPECT_NE(batch.primary_allowed[slot], 0);
               const double primary =
                   score_candidate(cache, s, schedule, w, totals, task, m,
                                   VersionKind::Primary, earliest, sign);
-              EXPECT_EQ(batch.score_primary[slot], primary);  // exact
               if (primary >= secondary) {
                 expect_version = VersionKind::Primary;
                 expect_score = primary;
               }
-            } else {
-              EXPECT_EQ(batch.primary_allowed[slot], 0);
             }
-            EXPECT_EQ(batch.version[slot], expect_version) << "task " << task;
-            EXPECT_EQ(batch.score[slot], expect_score);  // exact
+            EXPECT_EQ(cand.version, expect_version) << "task " << task;
+            EXPECT_EQ(cand.score, expect_score);  // exact
 
             // Arrival lower bound: sound for either version, exact when every
             // data-carrying parent sits on this machine.
@@ -246,11 +238,11 @@ TEST_P(BatchedScoringProperty, MatchesScalarScoringBitForBit) {
                  {VersionKind::Secondary, VersionKind::Primary}) {
               const Cycles arrival =
                   plan_placement(s, schedule, task, m, version, earliest).arrival;
-              EXPECT_LE(batch.arrival_lb[slot], arrival) << "task " << task;
+              EXPECT_LE(cand.arrival_lb, arrival) << "task " << task;
               if (!remote_data) {
-                EXPECT_EQ(batch.arrival_lb[slot], arrival) << "task " << task;
+                EXPECT_EQ(cand.arrival_lb, arrival) << "task " << task;
               }
-              if (batch.arrival_lb[slot] < arrival) ++strict_bounds;
+              if (cand.arrival_lb < arrival) ++strict_bounds;
             }
             ++slot;
           }
@@ -279,8 +271,9 @@ INSTANTIATE_TEST_SUITE_P(
 // later clock as max(A, clock + D). Over several rounds of a growing
 // schedule — link outages on two machines, a degrade mask, release times on
 // some shapes, committed tasks dropping their rows and new ready tasks
-// reusing them — every gathered slot's tec deltas must be bit-identical to
-// the per-build walk's (test::gather_parents_oracle) and its bound equal,
+// reusing them — every gathered task's row entry must hold tec deltas
+// bit-identical to the per-build walk's (test::gather_parents_oracle), and
+// the entry's and the slot's arrival bounds must equal the walk's,
 // at several clocks per round. Both branches of the split must be hit:
 // a cross-machine parent whose finish + dur dominates (A) and one where the
 // clock does (clock + D).
@@ -311,6 +304,8 @@ TEST_P(SlrhGatherRowsProperty, RowsMatchPerBuildParentWalk) {
   std::vector<std::uint8_t> degrade(s.num_tasks(), 0);
   for (std::size_t t = 0; t < degrade.size(); t += 3) degrade[t] = 1;
 
+  const Weights weights = Weights::make(0.6, 0.3);
+  const auto totals = objective_totals(s);
   GatherRows rows(s.num_tasks(), s.num_machines());
   CandidateBatch batch;
   std::size_t compared = 0;
@@ -332,18 +327,19 @@ TEST_P(SlrhGatherRowsProperty, RowsMatchPerBuildParentWalk) {
     for (MachineId m = 0; m < num_machines; ++m) {
       for (const Cycles clock : {round_clock / 2, round_clock, round_clock + step}) {
         SCOPED_TRACE("machine " + std::to_string(m) + " clock " + std::to_string(clock));
-        build_candidate_batch(cache, s, schedule, std::span<const TaskId>(ready), m,
-                              clock, m % 2 == 0 ? &degrade : nullptr, rows, batch);
+        batch.start(schedule, m, clock, weights, totals);
+        gather_candidates(cache, s, schedule, std::span<const TaskId>(ready),
+                          m % 2 == 0 ? &degrade : nullptr, rows, batch);
         for (std::size_t slot = 0; slot < batch.size(); ++slot) {
-          const TaskId task = batch.task[slot];
+          const TaskId task = batch.slots[slot].task;
           const test::GatherParents oracle =
               test::gather_parents_oracle(cache, s, schedule, task, m, clock);
-          EXPECT_EQ(batch.tec_delta_secondary[slot], oracle.tec_delta_secondary)
-              << "task " << task;  // exact
-          EXPECT_EQ(batch.tec_delta_primary[slot], oracle.tec_delta_primary)
-              << "task " << task;  // exact
-          EXPECT_EQ(batch.arrival_lb[slot], oracle.arrival_lb) << "task " << task;
+          EXPECT_EQ(batch.slots[slot].arrival_lb, oracle.arrival_lb) << "task " << task;
           const ParentTerms& terms = rows.terms(cache, s, schedule, task, m);
+          EXPECT_EQ(terms.tec_delta_secondary, oracle.tec_delta_secondary)
+              << "task " << task;  // exact
+          EXPECT_EQ(terms.tec_delta_primary, oracle.tec_delta_primary)
+              << "task " << task;  // exact
           EXPECT_EQ(terms.arrival_lb(clock), oracle.arrival_lb) << "task " << task;
           if (terms.transfer_max != ParentTerms::kNoTransfer) {
             if (terms.arrival_base > clock + terms.transfer_max) ++base_wins;

@@ -78,15 +78,19 @@ TEST(Sweep, EmptyPoolVerdictSkipsAtEveryClock) {
 
 // ---------------------------------------------------------------------------
 // Randomized invalidation property: across random small scenarios
-// (varying seed, size, grid case, release spread, with and without a mid-run
-// departure), the pool_reuse sweep must produce the same schedule as the
-// rebuild-everything sweep — bit-identical assignments, counts and energy —
-// and the reuse ledger must balance (built + reused == serial builds). A
-// commit or join the frontier failed to count would let a verdict survive a
-// change to the pool and the skipped scope diverge. These small scenarios
-// do not reach every such scope: a frontier without the commit bump passes
-// here, and ReadyFrontier.RevisionMovesOnEveryCommitAndJoin and
-// Determinism.SlrhPoolReuseMatchesRebuild are the tests that catch it.
+// (varying seed, size, grid case, variant, release spread, battery scale,
+// with and without a mid-run departure), the pool_reuse sweep must produce
+// the same schedule as the rebuild-everything sweep — bit-identical
+// assignments, counts and energy — and the reuse ledger must balance
+// (built + reused == serial builds). A commit or join the frontier failed to
+// count would let a verdict survive a change to the pool and the skipped
+// scope diverge. The change a commit alone makes is the subtle one: placing
+// a child releases the worst-case output hold on its parent's machine, so
+// a machine whose battery admitted nothing can admit a task again with no
+// task joining. Release spread (pools that run empty between arrivals),
+// smaller batteries (pools emptied by the admission) and sizes up to 128
+// tasks are what expose it: a frontier without the commit bump diverges in
+// several of these trials, in every variant.
 
 void expect_identical(const core::MappingResult& serial,
                       const core::MappingResult& fast,
@@ -118,28 +122,33 @@ TEST(Sweep, RandomizedFlagCombosMatchSerial) {
   SplitMix64 meta_rng(0xA5EEDC0FFEEull);
   const sim::GridCase cases[] = {sim::GridCase::A, sim::GridCase::B,
                                  sim::GridCase::C};
-  for (int trial = 0; trial < 8; ++trial) {
+  const core::SlrhVariant variants[] = {core::SlrhVariant::V1, core::SlrhVariant::V2,
+                                        core::SlrhVariant::V3};
+  for (int trial = 0; trial < 96; ++trial) {
     const auto grid_case = cases[meta_rng.next() % 3];
-    const auto num_tasks = 32 + static_cast<std::size_t>(meta_rng.next() % 3) * 16;
+    const auto num_tasks = 64 + static_cast<std::size_t>(meta_rng.next() % 3) * 32;
     const auto seed = static_cast<std::uint64_t>(1000 + meta_rng.next() % 9000);
     auto scenario = test::small_suite_scenario(grid_case, num_tasks, seed);
-    if (trial % 2 == 0) {
-      // Half the trials add release spread: frontier revisions then churn
-      // from arrivals as well as commits.
+    // Three trials in four add release spread: frontier revisions then
+    // churn from arrivals as well as commits.
+    const bool with_releases = (trial / 3) % 4 != 3;
+    if (with_releases) {
       scenario.releases = workload::generate_release_times(
-          workload::ReleaseParams{0.25}, scenario.dag, scenario.tau,
-          seed + 17);
+          workload::ReleaseParams{0.5}, scenario.dag, scenario.tau, seed + 17);
     }
-    const bool with_churn = trial % 3 == 0;
+    const bool scaled_battery = (trial / 12) % 2 == 1;
+    if (scaled_battery) scenario.grid = scenario.grid.with_battery_scale(0.7);
+    const bool with_churn = trial % 7 == 0;
     if (with_churn) {
       scenario.machine_windows.assign(scenario.num_machines(),
                                       workload::Scenario::MachineWindow{});
       scenario.machine_windows[1].depart = scenario.tau / 8;
     }
-    const auto variant = trial % 2 == 0 ? core::SlrhVariant::V3
-                                        : core::SlrhVariant::V2;
-    SCOPED_TRACE("trial " + std::to_string(trial) + " tasks " +
-                 std::to_string(num_tasks) + " seed " + std::to_string(seed));
+    const auto variant = variants[trial % 3];
+    SCOPED_TRACE("trial " + std::to_string(trial) + " " + core::to_string(variant) +
+                 " tasks " + std::to_string(num_tasks) + " seed " +
+                 std::to_string(seed) + (with_releases ? " releases" : "") +
+                 (scaled_battery ? " battery x0.7" : "") + (with_churn ? " churn" : ""));
 
     core::SlrhParams params;
     params.variant = variant;
