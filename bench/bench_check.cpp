@@ -7,14 +7,17 @@
 // DIR/BENCH_<bench>.json; any regression — or a metric missing on either
 // side, unless --allow-missing — makes the exit status nonzero, which is
 // what CI keys off. --update instead (re)writes the baselines from the
-// fresh dumps; commit the result alongside the change that moved the
-// numbers.
+// fresh dumps, keeping each already-gated metric's tolerance and direction
+// (only its value is refreshed; new metrics get --tolerance and the
+// name-derived direction); commit the result alongside the change that
+// moved the numbers.
 
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -35,12 +38,14 @@ int usage(const char* argv0, int code) {
          "       BENCH_<name>.json...\n"
          "\n"
          "  --baselines DIR        baseline directory (default bench/baselines)\n"
-         "  --tolerance T          default relative tolerance for --update (0.25)\n"
+         "  --tolerance T          relative tolerance --update gives metrics the\n"
+         "                         baseline does not gate yet (0.25)\n"
          "  --seconds-tolerance T  tolerance for wall-clock metrics in --update\n"
          "                         (defaults to --tolerance)\n"
          "  --floor F              absolute slack in seconds for upper-gated\n"
          "                         metrics during checks (default 0.005)\n"
-         "  --update               rewrite baselines from the fresh dumps\n"
+         "  --update               rewrite baselines from the fresh dumps; gated\n"
+         "                         metrics keep their tolerance and direction\n"
          "  --allow-missing        metrics missing on one side do not fail\n"
          "  --plot-scaling         instead of gating, dump phase seconds vs\n"
          "                         |T| across the given dumps (one row per\n"
@@ -200,9 +205,14 @@ int main(int argc, char** argv) {
       std::filesystem::create_directories(baselines_dir);
       for (const std::string& path : files) {
         const FreshDump dump = load_dump(path);
-        const bench::GateBaseline baseline = bench::make_baseline(
-            dump.bench, dump.metrics, tolerance, seconds_tolerance);
         const std::string out_path = bench::baseline_path(baselines_dir, dump.bench);
+        std::optional<bench::GateBaseline> previous;
+        if (std::filesystem::exists(out_path)) {
+          previous = bench::parse_baseline(obs::parse_json(slurp(out_path)));
+        }
+        const bench::GateBaseline baseline =
+            bench::make_baseline(dump.bench, dump.metrics, tolerance, seconds_tolerance,
+                                 previous ? &*previous : nullptr);
         std::ofstream out(out_path);
         AHG_EXPECTS_MSG(out.good(), "cannot write " + out_path);
         bench::write_baseline(out, baseline);

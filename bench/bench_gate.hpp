@@ -91,10 +91,15 @@ inline std::map<std::string, double> flatten_metrics(const obs::MetricsSnapshot&
 /// Build a baseline from a fresh snapshot. `seconds_tolerance`, when
 /// non-negative, overrides `tolerance` for Upper (wall-clock) metrics —
 /// timing baselines recorded on one machine need more headroom than exact
-/// counts when checked on another.
+/// counts when checked on another. `previous`, when given, is the baseline
+/// being re-recorded: a key it already gates keeps its tolerance and
+/// direction and only its value is refreshed, so re-recording never loosens
+/// a gate set by hand. Keys it lacks get the defaults; keys the snapshot
+/// lacks are dropped.
 inline GateBaseline make_baseline(std::string bench, const obs::MetricsSnapshot& snapshot,
                                   double tolerance = 0.25,
-                                  double seconds_tolerance = -1.0) {
+                                  double seconds_tolerance = -1.0,
+                                  const GateBaseline* previous = nullptr) {
   AHG_EXPECTS_MSG(tolerance >= 0.0, "gate tolerance must be non-negative");
   GateBaseline baseline;
   baseline.bench = std::move(bench);
@@ -106,6 +111,12 @@ inline GateBaseline make_baseline(std::string bench, const obs::MetricsSnapshot&
     metric.tolerance = metric.direction == GateDirection::Upper && seconds_tolerance >= 0.0
                            ? seconds_tolerance
                            : tolerance;
+    if (previous != nullptr) {
+      if (const auto kept = previous->metrics.find(key); kept != previous->metrics.end()) {
+        metric.tolerance = kept->second.tolerance;
+        metric.direction = kept->second.direction;
+      }
+    }
     baseline.metrics.emplace(key, metric);
   }
   return baseline;

@@ -300,16 +300,64 @@ void BM_ScoreCandidate(benchmark::State& state) {
 }
 BENCHMARK(BM_ScoreCandidate);
 
+// Plan the transfer path: half the DAG is committed in topological order,
+// round-robin over the machines, and each probe is a ready task with at
+// least two data-carrying parents, planned on a machine that hosts none of
+// them, so at least two inputs are transfers, each fitted around the others.
 void BM_PlanPlacement(benchmark::State& state) {
-  const auto scenario = bench_scenario(256);
-  sim::Schedule schedule(scenario.grid, scenario.num_tasks());
-  const auto roots = scenario.dag.roots();
-  std::size_t k = 0;
-  for (auto _ : state) {
-    const TaskId task = roots[k++ % roots.size()];
-    benchmark::DoNotOptimize(
-        core::plan_placement(scenario, schedule, task, 1, VersionKind::Primary, 0));
+  const auto scenario = bench_scenario(1024);
+  const auto schedule = core::make_schedule(scenario);
+  const auto order = scenario.dag.topological_order();
+  for (std::size_t i = 0; i < order.size() / 2; ++i) {
+    core::commit_placement(
+        scenario, *schedule,
+        core::plan_placement(scenario, *schedule, order[i],
+                             static_cast<MachineId>(i % scenario.num_machines()),
+                             VersionKind::Primary, 0));
   }
+  struct Probe {
+    TaskId task;
+    MachineId machine;
+  };
+  std::vector<Probe> probes;
+  for (std::size_t i = order.size() / 2; i < order.size(); ++i) {
+    const TaskId task = order[i];
+    std::vector<char> hosts(scenario.num_machines(), 0);
+    std::size_t carrying = 0;
+    bool ready = true;
+    for (const TaskId parent : scenario.dag.parents(task)) {
+      if (!schedule->is_assigned(parent)) {
+        ready = false;
+        break;
+      }
+      const auto& pa = schedule->assignment(parent);
+      hosts[static_cast<std::size_t>(pa.machine)] = 1;
+      if (scenario.edge_bits(parent, task, pa.version) > 0.0) ++carrying;
+    }
+    if (!ready || carrying < 2) continue;
+    for (std::size_t m = 0; m < hosts.size(); ++m) {
+      if (hosts[m] == 0) {
+        probes.push_back({task, static_cast<MachineId>(m)});
+        break;
+      }
+    }
+  }
+  if (probes.empty()) {
+    state.SkipWithError("no multi-parent probe task");
+    return;
+  }
+  std::size_t k = 0;
+  std::size_t comms = 0;
+  for (auto _ : state) {
+    const Probe& probe = probes[k++ % probes.size()];
+    const auto plan = core::plan_placement(scenario, *schedule, probe.task,
+                                           probe.machine, VersionKind::Primary, 0);
+    comms += plan.comms.size();
+    benchmark::DoNotOptimize(plan);
+  }
+  state.counters["probes"] = static_cast<double>(probes.size());
+  state.counters["comms_per_plan"] =
+      static_cast<double>(comms) / static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_PlanPlacement);
 

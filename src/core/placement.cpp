@@ -1,8 +1,7 @@
 #include "core/placement.hpp"
 
 #include <algorithm>
-#include <map>
-#include <optional>
+#include <vector>
 
 #include "core/feasibility.hpp"
 #include "sim/comm.hpp"
@@ -43,14 +42,6 @@ PlacementPlan plan_placement(const workload::Scenario& scenario,
                               scenario.dag.parents(task).end());
   std::sort(parents.begin(), parents.end());
 
-  // Overlay copies: transfers planned for earlier parents occupy channel
-  // time that later parents must respect, without touching the real state.
-  // The rx overlay is copied lazily — a candidate with no cross-machine
-  // data-carrying parent (every root, and most same-machine chains) never
-  // pays for the copy.
-  std::optional<sim::Timeline> rx_overlay;
-  std::map<MachineId, sim::Timeline> tx_overlays;
-
   Cycles arrival = 0;
   for (const TaskId parent : parents) {
     AHG_EXPECTS_MSG(schedule.is_assigned(parent), "parent not yet assigned");
@@ -66,16 +57,25 @@ PlacementPlan plan_placement(const workload::Scenario& scenario,
     const auto& sender = scenario.grid.machine(pa.machine);
     const auto& receiver = scenario.grid.machine(machine);
     const Cycles dur = sim::transfer_cycles(bits, sender, receiver);
-    auto [it, inserted] = tx_overlays.try_emplace(pa.machine);
-    if (inserted) it->second = schedule.tx_timeline(pa.machine);
-    sim::Timeline& tx_overlay = it->second;
-    if (!rx_overlay.has_value()) rx_overlay = schedule.rx_timeline(machine);
+    AHG_EXPECTS_MSG(dur > 0, "transfer duration must be positive");
 
-    const Cycles earliest = std::max(not_before, pa.finish);
-    const Cycles start =
-        sim::Timeline::earliest_fit_pair(tx_overlay, *rx_overlay, earliest, dur);
-    tx_overlay.insert(start, dur);
-    rx_overlay->insert(start, dur);
+    // Fit on the live tx/rx timelines, then step past the transfers planned
+    // for earlier parents: all on this rx channel, they cover each sender's
+    // share too, so this is the fit on copies with them booked (DESIGN.md §4).
+    Cycles start = std::max(not_before, pa.finish);
+    for (;;) {
+      start = sim::Timeline::earliest_fit_pair(schedule.tx_timeline(pa.machine),
+                                               schedule.rx_timeline(machine),
+                                               start, dur);
+      Cycles blocked_until = start;
+      for (const CommPlan& planned : plan.comms) {
+        if (planned.start < start + dur && start < planned.start + planned.duration) {
+          blocked_until = std::max(blocked_until, planned.start + planned.duration);
+        }
+      }
+      if (blocked_until == start) break;
+      start = blocked_until;
+    }
 
     CommPlan comm;
     comm.parent = parent;

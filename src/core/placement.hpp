@@ -6,9 +6,9 @@
 // `not_before`, when would its inputs arrive, when could it start, and what
 // would everything cost?" It schedules each incoming transfer on the
 // parent's tx channel and the target's rx channel (one outgoing and one
-// incoming transfer at a time per machine — paper assumptions (b)/(c)),
-// honouring existing bookings through overlay copies of the affected
-// timelines.
+// incoming transfer at a time per machine — paper assumptions (b)/(c)).
+// It reads the schedule's own tx/rx timelines and steps each transfer past
+// the ones already planned for earlier parents, so no timeline is copied.
 //
 // commit_placement() applies a plan: records transfers (settling the
 // parents' worst-case energy reservations), records the computation, and

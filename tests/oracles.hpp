@@ -27,10 +27,16 @@
 //    the worklist closure replaced — a topological downward pass plus an
 //    output-survival pass over every task, repeated until no flag changes,
 //    over an index of every comm event.
+//  - overlay_plan_oracle: plan_placement as it was before it planned against
+//    the live channel timelines — each transfer is fitted against copies of
+//    the sender's tx and the receiver's rx timeline with the transfers
+//    planned for earlier parents inserted.
 
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <tuple>
 #include <unordered_map>
@@ -474,6 +480,70 @@ inline std::vector<char> invalid_fixpoint_oracle(const workload::Scenario& scena
     }
   }
   return invalid;
+}
+
+/// (task, version) on `machine` at or after `not_before`, planned through
+/// overlay copies: the sender's tx and the receiver's rx timeline are copied
+/// (each once, on first use) and every planned transfer is booked into the
+/// copies, so later parents fit around it.
+inline core::PlacementPlan overlay_plan_oracle(const workload::Scenario& scenario,
+                                               const sim::Schedule& schedule,
+                                               TaskId task, MachineId machine,
+                                               VersionKind version,
+                                               Cycles not_before) {
+  core::PlacementPlan plan;
+  plan.task = task;
+  plan.machine = machine;
+  plan.version = version;
+  plan.duration = scenario.exec_cycles(task, machine, version);
+  plan.exec_energy = core::exec_energy(scenario, task, machine, version);
+  const Cycles release = scenario.release(task);
+
+  std::vector<TaskId> parents(scenario.dag.parents(task).begin(),
+                              scenario.dag.parents(task).end());
+  std::sort(parents.begin(), parents.end());
+
+  std::optional<sim::Timeline> rx_overlay;
+  std::map<MachineId, sim::Timeline> tx_overlays;
+
+  Cycles arrival = 0;
+  for (const TaskId parent : parents) {
+    const auto& pa = schedule.assignment(parent);
+    const double bits = scenario.edge_bits(parent, task, pa.version);
+    if (pa.machine == machine || bits <= 0.0) {
+      arrival = std::max(arrival, pa.finish);
+      if (bits > 0.0) plan.released_parents.push_back(parent);
+      continue;
+    }
+    const auto& sender = scenario.grid.machine(pa.machine);
+    const auto& receiver = scenario.grid.machine(machine);
+    const Cycles dur = sim::transfer_cycles(bits, sender, receiver);
+    auto [it, inserted] = tx_overlays.try_emplace(pa.machine);
+    if (inserted) it->second = schedule.tx_timeline(pa.machine);
+    sim::Timeline& tx_overlay = it->second;
+    if (!rx_overlay.has_value()) rx_overlay = schedule.rx_timeline(machine);
+
+    const Cycles earliest = std::max(not_before, pa.finish);
+    const Cycles start =
+        sim::Timeline::earliest_fit_pair(tx_overlay, *rx_overlay, earliest, dur);
+    tx_overlay.insert(start, dur);
+    rx_overlay->insert(start, dur);
+
+    core::CommPlan comm;
+    comm.parent = parent;
+    comm.from_machine = pa.machine;
+    comm.start = start;
+    comm.duration = dur;
+    comm.bits = bits;
+    comm.energy = sim::transfer_energy(sender, dur);
+    plan.comms.push_back(comm);
+    arrival = std::max(arrival, start + dur);
+  }
+
+  plan.arrival = arrival;
+  plan.start = schedule.compute_timeline(machine).earliest_fit(
+      std::max({not_before, arrival, release}), plan.duration);
+  return plan;
 }
 
 }  // namespace ahg::test

@@ -22,6 +22,7 @@ namespace {
 using namespace ahg;
 using bench::GateBaseline;
 using bench::GateDirection;
+using bench::GateMetric;
 using bench::GateVerdict;
 
 const std::vector<double> kPoolBounds = {8.0, 32.0, 128.0};
@@ -282,6 +283,67 @@ TEST(BenchGate, CheckWithoutBaselineFlagsEveryFreshMetric) {
   // passes cleanly — the create-missing-baseline round trip.
   const GateBaseline seeded = bench::make_baseline("b", snapshot);
   EXPECT_TRUE(bench::check_bench(seeded, snapshot).ok(false));
+}
+
+TEST(BenchGate, UpdateKeepsHandSetGates) {
+  // bench_check --update re-records a committed baseline: each metric it
+  // already gates keeps its (possibly hand-set) tolerance and direction and
+  // takes the fresh value; only metrics it has never seen get the defaults.
+  const auto run = [](double cache_bytes, double speedup, int plans, bool extra) {
+    obs::MetricsRegistry registry;
+    registry.gauge("memory.scenario_cache_bytes").set(cache_bytes);
+    registry.gauge("bench.SLRH-3_sweep_speedup").set(speedup);
+    auto& plan_seconds = registry.histogram("slrh.earliest_start_seconds", kUnitBound);
+    for (int i = 0; i < plans; ++i) plan_seconds.observe(1e-4);
+    registry.counter(extra ? "slrh.timesteps" : "slrh.maps").add(100);
+    return registry.snapshot();
+  };
+  GateBaseline committed =
+      bench::make_baseline("scale_smoke", run(12714496.0, 1.245, 25, false));
+  committed.metrics.at("gauge:memory.scenario_cache_bytes").tolerance = 0.0;
+  committed.metrics.at("gauge:bench.SLRH-3_sweep_speedup").tolerance = 0.4;
+  GateMetric& plan_count = committed.metrics.at("hist_count:slrh.earliest_start_seconds");
+  plan_count.tolerance = 0.0;
+  plan_count.direction = GateDirection::TwoSided;
+  std::ostringstream os;
+  bench::write_baseline(os, committed);
+  const GateBaseline previous = bench::parse_baseline(obs::parse_json(os.str()));
+
+  const auto fresh = run(13000000.0, 1.3, 27, true);
+  const GateBaseline rerecorded =
+      bench::make_baseline("scale_smoke", fresh, 0.25, 1.0, &previous);
+
+  const GateMetric& bytes = rerecorded.metrics.at("gauge:memory.scenario_cache_bytes");
+  EXPECT_DOUBLE_EQ(bytes.value, 13000000.0);
+  EXPECT_DOUBLE_EQ(bytes.tolerance, 0.0);
+  EXPECT_EQ(bytes.direction, GateDirection::TwoSided);
+  const GateMetric& speedup = rerecorded.metrics.at("gauge:bench.SLRH-3_sweep_speedup");
+  EXPECT_DOUBLE_EQ(speedup.value, 1.3);
+  EXPECT_DOUBLE_EQ(speedup.tolerance, 0.4);
+  EXPECT_EQ(speedup.direction, GateDirection::Lower);
+  const GateMetric& plans = rerecorded.metrics.at("hist_count:slrh.earliest_start_seconds");
+  EXPECT_DOUBLE_EQ(plans.value, 27.0);
+  EXPECT_DOUBLE_EQ(plans.tolerance, 0.0);
+  EXPECT_EQ(plans.direction, GateDirection::TwoSided);
+  // An untouched key keeps what it was recorded with (0.25, not this
+  // re-record's seconds tolerance of 1.0); a new key gets the defaults; a
+  // key the fresh dump lacks is dropped.
+  const GateMetric& plan_mean = rerecorded.metrics.at("hist_mean:slrh.earliest_start_seconds");
+  EXPECT_DOUBLE_EQ(plan_mean.tolerance, 0.25);
+  EXPECT_EQ(plan_mean.direction, GateDirection::Upper);
+  const GateMetric& added = rerecorded.metrics.at("counter:slrh.timesteps");
+  EXPECT_DOUBLE_EQ(added.tolerance, 0.25);
+  EXPECT_EQ(added.direction, GateDirection::TwoSided);
+  EXPECT_EQ(rerecorded.metrics.count("counter:slrh.maps"), 0u);
+  EXPECT_EQ(rerecorded.metrics.size(), bench::flatten_metrics(fresh).size());
+
+  // Without the previous baseline the same dump would loosen every hand-set
+  // gate back to the defaults.
+  const GateBaseline without_previous = bench::make_baseline("scale_smoke", fresh, 0.25, 1.0);
+  EXPECT_DOUBLE_EQ(without_previous.metrics.at("gauge:memory.scenario_cache_bytes").tolerance,
+                   0.25);
+  EXPECT_EQ(without_previous.metrics.at("hist_count:slrh.earliest_start_seconds").direction,
+            GateDirection::Upper);
 }
 
 TEST(BenchGate, ParseRejectsMalformedBaselines) {

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
 #include "core/feasibility.hpp"
+#include "support/rng.hpp"
+#include "tests/oracles.hpp"
 #include "tests/scenario_fixtures.hpp"
 
 namespace ahg::core {
@@ -152,6 +158,132 @@ TEST(Placement, PlanRejectsAssignedTaskOrUnassignedParent) {
   commit_placement(s, schedule, plan_placement(s, schedule, 0, 0, VersionKind::Primary, 0));
   EXPECT_THROW(plan_placement(s, schedule, 0, 1, VersionKind::Primary, 0),
                PreconditionError);  // already assigned
+}
+
+void expect_same_plan(const PlacementPlan& got, const PlacementPlan& want) {
+  EXPECT_EQ(got.start, want.start);
+  EXPECT_EQ(got.duration, want.duration);
+  EXPECT_EQ(got.arrival, want.arrival);
+  EXPECT_EQ(got.exec_energy, want.exec_energy);
+  EXPECT_EQ(got.released_parents, want.released_parents);
+  ASSERT_EQ(got.comms.size(), want.comms.size());
+  for (std::size_t k = 0; k < got.comms.size(); ++k) {
+    EXPECT_EQ(got.comms[k].parent, want.comms[k].parent) << "comm " << k;
+    EXPECT_EQ(got.comms[k].from_machine, want.comms[k].from_machine) << "comm " << k;
+    EXPECT_EQ(got.comms[k].start, want.comms[k].start) << "comm " << k;
+    EXPECT_EQ(got.comms[k].duration, want.comms[k].duration) << "comm " << k;
+    EXPECT_EQ(got.comms[k].bits, want.comms[k].bits) << "comm " << k;
+    EXPECT_EQ(got.comms[k].energy, want.comms[k].energy) << "comm " << k;
+  }
+}
+
+TEST(Placement, MatchesOverlayPlanOracle) {
+  // Random layered DAGs on random grids with link outages: committed roots,
+  // a committed middle layer whose transfers book the tx/rx channels, and
+  // unassigned probes with 2-6 parents each, planned on every machine at
+  // not_before 0 and at a mid-run clock, at both versions. The live-timeline
+  // planner must reproduce the overlay-copy planner field for field.
+  Rng rng(20040426);
+  std::size_t stepped = 0;        // comms moved off their real-timeline fit
+  std::size_t shared_sender = 0;  // plans with two comms from one machine
+  std::size_t released = 0;       // same-machine data-carrying parents
+  std::size_t plans = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    auto grid = sim::GridConfig::make(static_cast<std::size_t>(rng.uniform_int(1, 3)),
+                                      static_cast<std::size_t>(rng.uniform_int(1, 3)));
+    const std::size_t machines = grid.num_machines();
+    const auto roots = static_cast<std::size_t>(rng.uniform_int(4, 8));
+    const auto middle = static_cast<std::size_t>(rng.uniform_int(6, 12));
+    const std::size_t probes = 8;
+    const std::size_t num_tasks = roots + middle + probes;
+
+    std::vector<test::EdgeSpec> edges;
+    const auto add_parents = [&](TaskId child, std::size_t pool, std::int64_t lo,
+                                 std::int64_t hi) {
+      std::vector<TaskId> from(pool);
+      for (std::size_t i = 0; i < pool; ++i) from[i] = static_cast<TaskId>(i);
+      std::shuffle(from.begin(), from.end(), rng);
+      const auto count = std::min<std::size_t>(
+          pool, static_cast<std::size_t>(rng.uniform_int(lo, hi)));
+      for (std::size_t i = 0; i < count; ++i) {
+        // 2e5..2e7 bits: 1-50 cycles per transfer; one edge in ten is empty.
+        const double bits = rng.bernoulli(0.1) ? 0.0 : rng.uniform(2e5, 2e7);
+        edges.push_back({from[i], child, bits});
+      }
+    };
+    for (std::size_t i = 0; i < middle; ++i) {
+      add_parents(static_cast<TaskId>(roots + i), roots, 1, 3);
+    }
+    for (std::size_t i = 0; i < probes; ++i) {
+      add_parents(static_cast<TaskId>(roots + middle + i), roots + middle, 2, 6);
+    }
+    std::vector<std::vector<double>> etc(num_tasks, std::vector<double>(machines));
+    for (auto& row : etc) {
+      for (double& secs : row) secs = rng.uniform(2.0, 30.0);
+    }
+    auto scenario = test::make_scenario(std::move(grid), num_tasks, edges, etc, 100000);
+    for (std::size_t m = 0; m < machines; ++m) {
+      Cycles cursor = 0;
+      for (int k = 0; k < 4; ++k) {
+        cursor += rng.uniform_int(10, 300);
+        const Cycles dur = rng.uniform_int(5, 60);
+        scenario.link_outages.push_back({static_cast<MachineId>(m), cursor, dur});
+        cursor += dur;
+      }
+    }
+    scenario.validate();
+
+    const auto schedule = make_schedule(scenario);
+    const auto random_version = [&] {
+      return rng.bernoulli(0.5) ? VersionKind::Primary : VersionKind::Secondary;
+    };
+    for (std::size_t i = 0; i < roots + middle; ++i) {
+      const auto task = static_cast<TaskId>(i);
+      const auto machine = static_cast<MachineId>(
+          rng.uniform_below(static_cast<std::uint64_t>(machines)));
+      commit_placement(scenario, *schedule,
+                       test::overlay_plan_oracle(scenario, *schedule, task, machine,
+                                                 random_version(),
+                                                 rng.uniform_int(0, 200)));
+    }
+
+    for (const Cycles not_before : {Cycles{0}, schedule->aet() / 2}) {
+      for (std::size_t i = 0; i < probes; ++i) {
+        const auto task = static_cast<TaskId>(roots + middle + i);
+        for (std::size_t m = 0; m < machines; ++m) {
+          const auto machine = static_cast<MachineId>(m);
+          const VersionKind version = random_version();
+          SCOPED_TRACE(testing::Message() << "trial " << trial << " task " << task
+                                          << " machine " << m << " not_before "
+                                          << not_before);
+          const auto plan =
+              plan_placement(scenario, *schedule, task, machine, version, not_before);
+          expect_same_plan(
+              plan, test::overlay_plan_oracle(scenario, *schedule, task, machine,
+                                              version, not_before));
+          ++plans;
+          released += plan.released_parents.size();
+          for (std::size_t k = 0; k < plan.comms.size(); ++k) {
+            const CommPlan& comm = plan.comms[k];
+            const Cycles base = sim::Timeline::earliest_fit_pair(
+                schedule->tx_timeline(comm.from_machine),
+                schedule->rx_timeline(machine),
+                std::max(not_before, schedule->assignment(comm.parent).finish),
+                comm.duration);
+            if (comm.start != base) ++stepped;
+            for (std::size_t j = 0; j < k; ++j) {
+              if (plan.comms[j].from_machine == comm.from_machine) ++shared_sender;
+            }
+          }
+        }
+      }
+    }
+  }
+  // The draw must exercise what the test claims to cover.
+  EXPECT_GT(plans, 1000u);
+  EXPECT_GT(stepped, 100u);
+  EXPECT_GT(shared_sender, 100u);
+  EXPECT_GT(released, 100u);
 }
 
 }  // namespace
