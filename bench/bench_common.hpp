@@ -6,6 +6,7 @@
 // through.
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -14,12 +15,14 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <system_error>
 #include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
 
 #include "support/chrome_trace.hpp"
+#include "support/contract.hpp"
 #include "support/env.hpp"
 #include "support/jsonl.hpp"
 #include "support/metrics.hpp"
@@ -75,13 +78,6 @@ inline std::optional<int> handle_bench_flags(int& argc, char** argv,
   BenchFlags& flags = bench_flags();
   int out = 1;  // argv[0] stays
   std::optional<int> exit_code;
-  const auto int_value = [&](int& i, const std::string& name) -> std::optional<long> {
-    if (i + 1 >= argc) {
-      std::cerr << argv[0] << ": " << name << " needs a value\n";
-      return std::nullopt;
-    }
-    return std::strtol(argv[++i], nullptr, 10);
-  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--version") {
@@ -97,18 +93,27 @@ inline std::optional<int> handle_bench_flags(int& argc, char** argv,
       return 0;
     }
     if (arg == "--jobs" || arg.rfind("--jobs=", 0) == 0) {
-      std::optional<long> value;
+      std::string text;
       if (arg == "--jobs") {
-        value = int_value(i, "--jobs");
-        if (!value) return 2;
+        if (i + 1 >= argc) {
+          std::cerr << argv[0] << ": --jobs needs a value\n";
+          return 2;
+        }
+        text = argv[++i];
       } else {
-        value = std::strtol(arg.c_str() + 7, nullptr, 10);
+        text = arg.substr(7);
       }
-      if (*value < 0) {
-        std::cerr << argv[0] << ": --jobs must be >= 0\n";
+      // Whole-string decimal only: "abc" or "3x" must not run at some other
+      // width than the one asked for.
+      std::size_t jobs = 0;
+      const char* const last = text.data() + text.size();
+      const auto [end, ec] = std::from_chars(text.data(), last, jobs);
+      if (ec != std::errc{} || end != last || jobs > kMaxPoolThreads) {
+        std::cerr << argv[0] << ": --jobs expects an integer in [0, "
+                  << kMaxPoolThreads << "], got '" << text << "'\n";
         return 2;
       }
-      flags.jobs = static_cast<std::size_t>(*value);
+      flags.jobs = jobs;
       continue;
     }
     if (arg == "--cache") {
@@ -164,8 +169,13 @@ inline std::optional<int> handle_bench_flags(int& argc, char** argv,
   }
   if (lenient) argc = out;
   if (flags.jobs == 0) {
-    flags.jobs = static_cast<std::size_t>(
-        std::max<std::int64_t>(0, env_int("AHG_JOBS", 0)));
+    try {
+      flags.jobs = static_cast<std::size_t>(env_int_checked(
+          "AHG_JOBS", 0, 0, static_cast<std::int64_t>(kMaxPoolThreads)));
+    } catch (const PreconditionError& e) {
+      std::cerr << argv[0] << ": " << e.what() << "\n";
+      return 2;
+    }
   }
   if (flags.jobs != 0) configure_global_pool(flags.jobs);
   return exit_code;

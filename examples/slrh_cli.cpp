@@ -130,9 +130,17 @@ int main(int argc, char** argv) {
   if (!args.parse(argc, argv)) return args.error() ? EXIT_FAILURE : EXIT_SUCCESS;
   // --jobs wins over the AHG_JOBS environment override; either sizes the
   // global pool (scenario-cache builds) before first use.
-  std::int64_t jobs = args.get_int("jobs");
-  if (jobs <= 0) jobs = env_int("AHG_JOBS", 0);
-  if (jobs > 0) configure_global_pool(static_cast<std::size_t>(jobs));
+  try {
+    std::int64_t jobs = args.get_int("jobs");
+    if (jobs < 0) return fail("--jobs must be >= 0");
+    if (jobs == 0) {
+      jobs = env_int_checked("AHG_JOBS", 0, 0,
+                             static_cast<std::int64_t>(kMaxPoolThreads));
+    }
+    if (jobs > 0) configure_global_pool(static_cast<std::size_t>(jobs));
+  } catch (const std::exception& e) {
+    return fail(e.what());
+  }
   if (args.get_flag("version")) {
     std::cout << build_description() << ", jobs=" << global_pool_jobs() << "\n";
     return EXIT_SUCCESS;
@@ -413,8 +421,7 @@ int main(int argc, char** argv) {
     if (!spans_stream) return fail("cannot open spans file " + spans_path);
     ledger->write_spans_jsonl(spans_stream);
     std::cout << "spans: " << ledger->spans().size() << " span(s), "
-              << ledger->transitions_recorded() << " transition(s) ("
-              << ledger->transitions_dropped() << " dropped) -> " << spans_path
+              << ledger->transitions_recorded() << " transition(s) -> " << spans_path
               << "\n";
   }
   if (const std::filesystem::path out_dir = args.get_string("out-dir");

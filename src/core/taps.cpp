@@ -134,7 +134,7 @@ void Taps::pool_built(const SlrhPool& pool,
     // First sighting per task is a relaxed load + early-out, so sweeping
     // the whole pool every build stays inside the ≤1.05x overhead budget.
     for (const SlrhPoolCandidate& cand : pool.slots) {
-      ledger_->on_pooled(cand.task, clock, machine);
+      ledger_->on_pooled(cand.task, clock);
     }
   }
   if (trace_pools_ && (!pool.empty() || rejects.any())) {
@@ -188,9 +188,8 @@ void Taps::map_decision(const sim::Schedule& schedule, const PlacementPlan& plan
 void Taps::record_placement(const sim::Schedule& schedule, const PlacementPlan& plan,
                             Cycles decision_clock) {
   const std::int8_t version = plan.version == VersionKind::Primary ? 0 : 1;
-  obs::TaskPlacementSample sample{plan.task,  plan.machine, version,
-                                  decision_clock, plan.arrival, plan.start,
-                                  plan.finish(),  {}};
+  obs::TaskPlacementSample sample{plan.task,     plan.machine,  version,
+                                  decision_clock, plan.start,    plan.finish(), {}};
   sample.inputs.reserve(plan.comms.size() + plan.released_parents.size());
   for (const CommPlan& comm : plan.comms) {
     sample.inputs.push_back(
@@ -274,8 +273,8 @@ void Taps::round_begin(std::span<const TaskId> frontier, Cycles round) {
   }
   if (ledger_ != nullptr) {
     // The whole frontier IS the candidate pool each round; first sighting
-    // only (machine unknown until selection).
-    for (const TaskId t : frontier) ledger_->on_pooled(t, round, kInvalidMachine);
+    // only.
+    for (const TaskId t : frontier) ledger_->on_pooled(t, round);
   }
 }
 
@@ -311,14 +310,12 @@ void Taps::join(Cycles clock, MachineId machine) {
 void Taps::orphan(TaskId task, MachineId machine, Cycles clock, bool orphaned,
                   bool degraded) {
   if (ledger_ != nullptr) {
-    // Transition clock = the grid point the loss is DISCOVERED at, same
-    // convention as the recovery span and the event stream.
     if (orphaned) {
-      ledger_->on_orphaned(task, clock);
+      ledger_->on_orphaned(task);
     } else {
-      ledger_->on_invalidated(task, clock);
+      ledger_->on_invalidated(task);
     }
-    if (degraded) ledger_->on_degraded(task, clock);
+    if (degraded) ledger_->on_degraded(task);
   }
   if (orphaned && wants(obs::EventKind::OrphanReturn)) {
     obs::Event e = event(obs::EventKind::OrphanReturn, clock, machine);

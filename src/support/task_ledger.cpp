@@ -13,35 +13,10 @@
 
 namespace ahg::obs {
 
-const char* to_string(TaskState state) noexcept {
-  switch (state) {
-    case TaskState::None: return "none";
-    case TaskState::Released: return "released";
-    case TaskState::FrontierReady: return "frontier_ready";
-    case TaskState::Pooled: return "pooled";
-    case TaskState::Admitted: return "admitted";
-    case TaskState::InputTransfer: return "input_transfer";
-    case TaskState::Executing: return "executing";
-    case TaskState::OutputTransfer: return "output_transfer";
-    case TaskState::Completed: return "completed";
-    case TaskState::Orphaned: return "orphaned";
-    case TaskState::Invalidated: return "invalidated";
-    case TaskState::Degraded: return "degraded";
-    case TaskState::Remapped: return "remapped";
-  }
-  return "?";
-}
-
-TaskLedger::TaskLedger(std::size_t num_tasks, Options options)
-    : options_(options), num_tasks_(num_tasks) {
-  AHG_EXPECTS_MSG(options_.max_transitions >= 1,
-                  "ledger needs at least one transition slot per task");
+TaskLedger::TaskLedger(std::size_t num_tasks) : num_tasks_(num_tasks) {
   records_.resize(num_tasks);
   for (std::size_t t = 0; t < num_tasks; ++t) {
     records_[t].task = static_cast<TaskId>(t);
-    // The history cap is charged by memory_bound_bytes() either way; paying
-    // it here keeps push() allocation-free on the recording path.
-    records_[t].history.reserve(options_.max_transitions);
   }
   pooled_ = std::make_unique<std::atomic<std::uint8_t>[]>(num_tasks);
   for (std::size_t t = 0; t < num_tasks; ++t) {
@@ -61,30 +36,14 @@ const TaskRecord& TaskLedger::rec(TaskId task) const {
   return records_[i];
 }
 
-void TaskLedger::push(TaskRecord& record, TaskState state, Cycles clock,
-                      MachineId machine, std::int8_t version) {
-  record.state = state;
-  ++transitions_recorded_;
-  if (record.history.size() >= options_.max_transitions) {
-    ++transitions_dropped_;
-    return;
-  }
-  TaskTransition t;
-  t.state = state;
-  t.clock = clock;
-  t.machine = machine;
-  t.version = version;
-  t.attempt = record.attempts;
-  record.history.push_back(t);
-}
-
 void TaskLedger::on_released(TaskId task, Cycles clock) {
   const std::lock_guard<std::mutex> lock(mutex_);
   TaskRecord& r = rec(task);
   if (r.released >= 0) return;
   r.released = clock;
   if (r.state == TaskState::None) {
-    push(r, TaskState::Released, clock, kInvalidMachine, -1);
+    r.state = TaskState::Released;
+    ++transitions_recorded_;
   }
 }
 
@@ -105,10 +64,11 @@ void TaskLedger::on_frontier_ready(TaskId task, Cycles clock) {
       return;
   }
   if (r.frontier_ready < 0) r.frontier_ready = clock;
-  push(r, TaskState::FrontierReady, clock, kInvalidMachine, -1);
+  r.state = TaskState::FrontierReady;
+  ++transitions_recorded_;
 }
 
-void TaskLedger::on_pooled_slow(TaskId task, Cycles clock, MachineId machine) {
+void TaskLedger::on_pooled_slow(TaskId task, Cycles clock) {
   const std::lock_guard<std::mutex> lock(mutex_);
   TaskRecord& r = rec(task);
   if (pooled_[static_cast<std::size_t>(task)].load(std::memory_order_relaxed) != 0) {
@@ -116,7 +76,8 @@ void TaskLedger::on_pooled_slow(TaskId task, Cycles clock, MachineId machine) {
   }
   pooled_[static_cast<std::size_t>(task)].store(1, std::memory_order_relaxed);
   if (r.first_pooled < 0) r.first_pooled = clock;
-  push(r, TaskState::Pooled, clock, machine, -1);
+  r.state = TaskState::Pooled;
+  ++transitions_recorded_;
 }
 
 void TaskLedger::on_placement(TaskPlacementSample sample) {
@@ -126,66 +87,50 @@ void TaskLedger::on_placement(TaskPlacementSample sample) {
   // fast path fast without a per-pool re-check.
   pooled_[static_cast<std::size_t>(sample.task)].store(1, std::memory_order_relaxed);
   ++r.attempts;
-  if (r.attempts > 1) {
-    push(r, TaskState::Remapped, sample.decision_clock, sample.machine,
-         sample.version);
-  }
+  r.state = TaskState::Completed;
   r.machine = sample.machine;
   r.version = sample.version;
   r.admitted_clock = sample.decision_clock;
-  r.arrival = sample.arrival;
   r.exec_start = sample.start;
   r.exec_finish = sample.finish;
-  push(r, TaskState::Admitted, sample.decision_clock, sample.machine,
-       sample.version);
-
-  Cycles first_transfer = -1;
+  // The steps a placement stands for: admission, execution and completion,
+  // a remap on re-admission, the first incoming transfer, and each parent's
+  // outgoing transfer.
+  std::uint64_t steps = r.attempts > 1 ? 4 : 3;
+  bool any_timed = false;
   for (const TaskInputEdge& edge : sample.inputs) {
-    const bool timed = edge.finish > edge.start;
-    if (timed && (first_transfer < 0 || edge.start < first_transfer)) {
-      first_transfer = edge.start;
-    }
-    // The parent's side of a cross-machine edge: its output departs
-    // from_machine at edge.start. Pure history on an already-completed
-    // record — milestone fields AND the terminal `state` stay untouched
-    // (the parent is still Completed, not demoted to OutputTransfer).
-    if (timed && edge.parent != kInvalidTask) {
-      TaskRecord& parent = rec(edge.parent);
-      const TaskState parent_state = parent.state;
-      push(parent, TaskState::OutputTransfer, edge.start, edge.from_machine, -1);
-      if (parent_state == TaskState::Completed) parent.state = parent_state;
-    }
+    if (edge.finish <= edge.start) continue;
+    any_timed = true;
+    if (edge.parent != kInvalidTask) ++steps;
   }
-  if (first_transfer >= 0) {
-    push(r, TaskState::InputTransfer, first_transfer, sample.machine,
-         sample.version);
-  }
-  push(r, TaskState::Executing, sample.start, sample.machine, sample.version);
-  push(r, TaskState::Completed, sample.finish, sample.machine, sample.version);
+  transitions_recorded_ += steps + (any_timed ? 1 : 0);
   r.inputs = std::move(sample.inputs);
 }
 
-void TaskLedger::on_orphaned(TaskId task, Cycles clock) {
+void TaskLedger::on_orphaned(TaskId task) {
   const std::lock_guard<std::mutex> lock(mutex_);
   TaskRecord& r = rec(task);
   ++r.orphan_count;
   pooled_[static_cast<std::size_t>(task)].store(0, std::memory_order_relaxed);
-  push(r, TaskState::Orphaned, clock, r.machine, r.version);
+  r.state = TaskState::Orphaned;
+  ++transitions_recorded_;
 }
 
-void TaskLedger::on_invalidated(TaskId task, Cycles clock) {
+void TaskLedger::on_invalidated(TaskId task) {
   const std::lock_guard<std::mutex> lock(mutex_);
   TaskRecord& r = rec(task);
   ++r.invalidated_count;
   pooled_[static_cast<std::size_t>(task)].store(0, std::memory_order_relaxed);
-  push(r, TaskState::Invalidated, clock, r.machine, r.version);
+  r.state = TaskState::Invalidated;
+  ++transitions_recorded_;
 }
 
-void TaskLedger::on_degraded(TaskId task, Cycles clock) {
+void TaskLedger::on_degraded(TaskId task) {
   const std::lock_guard<std::mutex> lock(mutex_);
   TaskRecord& r = rec(task);
   r.degraded = true;
-  push(r, TaskState::Degraded, clock, r.machine, r.version);
+  r.state = TaskState::Degraded;
+  ++transitions_recorded_;
 }
 
 std::vector<TaskRecord> TaskLedger::records() const {
@@ -203,18 +148,8 @@ std::uint64_t TaskLedger::transitions_recorded() const {
   return transitions_recorded_;
 }
 
-std::uint64_t TaskLedger::transitions_dropped() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return transitions_dropped_;
-}
-
 std::size_t TaskLedger::memory_bound_bytes() const {
-  return checked_mul(num_tasks_,
-                     sizeof(TaskRecord) +
-                         checked_mul(options_.max_transitions,
-                                     sizeof(TaskTransition),
-                                     "ledger transition history") +
-                         sizeof(std::atomic<std::uint8_t>),
+  return checked_mul(num_tasks_, sizeof(TaskRecord) + sizeof(std::atomic<std::uint8_t>),
                      "ledger capacity");
 }
 
@@ -363,7 +298,6 @@ MetricsSnapshot ledger_metrics_snapshot(const TaskLedger& ledger) {
   registry.counter("ledger.tasks_remapped").add(n_remapped);
   registry.counter("ledger.tasks_degraded").add(n_degraded);
   registry.counter("ledger.transitions_recorded").add(ledger.transitions_recorded());
-  registry.counter("ledger.transitions_dropped").add(ledger.transitions_dropped());
   return registry.snapshot();
 }
 

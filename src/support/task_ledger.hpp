@@ -1,18 +1,16 @@
 #pragma once
 // Task-major lifecycle ledger for the observability layer (ahg::obs): one
-// bounded record per subtask capturing its state transitions —
-//   released → frontier-ready → pooled → admitted(primary|secondary) →
-//   input-transfer → executing → output-transfer → completed
-//   | orphaned | invalidated | degraded | remapped
-// — with machine id, version, clock, and the parent→child causal edges the
-// critical-path analyzer (core/critical_path.hpp) walks.
+// record per subtask holding its lifecycle milestones —
+//   released → frontier-ready → pooled → completed
+//   | orphaned | invalidated | degraded
+// — its last committed placement (machine, version, clock, exec window),
+// churn tallies, and the parent→child causal edges the critical-path
+// analyzer (core/critical_path.hpp) walks.
 //
 // Drivers reach a ledger through core::Taps, which states the null-handle
 // contract (core/taps.hpp).
 //
-// Memory bound: exactly num_tasks records allocated up front, each with a
-// per-task transition history capped at Options::max_transitions (overflow
-// counted by transitions_dropped(), never reallocated past the cap) plus the
+// Memory bound: exactly num_tasks records allocated up front plus each
 // task's input-edge list (bounded by its in-degree). See
 // memory_bound_bytes().
 //
@@ -41,33 +39,16 @@
 namespace ahg::obs {
 
 /// Lifecycle states in paper order. A task's `state` field holds the LATEST
-/// state; the per-task history lists every transition in recording order.
+/// one; a committed placement goes straight to Completed.
 enum class TaskState : std::uint8_t {
   None = 0,        ///< never observed
   Released,       ///< arrival time reached (scenario release)
   FrontierReady,  ///< released, unassigned, all parents assigned
   Pooled,         ///< entered some machine's candidate pool
-  Admitted,       ///< placement committed (machine/version chosen)
-  InputTransfer,  ///< first incoming cross-machine transfer departs
-  Executing,      ///< execution window starts
-  OutputTransfer, ///< an outgoing transfer to a child departs
-  Completed,      ///< execution window ends
+  Completed,      ///< placement committed (its exec window is known)
   Orphaned,       ///< unfinished work lost to a machine departure
   Invalidated,    ///< completed/queued work lost to the churn cascade
   Degraded,       ///< pinned to the secondary version by churn recovery
-  Remapped,       ///< re-admitted after an orphan/invalidation
-};
-
-const char* to_string(TaskState state) noexcept;
-
-/// One recorded transition. `version` is kInvalidVersion when the state is
-/// version-free (released/ready/orphaned/...).
-struct TaskTransition {
-  TaskState state = TaskState::None;
-  Cycles clock = -1;                    ///< SLRH: sim clock; Max-Max: round
-  MachineId machine = kInvalidMachine;
-  std::int8_t version = -1;             ///< 0 primary, 1 secondary, -1 n/a
-  std::uint32_t attempt = 0;            ///< admission count when recorded
 };
 
 /// One causal input edge of a placed task: parent produced the data on
@@ -87,14 +68,13 @@ struct TaskPlacementSample {
   MachineId machine = kInvalidMachine;
   std::int8_t version = 0;        ///< 0 primary, 1 secondary
   Cycles decision_clock = -1;     ///< clock/round the commit happened at
-  Cycles arrival = 0;             ///< when the last input lands
   Cycles start = 0;               ///< execution window [start, finish)
   Cycles finish = 0;
   std::vector<TaskInputEdge> inputs;
 };
 
 /// Full per-task record: first-seen milestones, the (last) committed
-/// placement, churn tallies, causal inputs, and the bounded history.
+/// placement, churn tallies and causal inputs.
 struct TaskRecord {
   TaskId task = kInvalidTask;
   TaskState state = TaskState::None;
@@ -106,7 +86,6 @@ struct TaskRecord {
 
   MachineId machine = kInvalidMachine;  ///< last committed placement
   std::int8_t version = -1;             ///< 0 primary, 1 secondary, -1 none
-  Cycles arrival = -1;
   Cycles exec_start = -1;
   Cycles exec_finish = -1;
 
@@ -115,8 +94,7 @@ struct TaskRecord {
   std::uint32_t invalidated_count = 0;
   bool degraded = false;
 
-  std::vector<TaskInputEdge> inputs;      ///< last placement's causal edges
-  std::vector<TaskTransition> history;    ///< bounded, in recording order
+  std::vector<TaskInputEdge> inputs;  ///< last placement's causal edges
 };
 
 /// One derived task-major span for the `.spans.jsonl` export: the execution
@@ -137,18 +115,8 @@ struct TaskSpan {
 /// recorders are thread-safe; the snapshot accessors copy under the lock.
 class TaskLedger {
  public:
-  struct Options {
-    /// Per-task transition-history cap. A churn-free life needs at most 8
-    /// entries (released..completed); the default leaves headroom for two
-    /// full orphan→remap cycles. Overflow drops the NEWEST transition (the
-    /// milestone fields still update) and counts it in transitions_dropped().
-    std::size_t max_transitions = 16;
-  };
+  explicit TaskLedger(std::size_t num_tasks);
 
-  explicit TaskLedger(std::size_t num_tasks) : TaskLedger(num_tasks, Options{}) {}
-  TaskLedger(std::size_t num_tasks, Options options);
-
-  const Options& options() const noexcept { return options_; }
   std::size_t num_tasks() const noexcept { return num_tasks_; }
 
   // --- recorders (drivers call these; first-seen milestones only) -----------
@@ -161,35 +129,38 @@ class TaskLedger {
   /// an orphan/invalidation re-opened the task.
   void on_frontier_ready(TaskId task, Cycles clock);
 
-  /// Entered `machine`'s candidate pool. Hot path: after the first sighting
-  /// this is a single relaxed atomic load. Re-armed by orphan/invalidation.
-  void on_pooled(TaskId task, Cycles clock, MachineId machine) {
+  /// Entered some machine's candidate pool. Hot path: after the first
+  /// sighting this is a single relaxed atomic load. Re-armed by
+  /// orphan/invalidation.
+  void on_pooled(TaskId task, Cycles clock) {
     if (pooled_[static_cast<std::size_t>(task)].load(std::memory_order_relaxed) != 0) {
       return;
     }
-    on_pooled_slow(task, clock, machine);
+    on_pooled_slow(task, clock);
   }
 
-  /// Placement committed. Pushes admitted / input-transfer / executing /
-  /// completed transitions for the task (and a remapped transition when this
-  /// is a re-admission), plus an output-transfer transition onto each parent
-  /// that feeds it across machines.
+  /// Placement committed: stores the placement and its input edges and
+  /// moves the task to Completed.
   void on_placement(TaskPlacementSample sample);
 
-  void on_orphaned(TaskId task, Cycles clock);     ///< unfinished work lost
-  void on_invalidated(TaskId task, Cycles clock);  ///< cascade loss
-  void on_degraded(TaskId task, Cycles clock);     ///< pinned to secondary
+  void on_orphaned(TaskId task);     ///< unfinished work lost
+  void on_invalidated(TaskId task);  ///< cascade loss
+  void on_degraded(TaskId task);     ///< pinned to secondary
 
   // --- snapshots ------------------------------------------------------------
 
   std::vector<TaskRecord> records() const;  ///< indexed by TaskId
   TaskRecord record(TaskId task) const;
 
+  /// Lifecycle steps seen: one per release, ready, pool, orphan, invalidate
+  /// and degrade; a placement counts its remap (if any), admission, first
+  /// timed input, execution, completion and one output step per timed input
+  /// edge that names a parent.
   std::uint64_t transitions_recorded() const;
-  std::uint64_t transitions_dropped() const;
 
-  /// Documented worst-case heap footprint of the record table (input-edge
-  /// lists are additionally bounded by the DAG's total in-degree).
+  /// Heap footprint of the record table: one record plus one pool flag per
+  /// task (input-edge lists are additionally bounded by the DAG's total
+  /// in-degree).
   std::size_t memory_bound_bytes() const;  ///< throws on size overflow
 
   /// Derived task-major spans (exec / input / wait), ordered by task id.
@@ -200,13 +171,10 @@ class TaskLedger {
   void write_spans_jsonl(std::ostream& os) const;
 
  private:
-  void on_pooled_slow(TaskId task, Cycles clock, MachineId machine);
+  void on_pooled_slow(TaskId task, Cycles clock);
   TaskRecord& rec(TaskId task);
   const TaskRecord& rec(TaskId task) const;
-  void push(TaskRecord& record, TaskState state, Cycles clock, MachineId machine,
-            std::int8_t version);
 
-  Options options_;
   std::size_t num_tasks_ = 0;
 
   mutable std::mutex mutex_;
@@ -215,7 +183,6 @@ class TaskLedger {
   /// the lock) when churn re-opens a task.
   std::unique_ptr<std::atomic<std::uint8_t>[]> pooled_;
   std::uint64_t transitions_recorded_ = 0;
-  std::uint64_t transitions_dropped_ = 0;
 };
 
 /// Serialize one span as a single JSON object (no trailing newline).
@@ -236,7 +203,7 @@ struct MetricsSnapshot;
 /// admission→exec start, `ledger.input_transfer_seconds` per timed input edge,
 /// `ledger.exec_seconds` the execution window) plus lifecycle counters
 /// (`ledger.tasks_released/_completed/_orphaned/_invalidated/_remapped/
-/// _degraded`, `ledger.transitions_recorded/_dropped`). Negative deltas —
+/// _degraded`, `ledger.transitions_recorded`). Negative deltas —
 /// possible when a driver stamps round indices rather than sim cycles
 /// (Max-Max) — are skipped, never folded into a histogram.
 MetricsSnapshot ledger_metrics_snapshot(const TaskLedger& ledger);

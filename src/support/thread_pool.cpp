@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
+#include <string>
 
 #include "support/runtime_profiler.hpp"
 
@@ -322,6 +323,10 @@ std::atomic<bool> global_pool_built{false};
 }  // namespace
 
 void configure_global_pool(std::size_t threads) {
+  AHG_EXPECTS_MSG(threads <= kMaxPoolThreads,
+                  "configure_global_pool: " + std::to_string(threads) +
+                      " workers exceeds the ceiling of " +
+                      std::to_string(kMaxPoolThreads));
   AHG_EXPECTS_MSG(!global_pool_built.load(std::memory_order_acquire),
                   "configure_global_pool after the global pool was built");
   global_pool_config.store(threads, std::memory_order_release);

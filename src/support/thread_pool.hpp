@@ -154,9 +154,14 @@ class ThreadPool {
   std::atomic<std::size_t> profiler_users_{0};
 };
 
+/// The largest worker count configure_global_pool accepts: a typo'd --jobs
+/// or AHG_JOBS must not start thousands of threads.
+inline constexpr std::size_t kMaxPoolThreads = 1024;
+
 /// Set the worker count the process-wide pool is built with. Must be called
-/// before the first global_pool() use (contract-checked); 0 restores the
-/// hardware default. Benches plumb --jobs / AHG_JOBS through this.
+/// before the first global_pool() use and with at most kMaxPoolThreads
+/// (both contract-checked); 0 restores the hardware default. Benches plumb
+/// --jobs / AHG_JOBS through this.
 void configure_global_pool(std::size_t threads);
 
 /// The worker count global_pool() has (or will be built with): the

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.hpp"
 #include "support/env.hpp"
 
 namespace ahg {
@@ -169,6 +171,44 @@ TEST_F(EnvIntChecked, ZeroNegativeAndOutOfRangeThrow) {
   for (const char* bad : {"0", "-1", "-262144", "1048577", "99999999999999999999"}) {
     ::setenv(kVar, bad, 1);
     EXPECT_THROW(env_int_checked(kVar, 0, 1, 1 << 20), PreconditionError) << bad;
+  }
+}
+
+// --- bench --jobs / AHG_JOBS ------------------------------------------------
+//
+// Only the rejections are tested: an accepted count sizes the process-wide
+// pool, and a rejected one must stop before any pool is configured.
+
+class BenchJobs : public ::testing::Test {
+ protected:
+  void SetUp() override { bench::bench_flags() = bench::BenchFlags{}; }
+  void TearDown() override {
+    ::unsetenv("AHG_JOBS");
+    bench::bench_flags() = bench::BenchFlags{};
+  }
+  static std::optional<int> run(std::vector<std::string> args) {
+    args.insert(args.begin(), "bench");
+    std::vector<char*> argv;
+    for (std::string& arg : args) argv.push_back(arg.data());
+    int argc = static_cast<int>(argv.size());
+    return bench::handle_bench_flags(argc, argv.data());
+  }
+};
+
+TEST_F(BenchJobs, MalformedOrOversizedFlagExitsTwo) {
+  for (const char* bad : {"abc", "3x", "", "-1", "+4", " 4", "4 ", "1.5", "1025",
+                          "100000", "99999999999999999999"}) {
+    EXPECT_EQ(run({"--jobs", bad}), 2) << "'" << bad << "'";
+    EXPECT_EQ(run({std::string("--jobs=") + bad}), 2) << "'" << bad << "'";
+    EXPECT_EQ(bench::bench_flags().jobs, 0u) << "'" << bad << "'";
+  }
+  EXPECT_EQ(run({"--jobs"}), 2);
+}
+
+TEST_F(BenchJobs, MalformedOrOversizedEnvExitsTwo) {
+  for (const char* bad : {"abc", "3x", "-1", " 4", "1025", "100000"}) {
+    ::setenv("AHG_JOBS", bad, 1);
+    EXPECT_EQ(run({}), 2) << "'" << bad << "'";
   }
 }
 

@@ -17,16 +17,20 @@
 // A second table, kGoldenObservations, freezes what the observation backends
 // record on the same runs with every one of them attached: the decision
 // events, the flight-recorder frames and spans, the task ledger's spans and
-// the metrics counters. Wall-clock fields are zeroed or left out; everything
-// else is hashed. Changing how observation is wired must keep these digests;
-// changing an event, frame or ledger format is meant to move them.
+// a fixed list of metrics counters and histograms. Wall-clock fields are
+// zeroed or left out; everything else is hashed. Changing how observation is
+// wired must keep these digests; changing an event, frame or ledger format
+// is meant to move them. Adding a counter or histogram moves no row.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <iomanip>
+#include <iterator>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -282,6 +286,20 @@ const std::map<std::string, std::uint64_t> kGoldenObservations = {
     {"SLRH-3/churn-degrade", 0x56416f64c60162f0ull},
 };
 
+/// The metrics names a row's digest covers, sorted (the registry's order, so
+/// the digests equal those of hashing every name these rows emit). A
+/// counter or histogram missing from these lists is not hashed.
+constexpr std::string_view kDigestedCounters[] = {
+    "maxmax.entries_priced", "maxmax.map_decisions",   "maxmax.rounds",
+    "slrh.map_decisions",    "slrh.pool_reuse_hits",   "slrh.pool_reuse_misses",
+    "slrh.pools_built",      "slrh.timesteps",
+};
+constexpr std::string_view kDigestedHistograms[] = {
+    "maxmax.select_seconds",  "slrh.earliest_start_seconds",
+    "slrh.placement_seconds", "slrh.pool_build_seconds",
+    "slrh.scoring_seconds",
+};
+
 /// Every observation backend a driver accepts, attached at once (the live
 /// heartbeat is left out: it only mirrors the clock into a file).
 struct Observers {
@@ -303,8 +321,9 @@ struct Observers {
 
   /// Events in order (JSON, wall time zeroed), frames (JSON, the three wall
   /// times zeroed), span names with their clock and machine, the ledger's
-  /// spans file, and every counter and histogram name with counter values.
-  /// Each stream must be non-empty, so no row hashes an absent stream.
+  /// spans file, and the digested counters' names and values and digested
+  /// histograms' names that this row emits. Each stream must be non-empty,
+  /// so no row hashes an absent stream.
   std::uint64_t digest() const {
     Fnv1a h;
     const std::vector<obs::Event> events = sink.events();
@@ -340,13 +359,17 @@ struct Observers {
     EXPECT_FALSE(ledger_spans.str().empty());
     h.mix_bytes(ledger_spans.str());
     const obs::MetricsSnapshot snapshot = metrics.snapshot();
-    EXPECT_FALSE(snapshot.counters.empty());
-    for (const obs::CounterSnapshot& counter : snapshot.counters) {
-      h.mix_bytes(counter.name);
-      h.mix(counter.value);
+    bool any_counter = false;
+    for (const std::string_view name : kDigestedCounters) {
+      if (const obs::CounterSnapshot* counter = snapshot.find_counter(name)) {
+        any_counter = true;
+        h.mix_bytes(name);
+        h.mix(counter->value);
+      }
     }
-    for (const obs::HistogramSnapshot& histogram : snapshot.histograms) {
-      h.mix_bytes(histogram.name);
+    EXPECT_TRUE(any_counter);
+    for (const std::string_view name : kDigestedHistograms) {
+      if (snapshot.find_histogram(name) != nullptr) h.mix_bytes(name);
     }
     return h.value();
   }
@@ -363,45 +386,79 @@ void expect_golden_observations(const std::string& row, std::uint64_t actual) {
                                 << hex(actual) << ", committed " << hex(it->second);
 }
 
-TEST(GoldenObservations, PaperFixtures) {
+/// Run the paper-fixture rows with every observer attached, calling
+/// `check(row, schedule digest, observers)` after each.
+template <typename Check>
+void observe_paper_rows(Check check) {
   const auto fixtures = test::paper_shape_fixtures();
   ASSERT_EQ(fixtures.size(), std::size(kFixtureNames));
   for (std::size_t f = 0; f < fixtures.size(); ++f) {
     const workload::Scenario& scenario = fixtures[f];
     for (const auto variant :
          {core::SlrhVariant::V1, core::SlrhVariant::V2, core::SlrhVariant::V3}) {
-      const std::string row = core::to_string(variant) + "/" + kFixtureNames[f];
       Observers observers(scenario);
       const auto result =
           core::run_slrh(scenario, observers.attach(slrh_params(variant)));
-      expect_golden(row, schedule_digest(result));  // observing changes nothing
-      expect_golden_observations(row, observers.digest());
+      check(core::to_string(variant) + "/" + kFixtureNames[f],
+            schedule_digest(result), observers);
     }
-    const std::string row = std::string("Max-Max/") + kFixtureNames[f];
     core::MaxMaxParams maxmax;
     maxmax.weights = core::Weights::make(0.6, 0.3);
     Observers observers(scenario);
     const auto result = core::run_maxmax(scenario, observers.attach(maxmax));
-    expect_golden(row, schedule_digest(result));
-    expect_golden_observations(row, observers.digest());
+    check(std::string("Max-Max/") + kFixtureNames[f], schedule_digest(result),
+          observers);
   }
 }
 
-TEST(GoldenObservations, OneDepartureChurn) {
+/// The one-departure churn rows, as observe_paper_rows.
+template <typename Check>
+void observe_churn_rows(Check check) {
   const auto scenario = test::one_departure_scenario();
   for (const auto variant : {core::SlrhVariant::V1, core::SlrhVariant::V3}) {
     for (const auto recovery :
          {core::ChurnRecovery::Remap, core::ChurnRecovery::Degrade}) {
-      const std::string row =
-          core::to_string(variant) + "/churn-" +
-          (recovery == core::ChurnRecovery::Remap ? "remap" : "degrade");
       Observers observers(scenario);
       const auto outcome = core::run_slrh_with_churn(
           scenario, observers.attach(slrh_params(variant)), recovery);
       ASSERT_GT(outcome.departures_processed, 0u);
-      expect_golden(row, schedule_digest(outcome.result));
-      expect_golden_observations(row, observers.digest());
+      check(core::to_string(variant) + "/churn-" +
+                (recovery == core::ChurnRecovery::Remap ? "remap" : "degrade"),
+            schedule_digest(outcome.result), observers);
     }
+  }
+}
+
+void expect_golden_row(const std::string& row, std::uint64_t schedule,
+                       const Observers& observers) {
+  expect_golden(row, schedule);  // observing changes nothing
+  expect_golden_observations(row, observers.digest());
+}
+
+TEST(GoldenObservations, PaperFixtures) { observe_paper_rows(expect_golden_row); }
+
+TEST(GoldenObservations, OneDepartureChurn) { observe_churn_rows(expect_golden_row); }
+
+TEST(GoldenObservations, EveryDigestedNameIsEmitted) {
+  // A listed name no row emits hashes nothing: a renamed counter would drop
+  // out of every digest unseen.
+  ASSERT_TRUE(std::is_sorted(std::begin(kDigestedCounters), std::end(kDigestedCounters)));
+  ASSERT_TRUE(
+      std::is_sorted(std::begin(kDigestedHistograms), std::end(kDigestedHistograms)));
+  std::set<std::string, std::less<>> counters;
+  std::set<std::string, std::less<>> histograms;
+  const auto collect = [&](const std::string&, std::uint64_t, const Observers& observers) {
+    const obs::MetricsSnapshot snapshot = observers.metrics.snapshot();
+    for (const obs::CounterSnapshot& c : snapshot.counters) counters.insert(c.name);
+    for (const obs::HistogramSnapshot& h : snapshot.histograms) histograms.insert(h.name);
+  };
+  observe_paper_rows(collect);
+  observe_churn_rows(collect);
+  for (const std::string_view name : kDigestedCounters) {
+    EXPECT_TRUE(counters.contains(name)) << "counter " << name << " is in no row";
+  }
+  for (const std::string_view name : kDigestedHistograms) {
+    EXPECT_TRUE(histograms.contains(name)) << "histogram " << name << " is in no row";
   }
 }
 

@@ -206,6 +206,14 @@ TEST(ThreadPool, OnWorkerThreadIsPoolSpecific) {
   EXPECT_FALSE(a.submit([&] { return b.on_worker_thread(); }).get());
 }
 
+TEST(GlobalPool, ConfigureRejectsCountsAboveTheCeiling) {
+  // Rejections only: no pool of the rejected size may be built.
+  const std::size_t before = global_pool_jobs();
+  EXPECT_THROW(configure_global_pool(kMaxPoolThreads + 1), PreconditionError);
+  EXPECT_THROW(configure_global_pool(100000), PreconditionError);
+  EXPECT_EQ(global_pool_jobs(), before);
+}
+
 TEST(GlobalPool, IsSingletonAndUsable) {
   ThreadPool& a = global_pool();
   ThreadPool& b = global_pool();
