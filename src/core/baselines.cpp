@@ -96,17 +96,12 @@ std::optional<VersionKind> pick_version(const workload::Scenario& scenario,
                                         const BaselineParams& params,
                                         const std::vector<Cycles>& tail, TaskId task,
                                         MachineId machine) {
-  if (params.prefer_primary &&
-      admissible(scenario, schedule, params, tail, task, machine, VersionKind::Primary)) {
+  if (admissible(scenario, schedule, params, tail, task, machine, VersionKind::Primary)) {
     return VersionKind::Primary;
   }
   if (admissible(scenario, schedule, params, tail, task, machine,
                  VersionKind::Secondary)) {
     return VersionKind::Secondary;
-  }
-  if (!params.prefer_primary &&
-      admissible(scenario, schedule, params, tail, task, machine, VersionKind::Primary)) {
-    return VersionKind::Primary;
   }
   return std::nullopt;
 }

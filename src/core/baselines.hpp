@@ -22,10 +22,6 @@ struct BaselineParams {
   /// candidate is admissible only if its finish plus the cheapest execution
   /// of its longest descendant chain fits within tau.
   bool enforce_tau = true;
-  /// Prefer the primary version whenever it is admissible (Min-Min/OLB pick
-  /// the machine; this picks the version). When false, versions are chosen
-  /// at random (random mapper) or secondary-first (stress floor).
-  bool prefer_primary = true;
 };
 
 /// Min-Min [IbK77], adapted to DAGs and versions: among frontier candidates,

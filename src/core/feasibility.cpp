@@ -29,13 +29,12 @@ bool version_fits_energy(const workload::Scenario& scenario,
                          MachineId machine, VersionKind version) {
   const double need = exec_energy(scenario, task, machine, version) +
                       worst_case_outgoing_energy(scenario, task, machine, version);
-  return need <= schedule.energy().available(machine) + kEnergyFitEps;
+  return need <= energy_headroom(schedule, machine);
 }
 
 bool version_fits_energy(const ScenarioCache& cache, const sim::Schedule& schedule,
                          TaskId task, MachineId machine, VersionKind version) {
-  return cache.energy_need(task, machine, version) <=
-         schedule.energy().available(machine) + kEnergyFitEps;
+  return cache.energy_need(task, machine, version) <= energy_headroom(schedule, machine);
 }
 
 bool parents_assigned(const workload::Scenario& scenario, const sim::Schedule& schedule,

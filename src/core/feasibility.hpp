@@ -20,9 +20,15 @@ class ScenarioCache;
 
 /// Slack added to the available-energy side of every admission comparison
 /// (need <= available + eps): absorbs the accumulated rounding of the
-/// energy-need sums. Exposed so batch admission (core/scoring.hpp) performs
-/// the bit-identical comparison.
+/// energy-need sums.
 inline constexpr double kEnergyFitEps = 1e-9;
+
+/// The right-hand side of every admission comparison: a version fits
+/// `machine` iff its energy need is <= this. The SLRH pool build and
+/// Max-Max read it once per machine and compare many needs against it.
+inline double energy_headroom(const sim::Schedule& schedule, MachineId machine) {
+  return schedule.energy().available(machine) + kEnergyFitEps;
+}
 
 /// Worst-case energy the target machine would need to send all of the
 /// subtask's output data items, assuming every child is mapped across the

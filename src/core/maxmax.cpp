@@ -158,34 +158,16 @@ class CandidateTable {
 
   /// The best admissible entry under Triplet::better_than, or an invalid
   /// triplet when none is left. The schedule's totals and every machine's
-  /// energy headroom are read once per call. Each entry is scored with
-  /// objective_value's expression tree on the state score_candidate_with_finish
-  /// would build for it; the per-call constant subtrees (alpha times either
-  /// t100 term, sign times gamma) are hoisted whole, as in the SLRH pool
-  /// build's CandidateBatch::start, so every score is the same double. So is
-  /// the AET term of every entry that finishes by the schedule's AET:
-  /// max(aet, finish) is aet there, and the hoisted term is the same
-  /// expression on the same value.
+  /// energy headroom are read once per call; each entry is priced by the
+  /// objective's pricer around the schedule's state, so its score is
+  /// score_candidate_with_finish's.
   Triplet select(const sim::Schedule& schedule, const MaxMaxParams& params,
                  const ObjectiveTotals& totals) {
-    const std::size_t t100 = schedule.t100();
-    const double tec = schedule.tec();
-    const Cycles aet = schedule.aet();
     for (MachineId m = 0; m < static_cast<MachineId>(num_machines_); ++m) {
-      headroom_[static_cast<std::size_t>(m)] =
-          schedule.energy().available(m) + kEnergyFitEps;
+      headroom_[static_cast<std::size_t>(m)] = energy_headroom(schedule, m);
     }
-    const double num_tasks = static_cast<double>(totals.num_tasks);
-    const double alpha_t100_s =
-        params.weights.alpha * (static_cast<double>(t100) / num_tasks);
-    const double alpha_t100_p =
-        params.weights.alpha * (static_cast<double>(t100 + 1) / num_tasks);
-    const double beta = params.weights.beta;
-    const double tse = totals.tse;
-    const double tau = static_cast<double>(totals.tau);
-    const double sign_gamma =
-        static_cast<double>(static_cast<int>(params.aet_sign)) * params.weights.gamma;
-    const double aet_term = sign_gamma * (static_cast<double>(aet) / tau);
+    const ObjectivePricer pricer(params.weights, totals, params.aet_sign,
+                                 {schedule.t100(), schedule.tec(), schedule.aet()});
     Triplet best;
     for (std::size_t row = 0; row < tasks_.size(); ++row) {
       const TaskId task = tasks_[row];
@@ -197,12 +179,7 @@ class CandidateTable {
           const std::size_t e = entry(row, machine, version);
           if (excluded_[e] != 0 || !(need_[e] <= headroom)) continue;
           const Cycles finish_est = finish_[e];
-          const double score =
-              (version == VersionKind::Primary ? alpha_t100_p : alpha_t100_s) -
-              beta * ((tec + tec_delta_[e]) / tse) +
-              (finish_est <= aet
-                   ? aet_term
-                   : sign_gamma * (static_cast<double>(finish_est) / tau));
+          const double score = pricer.value(version, tec_delta_[e], finish_est);
           // A lower score never wins: skip the tie-break.
           if (score < best.score && best.valid()) continue;
           const Triplet triplet{task, machine, version, score, finish_est};

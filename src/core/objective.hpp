@@ -18,6 +18,7 @@
 
 #include "support/contract.hpp"
 #include "support/units.hpp"
+#include "support/version.hpp"
 
 namespace ahg::core {
 
@@ -60,6 +61,42 @@ struct ObjectiveState {
   std::size_t t100 = 0;
   double tec = 0.0;
   Cycles aet = 0;
+};
+
+/// ObjFn of a base state plus one more subtask — the price every SLRH pool
+/// slot, Max-Max table entry and reference score is ranked by. The subtrees
+/// that stay fixed while the base state does (alpha times either t100 term,
+/// sign times gamma, the base AET term) are computed once, by the operations
+/// objective_value would perform, so a price is the same double whichever
+/// caller asks for it. Relies on the ISO build (no FP contraction).
+class ObjectivePricer {
+ public:
+  ObjectivePricer() = default;
+  ObjectivePricer(const Weights& weights, const ObjectiveTotals& totals,
+                  AetSign aet_sign, const ObjectiveState& base);
+
+  /// The objective if one more subtask of `version` were mapped, adding
+  /// `tec_delta` to TEC and finishing at `finish`. A primary adds one to
+  /// T100; AET becomes max(base AET, finish), whose term is the hoisted one
+  /// whenever the base AET wins.
+  double value(VersionKind version, double tec_delta, Cycles finish) const noexcept {
+    return (version == VersionKind::Primary ? alpha_t100_primary_
+                                            : alpha_t100_secondary_) -
+           beta_ * ((tec_ + tec_delta) / tse_) +
+           (finish <= aet_ ? aet_term_
+                           : sign_gamma_ * (static_cast<double>(finish) / tau_));
+  }
+
+ private:
+  double alpha_t100_secondary_ = 0.0;  ///< alpha * (t100 / |T|)
+  double alpha_t100_primary_ = 0.0;    ///< alpha * ((t100 + 1) / |T|)
+  double beta_ = 0.0;
+  double tec_ = 0.0;
+  double tse_ = 0.0;
+  Cycles aet_ = 0;
+  double sign_gamma_ = 0.0;            ///< sign * gamma
+  double tau_ = 0.0;
+  double aet_term_ = 0.0;              ///< sign * gamma * (aet / tau)
 };
 
 /// Evaluate ObjFn for a (possibly hypothetical) state.

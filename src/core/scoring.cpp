@@ -81,19 +81,7 @@ ObjectiveTerms score_candidate_terms(const workload::Scenario& scenario,
                                      const Weights& weights,
                                      const ObjectiveTotals& totals, TaskId task,
                                      MachineId machine, VersionKind version,
-                                     Cycles earliest, AetSign aet_sign) {
-  const Cycles duration = scenario.exec_cycles(task, machine, version);
-  const Cycles finish_est =
-      std::max(earliest, schedule.machine_ready(machine)) + duration;
-  return score_candidate_terms_with_finish(scenario, schedule, weights, totals,
-                                           task, machine, version, finish_est,
-                                           aet_sign);
-}
-
-ObjectiveTerms score_candidate_terms_with_finish(
-    const workload::Scenario& scenario, const sim::Schedule& schedule,
-    const Weights& weights, const ObjectiveTotals& totals, TaskId task,
-    MachineId machine, VersionKind version, Cycles finish_est, AetSign aet_sign) {
+                                     Cycles finish_est, AetSign aet_sign) {
   const ObjectiveState state =
       hypothetical_state(scenario, schedule, task, machine, version, finish_est,
                          exec_energy(scenario, task, machine, version));
@@ -150,8 +138,8 @@ void GatherRows::drop(TaskId task) noexcept {
 namespace {
 
 /// The pool admission: the secondary version's worst-case need fits the
-/// machine's headroom (available + kEnergyFitEps) — version_fits_energy's
-/// verdict, against the hoisted right-hand side.
+/// machine's energy_headroom — version_fits_energy's verdict, against the
+/// hoisted right-hand side.
 bool admitted(const ScenarioCache& cache, TaskId task, MachineId machine,
               double headroom) {
   return cache.energy_need(task, machine, VersionKind::Secondary) <= headroom;
@@ -268,33 +256,14 @@ std::span<const TaskId> GatherRows::dead(MachineId machine) {
 void CandidateBatch::start(const sim::Schedule& schedule, MachineId machine_id,
                            Cycles earliest_clock, const Weights& weights,
                            const ObjectiveTotals& totals, AetSign aet_sign) {
-  AHG_EXPECTS_MSG(totals.num_tasks > 0, "objective needs |T| > 0");
-  AHG_EXPECTS_MSG(totals.tse > 0.0, "objective needs TSE > 0");
-  AHG_EXPECTS_MSG(totals.tau > 0, "objective needs tau > 0");
   machine = machine_id;
   earliest = earliest_clock;
-  // Hoisted per-machine state: pure during a pool build. The admission
-  // comparison and the finish base reproduce version_fits_energy and
-  // score_candidate exactly (available + eps is the scalar path's right-hand
-  // side; max(earliest, ready) is integer — hoisting is exact).
-  headroom = schedule.energy().available(machine) + kEnergyFitEps;
+  // Pure during a pool build; max(earliest, ready) is integer, so hoisting
+  // it is exact.
+  headroom = energy_headroom(schedule, machine);
   start_base = std::max(earliest, schedule.machine_ready(machine));
-  aet_base = schedule.aet();
-  tec_base = schedule.tec();
-  // Per-build constant subtrees of objective_value's expression: a build has
-  // exactly two possible t100 terms (secondary leaves t100, primary adds
-  // one) and one sign*gamma product. Each is computed by the scalar path's
-  // exact operations, so reusing the resulting doubles keeps every slot
-  // score bit-identical to objective_value.
-  const double num_tasks = static_cast<double>(totals.num_tasks);
-  alpha_t100_secondary =
-      weights.alpha * (static_cast<double>(schedule.t100()) / num_tasks);
-  alpha_t100_primary =
-      weights.alpha * (static_cast<double>(schedule.t100() + 1) / num_tasks);
-  sign_gamma = static_cast<double>(static_cast<int>(aet_sign)) * weights.gamma;
-  beta = weights.beta;
-  tse = totals.tse;
-  tau = static_cast<double>(totals.tau);
+  pricer = ObjectivePricer(weights, totals, aet_sign,
+                           {schedule.t100(), schedule.tec(), schedule.aet()});
   count_ = 0;  // slots keep their high-water storage
 }
 
@@ -312,14 +281,7 @@ std::size_t gather_candidates(const ScenarioCache& cache,
   if (batch.slots.size() < cap) batch.slots.resize(cap);
   const MachineId machine = batch.machine;
   const double headroom = batch.headroom;
-  // objective_value's expression with the hoisted subtrees; aet is the
-  // integer max(AET, finish), converted exactly as the scalar path does.
-  const auto score = [&batch](double alpha_t100, double tec_delta, Cycles finish) {
-    const double tec = batch.tec_base + tec_delta;
-    const double aet = static_cast<double>(std::max(batch.aet_base, finish));
-    return alpha_t100 - batch.beta * (tec / batch.tse) +
-           batch.sign_gamma * (aet / batch.tau);
-  };
+  const ObjectivePricer& pricer = batch.pricer;
 
   std::size_t slot = batch.count_;
   std::size_t rejected_energy = 0;
@@ -335,17 +297,17 @@ std::size_t gather_candidates(const ScenarioCache& cache,
     SlrhPoolCandidate& out = batch.slots[slot++];
     out.task = task;
     out.version = VersionKind::Secondary;
-    out.score = score(batch.alpha_t100_secondary, parents.tec_delta_secondary,
-                      batch.start_base +
-                          cache.exec_cycles(task, machine, VersionKind::Secondary));
+    out.score = pricer.value(
+        VersionKind::Secondary, parents.tec_delta_secondary,
+        batch.start_base + cache.exec_cycles(task, machine, VersionKind::Secondary));
     out.arrival_lb = parents.arrival_lb(batch.earliest);
     // Primary is considered iff the degrade mask allows it and its need
     // fits too, and chosen iff it scores at least the secondary's.
     const bool degraded = secondary_only != nullptr &&
                           (*secondary_only)[static_cast<std::size_t>(task)] != 0;
     if (!degraded && cache.energy_need(task, machine, VersionKind::Primary) <= headroom) {
-      const double primary = score(
-          batch.alpha_t100_primary, parents.tec_delta_primary,
+      const double primary = pricer.value(
+          VersionKind::Primary, parents.tec_delta_primary,
           batch.start_base + cache.exec_cycles(task, machine, VersionKind::Primary));
       if (primary >= out.score) {
         out.version = VersionKind::Primary;

@@ -54,8 +54,8 @@ double score_candidate(const ScenarioCache& cache,
 /// supplied by the caller: Max-Max's hole-aware earliest-fit estimate (its
 /// placements backfill schedule holes, so the append-style estimate of
 /// score_candidate would misprice every backfilled candidate). Max-Max's
-/// candidate table scores with this function's exact expression; the
-/// test-only rescan oracle calls it directly.
+/// candidate table prices through the same ObjectivePricer; the test-only
+/// rescan oracle calls this function directly.
 double score_candidate_with_finish(const workload::Scenario& scenario,
                                    const sim::Schedule& schedule,
                                    const Weights& weights,
@@ -64,22 +64,17 @@ double score_candidate_with_finish(const workload::Scenario& scenario,
                                    Cycles finish_est,
                                    AetSign aet_sign = AetSign::Reward);
 
-/// Decision-trace variants: the same hypothetical objective, decomposed into
-/// its weighted terms. Used only on the telemetry path (a sink is attached);
-/// the comparison/ordering path keeps the scalar functions above.
+/// Decision-trace variant: the same hypothetical objective at `finish_est`,
+/// decomposed into its weighted terms. Used only on the telemetry path (a
+/// sink is attached); the comparison/ordering path keeps the scalar
+/// functions above.
 ObjectiveTerms score_candidate_terms(const workload::Scenario& scenario,
                                      const sim::Schedule& schedule,
                                      const Weights& weights,
                                      const ObjectiveTotals& totals, TaskId task,
                                      MachineId machine, VersionKind version,
-                                     Cycles earliest,
+                                     Cycles finish_est,
                                      AetSign aet_sign = AetSign::Reward);
-
-ObjectiveTerms score_candidate_terms_with_finish(
-    const workload::Scenario& scenario, const sim::Schedule& schedule,
-    const Weights& weights, const ObjectiveTotals& totals, TaskId task,
-    MachineId machine, VersionKind version, Cycles finish_est,
-    AetSign aet_sign = AetSign::Reward);
 
 // --- parent terms -----------------------------------------------------------
 //
@@ -190,8 +185,8 @@ class GatherRows {
   /// clock + horizon. `joined` is the frontier's ReadyFrontier::joined();
   /// the tasks past the prefix this machine has already read are picked up
   /// (dropped ones skipped) and classified with one terms() fill each —
-  /// once their secondary need fits `headroom` (the machine's available
-  /// energy + kEnergyFitEps); until then they wait unfilled and are tested
+  /// once their secondary need fits `headroom` (the machine's
+  /// energy_headroom); until then they wait unfilled and are tested
   /// again at each call. Pending tasks whose A <= clock + horizon are
   /// promoted; dropped live and side tasks, and dropped pending tasks up to
   /// the first one still dead, are shed. Per machine the clock
@@ -263,22 +258,19 @@ class GatherRows {
 // the dead ones when an observer reads them) against a single machine at a
 // single clock. Scoring each candidate through score_candidate would pay
 // two call chains per candidate — each re-reading machine state, re-walking
-// the parents and re-dividing the objective normalisers. The pool build
-// instead hoists the per-build state once (CandidateBatch::start) and, per
-// admitted task, reads the task's GatherRows entry, scores both versions,
-// picks one and writes the finished pool slot (gather_candidates).
+// the parents and rebuilding the objective. The pool build instead reads
+// the per-build state once (CandidateBatch::start) and, per admitted task,
+// reads the task's GatherRows entry, prices both versions through the one
+// ObjectivePricer, picks one and writes the finished pool slot
+// (gather_candidates).
 //
 // Bit-identity contract (enforced by the property tests in
 // tests/test_scoring.cpp and the pool-level scan oracle in
-// tests/test_determinism.cpp): every score is produced by the SAME
-// expression in the SAME operation order as score_candidate — the tec-delta
-// accumulation per version starts from the version's exec energy and adds
-// the identical per-parent transfer energies in parent order; the finish
-// estimate is max(earliest, machine_ready) + duration with the max hoisted
-// (integers — exact); the objective is evaluated with objective_value's
-// exact expression tree, with the two per-build-constant t100 terms (t100
-// and t100+1 over |T|) and the sign*gamma product hoisted as whole subtrees
-// (hoisting a subtree reuses its identical double).
+// tests/test_determinism.cpp): each slot's score is score_candidate's —
+// the same pricer on the same tec delta (exec energy plus the identical
+// per-parent transfer energies in parent order, from walk_parents) and the
+// same finish estimate max(earliest, machine_ready) + duration (integers —
+// exact when the max is hoisted).
 
 /// One entry of the ordered candidate pool U: the subtask with its
 /// objective-maximising version and that version's score, plus the gather's
@@ -310,23 +302,16 @@ struct CandidateBatch {
   /// Storage of the pool an SLRH build makes (SlrhPool views it).
   std::vector<SlrhPoolCandidate> slots;
 
-  // Per-build state, hoisted by start() from the schedule and the objective.
+  // Per-build state, read by start() from the schedule.
   MachineId machine = kInvalidMachine;
   Cycles earliest = 0;        ///< the clock the arrival bounds are taken at
   Cycles start_base = 0;      ///< max(earliest, machine_ready)
-  double headroom = 0.0;      ///< available battery + kEnergyFitEps
-  Cycles aet_base = 0;        ///< the schedule's AET
-  double tec_base = 0.0;      ///< the schedule's TEC
-  double alpha_t100_secondary = 0.0;  ///< alpha * (t100 / |T|)
-  double alpha_t100_primary = 0.0;    ///< alpha * ((t100 + 1) / |T|)
-  double sign_gamma = 0.0;            ///< sign * gamma
-  double beta = 0.0;
-  double tse = 0.0;
-  double tau = 0.0;
+  double headroom = 0.0;      ///< energy_headroom(schedule, machine)
+  ObjectivePricer pricer;     ///< the objective around the schedule's state
 
   std::size_t size() const noexcept { return count_; }
-  /// Empty the batch and hoist (machine, earliest)'s per-build state from
-  /// the schedule and the objective's constant subtrees.
+  /// Empty the batch and read (machine, earliest)'s per-build state and the
+  /// objective's pricer from the schedule.
   void start(const sim::Schedule& schedule, MachineId machine, Cycles earliest,
              const Weights& weights, const ObjectiveTotals& totals,
              AetSign aet_sign = AetSign::Reward);

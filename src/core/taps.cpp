@@ -1,5 +1,6 @@
 #include "core/taps.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "core/churn.hpp"
@@ -159,13 +160,13 @@ void Taps::map_decision(const sim::Schedule& schedule, const PlacementPlan& plan
   // against the PRE-commit schedule: SLRH scores at its clock, Max-Max at
   // the finish estimate its selection used.
   const bool maxmax = driver_ == Driver::MaxMax;
+  const Cycles finish_est =
+      maxmax ? decision.finish_est
+             : std::max(decision.clock, schedule.machine_ready(plan.machine)) +
+                   scenario_.exec_cycles(plan.task, plan.machine, plan.version);
   const ObjectiveTerms t =
-      maxmax ? score_candidate_terms_with_finish(
-                   scenario_, schedule, weights_, totals_, plan.task, plan.machine,
-                   plan.version, decision.finish_est, aet_sign_)
-             : score_candidate_terms(scenario_, schedule, weights_, totals_,
-                                     plan.task, plan.machine, plan.version,
-                                     decision.clock, aet_sign_);
+      score_candidate_terms(scenario_, schedule, weights_, totals_, plan.task,
+                            plan.machine, plan.version, finish_est, aet_sign_);
   obs::Event e = event(obs::EventKind::MapDecision, decision.clock, plan.machine);
   e.task = plan.task;
   e.version = plan.version;

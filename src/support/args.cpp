@@ -1,10 +1,32 @@
 #include "support/args.hpp"
 
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
 #include <iostream>
 #include <sstream>
+#include <system_error>
+#include <type_traits>
 
 namespace ahg {
+
+namespace {
+
+/// Parse all of `text` as a T. Leftover characters and (for a double) a
+/// non-finite value are invalid_argument; a value past T's range is
+/// result_out_of_range.
+template <typename T>
+std::errc parse_number(const std::string& text, T& out) {
+  const char* const last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, out);
+  if (ec != std::errc{}) return ec;
+  if (end != last) return std::errc::invalid_argument;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(out)) return std::errc::invalid_argument;
+  }
+  return std::errc{};
+}
+
+}  // namespace
 
 ArgParser::ArgParser(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description)) {}
@@ -18,8 +40,9 @@ void ArgParser::add_string(const std::string& name, std::string default_value,
 void ArgParser::add_int(const std::string& name, std::int64_t default_value,
                         std::string help) {
   AHG_EXPECTS_MSG(!options_.contains(name), "duplicate option");
-  options_.emplace(name,
-                   Option{Kind::Int, std::move(help), std::to_string(default_value)});
+  Option opt{Kind::Int, std::move(help), std::to_string(default_value)};
+  opt.int_value = default_value;
+  options_.emplace(name, std::move(opt));
 }
 
 void ArgParser::add_double(const std::string& name, double default_value,
@@ -27,7 +50,9 @@ void ArgParser::add_double(const std::string& name, double default_value,
   AHG_EXPECTS_MSG(!options_.contains(name), "duplicate option");
   std::ostringstream oss;
   oss << default_value;
-  options_.emplace(name, Option{Kind::Double, std::move(help), oss.str()});
+  Option opt{Kind::Double, std::move(help), oss.str()};
+  opt.double_value = default_value;
+  options_.emplace(name, std::move(opt));
 }
 
 void ArgParser::add_flag(const std::string& name, std::string help) {
@@ -82,21 +107,20 @@ bool ArgParser::parse(int argc, const char* const* argv) {
         }
         value = argv[++i];
       }
-      if (opt.kind == Kind::Int) {
-        char* end = nullptr;
-        (void)std::strtoll(value.c_str(), &end, 10);
-        if (end == value.c_str() || *end != '\0') {
-          std::cerr << program_ << ": --" << name << " expects an integer, got '"
-                    << value << "'\n";
+      if (opt.kind == Kind::Int || opt.kind == Kind::Double) {
+        const std::errc ec = opt.kind == Kind::Int
+                                 ? parse_number(value, opt.int_value)
+                                 : parse_number(value, opt.double_value);
+        if (ec == std::errc::result_out_of_range) {
+          std::cerr << program_ << ": --" << name << " value '" << value
+                    << "' is out of range\n";
           error_ = true;
           return false;
         }
-      } else if (opt.kind == Kind::Double) {
-        char* end = nullptr;
-        (void)std::strtod(value.c_str(), &end);
-        if (end == value.c_str() || *end != '\0') {
-          std::cerr << program_ << ": --" << name << " expects a number, got '"
-                    << value << "'\n";
+        if (ec != std::errc{}) {
+          std::cerr << program_ << ": --" << name << " expects "
+                    << (opt.kind == Kind::Int ? "an integer" : "a finite number")
+                    << ", got '" << value << "'\n";
           error_ = true;
           return false;
         }
@@ -144,11 +168,11 @@ std::string ArgParser::get_string(const std::string& name) const {
 }
 
 std::int64_t ArgParser::get_int(const std::string& name) const {
-  return std::strtoll(find(name, Kind::Int).value.c_str(), nullptr, 10);
+  return find(name, Kind::Int).int_value;
 }
 
 double ArgParser::get_double(const std::string& name) const {
-  return std::strtod(find(name, Kind::Double).value.c_str(), nullptr);
+  return find(name, Kind::Double).double_value;
 }
 
 bool ArgParser::get_flag(const std::string& name) const {

@@ -3,7 +3,8 @@
 //
 // Supports --name value, --name=value, --flag (boolean), positional
 // arguments, defaults, and generated --help text. Deliberately tiny: no
-// subcommands, no repeated options.
+// subcommands, no repeated options. A number must be the whole value, in
+// range for its type and (a double) finite, or parse() fails.
 
 #include <cstdint>
 #include <map>
@@ -48,6 +49,8 @@ class ArgParser {
     std::string help;
     std::string value;  // current (default until parsed)
     bool flag_set = false;
+    std::int64_t int_value = 0;  // Kind::Int: value, parsed once
+    double double_value = 0.0;   // Kind::Double: value, parsed once
   };
   struct Positional {
     std::string name;

@@ -140,29 +140,16 @@ class Sink {
 /// around the stream); lines are atomic.
 class JsonlSink final : public Sink {
  public:
-  struct Options {
-    /// Suppress per-pool events (they dominate line counts on long runs).
-    bool pool_events;
-    Options() noexcept : pool_events(true) {}  // (not a default member
-    // initializer: those may not feed a default argument of the enclosing
-    // class — GCC rejects it)
-  };
-
-  explicit JsonlSink(std::ostream& os, MetricsRegistry* metrics = nullptr,
-                     Options options = Options()) noexcept
-      : Sink(metrics), os_(os), options_(options) {}
+  explicit JsonlSink(std::ostream& os, MetricsRegistry* metrics = nullptr) noexcept
+      : Sink(metrics), os_(os) {}
 
   void emit(const Event& event) override;
-  bool wants(EventKind kind) const noexcept override {
-    return options_.pool_events || kind != EventKind::PoolBuilt;
-  }
 
   std::size_t events_written() const noexcept;
 
  private:
   mutable std::mutex mutex_;
   std::ostream& os_;
-  Options options_;
   std::size_t count_ = 0;
 };
 

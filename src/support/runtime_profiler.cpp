@@ -104,8 +104,8 @@ RuntimeProfiler::RuntimeProfiler(std::size_t num_workers, Options options)
     slots_.push_back(std::move(slot));
   }
   region_names_.reserve(16);
-  region_ring_.reserve(options_.max_regions);
-  region_tokens_.reserve(options_.max_regions);
+  region_ring_.reserve(kMaxRegions);
+  region_tokens_.reserve(kMaxRegions);
 }
 
 double RuntimeProfiler::now_seconds() const noexcept {
@@ -217,7 +217,7 @@ std::uint32_t RuntimeProfiler::region_begin(std::string_view name) {
   record.duration_seconds = -1.0;
 
   std::size_t pos = 0;
-  if (region_ring_.size() < options_.max_regions) {
+  if (region_ring_.size() < kMaxRegions) {
     pos = region_ring_.size();
     region_ring_.push_back(std::move(record));
     region_tokens_.push_back(token);
@@ -325,7 +325,7 @@ std::vector<std::string> RuntimeProfiler::region_names() const {
 std::size_t RuntimeProfiler::memory_bound_bytes() const noexcept {
   return slots_.size() *
              (sizeof(Slot) + options_.max_events_per_worker * sizeof(WorkerEvent)) +
-         options_.max_regions * (sizeof(RegionRecord) + sizeof(std::uint32_t));
+         kMaxRegions * (sizeof(RegionRecord) + sizeof(std::uint32_t));
 }
 
 MetricsSnapshot runtime_metrics_snapshot(const RuntimeProfiler& profiler) {

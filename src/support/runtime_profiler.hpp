@@ -100,7 +100,8 @@ class RuntimeProfiler {
   };
 
   /// One named parallel_for region window (a cache build, a matrix cell
-  /// fan-out). Rings like everything else.
+  /// fan-out). Rings like everything else, keeping the newest kMaxRegions.
+  static constexpr std::size_t kMaxRegions = 2048;
   struct RegionRecord {
     std::string name;
     double start_seconds = 0.0;
@@ -119,7 +120,6 @@ class RuntimeProfiler {
 
   struct Options {
     std::size_t max_events_per_worker = 4096;
-    std::size_t max_regions = 2048;
     std::size_t helper_slots = 4;  ///< non-worker threads that may record
   };
 

@@ -143,7 +143,9 @@ ChurnTrace generate_machine_churn(const ChurnParams& params, std::size_t num_mac
     }
     if (depart != Scenario::kNoDeparture && depart <= join) depart = join + 1;
 
-    if (params.pin_first_machine && j == 0) {
+    // Machine 0 stays for the whole run so a completing schedule always
+    // exists (someone must be left to finish the work).
+    if (j == 0) {
       join = 0;
       depart = Scenario::kNoDeparture;
       cause = DepartureCause::None;

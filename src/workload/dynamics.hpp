@@ -60,9 +60,6 @@ struct ChurnParams {
   /// join is uniform in [1, max_join_fraction * tau].
   double late_join_fraction = 0.0;
   double max_join_fraction = 0.25;
-  /// Keep machine 0 present for the whole run so a completing schedule
-  /// always exists (someone must be left to finish the work).
-  bool pin_first_machine = true;
 };
 
 /// One generated churn trace: a presence window plus the departure cause for

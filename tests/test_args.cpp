@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <optional>
 #include <string>
@@ -73,6 +74,45 @@ TEST(Args, NonNumericIntFails) {
   auto p = make_parser();
   EXPECT_FALSE(parse(p, {"--count", "abc"}));
   EXPECT_TRUE(p.error());
+}
+
+TEST(Args, TrailingJunkFails) {
+  for (const char* bad : {"12abc", "12 ", " 12", "1.5", ""}) {
+    auto p = make_parser();
+    EXPECT_FALSE(parse(p, {"--count", bad})) << "'" << bad << "'";
+    EXPECT_TRUE(p.error()) << "'" << bad << "'";
+  }
+  for (const char* bad : {"0.5x", "0.5 ", "", "0x1p3"}) {
+    auto p = make_parser();
+    EXPECT_FALSE(parse(p, {"--ratio", bad})) << "'" << bad << "'";
+    EXPECT_TRUE(p.error()) << "'" << bad << "'";
+  }
+}
+
+TEST(Args, OutOfRangeIntFails) {
+  for (const char* bad : {"99999999999999999999", "-99999999999999999999",
+                          "9223372036854775808"}) {
+    auto p = make_parser();
+    ::testing::internal::CaptureStderr();
+    EXPECT_FALSE(parse(p, {"--count", bad})) << bad;
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_TRUE(p.error()) << bad;
+    EXPECT_NE(err.find("out of range"), std::string::npos) << err;
+  }
+  auto p = make_parser();
+  ASSERT_TRUE(parse(p, {"--count", "9223372036854775807"}));
+  EXPECT_EQ(p.get_int("count"), INT64_MAX);
+}
+
+TEST(Args, NonFiniteOrOutOfRangeDoubleFails) {
+  for (const char* bad : {"1e999", "-1e999", "nan", "-nan", "inf", "-inf", "infinity"}) {
+    auto p = make_parser();
+    EXPECT_FALSE(parse(p, {"--ratio", bad})) << bad;
+    EXPECT_TRUE(p.error()) << bad;
+  }
+  auto p = make_parser();
+  ASSERT_TRUE(parse(p, {"--ratio=-1e300"}));
+  EXPECT_EQ(p.get_double("ratio"), -1e300);
 }
 
 TEST(Args, FlagWithValueFails) {

@@ -112,14 +112,9 @@ TEST(EventJson, RunEndRoundTrips) {
   EXPECT_DOUBLE_EQ(doc.get_double("wall_seconds"), 0.0125);
 }
 
-TEST(JsonlSink, OneLinePerEventAndPoolFilter) {
+TEST(JsonlSink, OneLinePerEvent) {
   std::ostringstream os;
-  obs::JsonlSink::Options options;
-  options.pool_events = false;
-  obs::JsonlSink sink(os, nullptr, options);
-
-  EXPECT_FALSE(sink.wants(obs::EventKind::PoolBuilt));
-  EXPECT_TRUE(sink.wants(obs::EventKind::MapDecision));
+  obs::JsonlSink sink(os);
 
   obs::Event event;
   event.kind = obs::EventKind::RunBegin;

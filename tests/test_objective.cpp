@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
+
 #include "support/contract.hpp"
 
 namespace ahg::core {
@@ -84,6 +88,49 @@ TEST(Objective, RejectsDegenerateTotals) {
   EXPECT_THROW(objective_value(w, state, ObjectiveTotals{0, 1.0, 1}), PreconditionError);
   EXPECT_THROW(objective_value(w, state, ObjectiveTotals{1, 0.0, 1}), PreconditionError);
   EXPECT_THROW(objective_value(w, state, ObjectiveTotals{1, 1.0, 0}), PreconditionError);
+}
+
+/// The paper's expression, written out independently of objective.cpp: the
+/// reference the shared pricer is held to (every production scorer prices
+/// through it, so no scorer-versus-scorer comparison can catch an error in
+/// it).
+double literal_objective(const Weights& w, AetSign sign, std::size_t t100, double tec,
+                         Cycles aet, const ObjectiveTotals& totals) {
+  return w.alpha * (static_cast<double>(t100) / static_cast<double>(totals.num_tasks)) -
+         w.beta * (tec / totals.tse) +
+         static_cast<double>(static_cast<int>(sign)) * w.gamma *
+             (static_cast<double>(aet) / static_cast<double>(totals.tau));
+}
+
+TEST(Objective, PricerMatchesLiteralExpression) {
+  std::mt19937_64 rng(20040426);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::uniform_int_distribution<std::size_t> tasks(1, 4096);
+  std::uniform_int_distribution<Cycles> cycles(1, 1'000'000);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const double alpha = unit(rng);
+    const Weights w = Weights::make(alpha, unit(rng) * (1.0 - alpha));
+    const AetSign sign = trial % 2 == 0 ? AetSign::Reward : AetSign::Penalize;
+    const ObjectiveTotals t{tasks(rng), 1.0 + 5000.0 * unit(rng), cycles(rng)};
+    const ObjectiveState base{
+        std::uniform_int_distribution<std::size_t>(0, t.num_tasks - 1)(rng),
+        t.tse * unit(rng), cycles(rng)};
+    EXPECT_EQ(objective_value(w, base, t, sign),
+              literal_objective(w, sign, base.t100, base.tec, base.aet, t));
+
+    const ObjectivePricer pricer(w, t, sign, base);
+    const double tec_delta = 50.0 * unit(rng);
+    const Cycles gap = cycles(rng) % 1000 + 1;
+    for (const Cycles finish : {base.aet - gap, base.aet, base.aet + gap}) {
+      for (const VersionKind version : {VersionKind::Primary, VersionKind::Secondary}) {
+        const std::size_t t100 = base.t100 + (version == VersionKind::Primary ? 1 : 0);
+        EXPECT_EQ(pricer.value(version, tec_delta, finish),
+                  literal_objective(w, sign, t100, base.tec + tec_delta,
+                                    std::max(base.aet, finish), t))
+            << "trial " << trial << " finish " << finish;
+      }
+    }
+  }
 }
 
 TEST(Weights, StrMentionsAllThree) {
